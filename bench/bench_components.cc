@@ -3,6 +3,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "common/rng.h"
 #include "common/zipf.h"
 #include "core/hotset.h"
@@ -111,24 +114,56 @@ BENCHMARK(BM_CountPasses)->Arg(8)->Arg(32);
 
 // ------------------------------------------------------ offload pipeline --
 
-core::AccessGraph YcsbGraph(uint32_t hot_keys) {
+struct YcsbOffloadInput {
+  std::vector<core::HotItem> hot;
+  std::vector<db::Transaction> sample;
+};
+
+/// Offload's inputs on the figure-11 YCSB-A mix: a 20 K-transaction sample
+/// and its `hot_keys` most accessed items.
+YcsbOffloadInput YcsbInput(uint32_t hot_keys) {
   wl::YcsbConfig wcfg;
   wcfg.hot_keys_per_node = hot_keys / 8;
   wl::Ycsb ycsb(wcfg);
   db::Catalog catalog(8);
   ycsb.Setup(&catalog);
-  const auto sample = ycsb.Sample(20000, 7, 8);
+  YcsbOffloadInput in;
+  in.sample = ycsb.Sample(20000, 7, 8);
   core::HotSetDetector detector;
-  for (const auto& txn : sample) detector.Observe(txn);
-  return core::HotSetDetector::BuildGraph(detector.TopK(hot_keys), sample);
+  for (const auto& txn : in.sample) detector.Observe(txn);
+  in.hot = detector.TopK(hot_keys);
+  return in;
 }
 
+core::AccessGraph YcsbGraph(uint32_t hot_keys) {
+  const YcsbOffloadInput in = YcsbInput(hot_keys);
+  return core::HotSetDetector::BuildGraph(in.hot, in.sample);
+}
+
+void BM_BuildGraph(benchmark::State& state) {
+  const YcsbOffloadInput in = YcsbInput(static_cast<uint32_t>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        core::HotSetDetector::BuildGraph(in.hot, in.sample).TotalWeight());
+  }
+}
+BENCHMARK(BM_BuildGraph)->Arg(400)->Unit(benchmark::kMillisecond);
+
+// The configuration PlanOptimal uses on the default pipeline: one part per
+// register array (20 stages x 4 = 80, capped at the vertex count), 8
+// restarts of up to 64 sweeps.
 void BM_MaxCut(benchmark::State& state) {
   const core::AccessGraph graph =
       YcsbGraph(static_cast<uint32_t>(state.range(0)));
+  const sw::PipelineConfig pipe;
   core::MaxCutConfig cfg;
-  cfg.num_parts = 40;
-  cfg.num_restarts = 4;
+  cfg.num_parts = std::min<uint32_t>(
+      static_cast<uint32_t>(pipe.num_stages) * pipe.regs_per_stage,
+      static_cast<uint32_t>(graph.num_vertices()));
+  cfg.max_part_size = pipe.SlotsPerRegister();
+  cfg.num_restarts = 8;
+  cfg.max_sweeps = 64;
+  cfg.seed = 13;
   for (auto _ : state) {
     benchmark::DoNotOptimize(core::SolveMaxCut(graph, cfg).cut_weight);
   }

@@ -317,15 +317,11 @@ OffloadReport Engine::Offload(size_t sample_size, size_t max_hot_items) {
     budget = capacity;
     report.truncated_by_capacity = true;
   }
-  std::vector<HotItem> hot_items =
+  // Items past the budget stay on the nodes (Figure 17's graceful
+  // degradation).
+  const std::vector<HotItem> hot_items =
       detector.TopK(budget, /*min_accesses=*/2,
                     workload_->OffloadWrittenOnly());
-  if (hot_items.size() == max_hot_items &&
-      detector.distinct_items() > max_hot_items) {
-    // The workload's natural hot set may be larger than what fits; the
-    // remainder stays on the nodes (Figure 17's graceful degradation).
-  }
-
   AccessGraph graph = HotSetDetector::BuildGraph(hot_items, sample);
   LayoutPlanner planner(config_.pipeline);
   report.plan = config_.optimal_layout

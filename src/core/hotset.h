@@ -2,9 +2,9 @@
 #define P4DB_CORE_HOTSET_H_
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
+#include "common/flat_map.h"
 #include "core/access_graph.h"
 #include "core/hot_items.h"
 #include "db/txn.h"
@@ -38,8 +38,11 @@ class HotSetDetector {
   uint64_t total_accesses() const { return total_; }
 
  private:
-  std::unordered_map<HotItem, uint64_t, HotItemHash> counts_;
-  std::unordered_map<HotItem, uint64_t, HotItemHash> write_counts_;
+  struct Counts {
+    uint64_t accesses = 0;
+    uint64_t writes = 0;
+  };
+  FlatMap<HotItem, Counts> counts_;
   uint64_t total_ = 0;
 };
 

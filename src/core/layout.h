@@ -49,14 +49,6 @@ class LayoutPlanner {
   LayoutPlan PlanRandom(const AccessGraph& graph, uint64_t seed) const;
 
  private:
-  /// Orders partitions topologically by net dependency direction (greedy
-  /// feedback-arc-set heuristic). Returns partition ids, earliest first.
-  std::vector<uint32_t> OrderPartitions(
-      const AccessGraph& graph, const MaxCutResult& cut,
-      uint32_t num_parts, uint64_t* violated_weight) const;
-
-  void FillDiagnostics(const AccessGraph& graph, LayoutPlan* plan) const;
-
   sw::PipelineConfig pipeline_;
 };
 

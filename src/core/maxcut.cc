@@ -3,40 +3,17 @@
 #include <algorithm>
 #include <cassert>
 #include <numeric>
+#include <utility>
 
 namespace p4db::core {
 
-namespace {
-
-struct Adjacency {
-  std::vector<std::vector<std::pair<uint32_t, uint64_t>>> neighbors;
-
-  explicit Adjacency(const AccessGraph& g) : neighbors(g.num_vertices()) {
-    // One pass over the edge list (Neighbors() per vertex would be O(V*E)).
-    for (const AccessGraph::Edge& e : g.Edges()) {
-      const uint64_t w = e.w.total();
-      neighbors[e.u].emplace_back(e.v, w);
-      neighbors[e.v].emplace_back(e.u, w);
-    }
-  }
-};
-
-uint64_t CutWeightAdj(const Adjacency& adj,
-                      const std::vector<uint32_t>& assignment) {
-  uint64_t cut = 0;
-  for (uint32_t u = 0; u < adj.neighbors.size(); ++u) {
-    for (const auto& [v, w] : adj.neighbors[u]) {
-      if (u < v && assignment[u] != assignment[v]) cut += w;
-    }
-  }
-  return cut;
-}
-
-}  // namespace
-
 uint64_t CutWeight(const AccessGraph& graph,
                    const std::vector<uint32_t>& assignment) {
-  return CutWeightAdj(Adjacency(graph), assignment);
+  uint64_t cut = 0;
+  for (const AccessGraph::Edge& e : graph.Edges()) {
+    if (assignment[e.u] != assignment[e.v]) cut += e.w.total();
+  }
+  return cut;
 }
 
 MaxCutResult SolveMaxCut(const AccessGraph& graph,
@@ -51,10 +28,13 @@ MaxCutResult SolveMaxCut(const AccessGraph& graph,
   best.total_weight = graph.TotalWeight();
   if (n == 0) return best;
 
-  const Adjacency adj(graph);
   Rng rng(config.seed);
   std::vector<uint32_t> order(n);
   std::iota(order.begin(), order.end(), 0);
+  // Gain table: weight_to_part[u * k + p] is the weight of u's edges into
+  // part p. Moving u changes only its neighbours' rows, so a visit costs
+  // O(k) and a move O(deg(u)).
+  std::vector<uint64_t> weight_to_part(static_cast<size_t>(n) * k);
 
   for (int restart = 0; restart < std::max(1, config.num_restarts);
        ++restart) {
@@ -69,10 +49,15 @@ MaxCutResult SolveMaxCut(const AccessGraph& graph,
       part[order[i]] = p;
       ++part_size[p];
     }
+    std::fill(weight_to_part.begin(), weight_to_part.end(), 0);
+    for (const AccessGraph::Edge& e : graph.Edges()) {
+      const uint64_t w = e.w.total();
+      weight_to_part[static_cast<size_t>(e.u) * k + part[e.v]] += w;
+      weight_to_part[static_cast<size_t>(e.v) * k + part[e.u]] += w;
+    }
 
     // Local search: move a vertex to the part minimizing its internal
     // (uncut) weight, subject to capacity.
-    std::vector<uint64_t> weight_to_part(k);
     bool improved = true;
     for (int sweep = 0; sweep < config.max_sweeps && improved; ++sweep) {
       improved = false;
@@ -81,32 +66,34 @@ MaxCutResult SolveMaxCut(const AccessGraph& graph,
       }
       for (uint32_t idx = 0; idx < n; ++idx) {
         const uint32_t u = order[idx];
-        std::fill(weight_to_part.begin(), weight_to_part.end(), 0);
-        for (const auto& [v, w] : adj.neighbors[u]) {
-          weight_to_part[part[v]] += w;
-        }
+        const uint64_t* row = &weight_to_part[static_cast<size_t>(u) * k];
         const uint32_t cur = part[u];
         uint32_t target = cur;
-        uint64_t target_internal = weight_to_part[cur];
+        uint64_t target_internal = row[cur];
         for (uint32_t p = 0; p < k; ++p) {
           if (p == cur || part_size[p] >= config.max_part_size) continue;
-          if (weight_to_part[p] < target_internal) {
+          if (row[p] < target_internal) {
             target = p;
-            target_internal = weight_to_part[p];
+            target_internal = row[p];
           }
         }
         if (target != cur) {
           part[u] = target;
           --part_size[cur];
           ++part_size[target];
+          for (const AccessGraph::Adjacent& a : graph.Adjacency(u)) {
+            uint64_t* nbr_row = &weight_to_part[static_cast<size_t>(a.v) * k];
+            nbr_row[cur] -= a.weight;
+            nbr_row[target] += a.weight;
+          }
           improved = true;
         }
       }
     }
 
-    const uint64_t cut = CutWeightAdj(adj, part);
+    const uint64_t cut = CutWeight(graph, part);
     if (best.assignment.empty() || cut > best.cut_weight) {
-      best.assignment = part;
+      best.assignment = std::move(part);
       best.cut_weight = cut;
     }
   }
