@@ -16,7 +16,6 @@
 #include "sim/task.h"
 #include "switchsim/packet.h"
 #include "switchsim/pipeline.h"
-#include "workload/smallbank.h"
 #include "workload/ycsb.h"
 
 namespace p4db {
@@ -94,8 +93,10 @@ void BM_PipelineSinglePassTxn(benchmark::State& state) {
   const sw::SwitchTxn txn = MakeTxn(8);
   for (auto _ : state) {
     sw::SwitchTxn copy = txn;
-    copy.is_multipass = sw::Pipeline::CountPasses(copy.instrs) > 1;
-    copy.lock_mask = sw::LockDemandFor(cfg, copy.instrs);
+    const sw::PassSummary header = sw::SummarizePasses(cfg, copy.instrs);
+    copy.is_multipass = header.passes > 1;
+    copy.lock_mask = header.lock_mask;
+    copy.touch_mask = header.touch_mask;
     auto fut = pipe.Submit(std::move(copy));
     sim.Run();
     benchmark::DoNotOptimize(&fut);
@@ -104,13 +105,14 @@ void BM_PipelineSinglePassTxn(benchmark::State& state) {
 }
 BENCHMARK(BM_PipelineSinglePassTxn);
 
-void BM_CountPasses(benchmark::State& state) {
+void BM_PlanPasses(benchmark::State& state) {
   const sw::SwitchTxn txn = MakeTxn(static_cast<size_t>(state.range(0)));
+  sw::PassPlan exec_pass;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(sw::Pipeline::CountPasses(txn.instrs));
+    benchmark::DoNotOptimize(sw::Pipeline::PlanPasses(txn.instrs, &exec_pass));
   }
 }
-BENCHMARK(BM_CountPasses)->Arg(8)->Arg(32);
+BENCHMARK(BM_PlanPasses)->Arg(8)->Arg(32);
 
 // ------------------------------------------------------ offload pipeline --
 
@@ -182,25 +184,39 @@ void BM_LayoutPlanOptimal(benchmark::State& state) {
 BENCHMARK(BM_LayoutPlanOptimal)->Arg(80)->Arg(400)
     ->Unit(benchmark::kMillisecond);
 
+// Compile as the engine runs it: 8-op YCSB-A transactions against the
+// 400-item index offload installs (PlanOptimal layout, slots allocated per
+// array in install order), cycling over the hot transactions of the sample.
 void BM_CompileHotTxn(benchmark::State& state) {
+  const YcsbOffloadInput in = YcsbInput(400);
+  wl::YcsbConfig wcfg;
+  wcfg.hot_keys_per_node = 400 / 8;
+  wl::Ycsb ycsb(wcfg);
   db::Catalog catalog(8);
-  wl::SmallBankConfig scfg;
-  wl::SmallBank sb(scfg);
-  sb.Setup(&catalog);
-  sw::PipelineConfig pipe;
+  ycsb.Setup(&catalog);
+  const sw::PipelineConfig pipe;
+  const core::LayoutPlan plan = core::LayoutPlanner(pipe).PlanOptimal(
+      core::HotSetDetector::BuildGraph(in.hot, in.sample), 13);
   core::PartitionManager pm(&catalog, &pipe);
-  // Register the two accounts' balances as hot.
-  pm.RegisterHotItem({TupleId{sb.savings_table(), 1}, 0},
-                     sw::RegisterAddress{0, 0, 0}, 0);
-  pm.RegisterHotItem({TupleId{sb.checking_table(), 1}, 0},
-                     sw::RegisterAddress{3, 0, 0}, 0);
-  pm.RegisterHotItem({TupleId{sb.checking_table(), 2}, 0},
-                     sw::RegisterAddress{7, 0, 0}, 0);
-  const db::Transaction txn = sb.Make(wl::SmallBank::kAmalgamate, 1, 2, 10);
+  std::vector<uint32_t> next_slot(
+      static_cast<size_t>(pipe.num_stages) * pipe.regs_per_stage, 0);
+  for (const core::HotItem& item : in.hot) {
+    const core::LayoutPlan::ArrayRef arr = plan.arrays.at(item);
+    uint32_t& slot = next_slot[arr.stage * pipe.regs_per_stage + arr.reg];
+    pm.RegisterHotItem(item, sw::RegisterAddress{arr.stage, arr.reg, slot++},
+                       0);
+  }
+  std::vector<db::Transaction> hot_txns;
+  for (db::Transaction txn : in.sample) {
+    pm.Classify(&txn, 0);
+    if (txn.cls == db::TxnClass::kHot) hot_txns.push_back(std::move(txn));
+  }
+  size_t next = 0;
   uint32_t seq = 0;
   for (auto _ : state) {
-    auto compiled = pm.Compile(txn, {}, 0, seq++);
+    auto compiled = pm.Compile(hot_txns[next], {}, 0, seq++);
     benchmark::DoNotOptimize(compiled.ok());
+    next = next + 1 == hot_txns.size() ? 0 : next + 1;
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }

@@ -54,7 +54,7 @@ double MultiPassShare(core::TenantManager::Policy policy) {
       in.operand = 1;
       instrs.push_back(in);
     }
-    multi += sw::Pipeline::CountPasses(instrs) > 1;
+    multi += sw::SummarizePasses(cfg, instrs).passes > 1;
   }
   return 100.0 * multi / kTxns;
 }

@@ -34,22 +34,19 @@ void PartitionManager::RegisterHotItem(const HotItem& item,
                                        const sw::RegisterAddress& addr,
                                        Value64 initial_value) {
   assert(!index_.contains(item));
-  index_.emplace(item, addr);
-  initial_values_.emplace(item, initial_value);
+  index_.reserve(2 * (index_.size() + 1));
+  index_.try_emplace(item, addr);
   entries_.push_back(HotEntry{item, addr, initial_value});
 }
 
 void PartitionManager::UpdateInitialValue(size_t entry_index, Value64 value) {
   assert(entry_index < entries_.size());
-  HotEntry& e = entries_[entry_index];
-  e.initial_value = value;
-  initial_values_[e.item] = value;
+  entries_[entry_index].initial_value = value;
 }
 
 const sw::RegisterAddress* PartitionManager::AddressOf(
     const HotItem& item) const {
-  auto it = index_.find(item);
-  return it == index_.end() ? nullptr : &it->second;
+  return index_.find(item);
 }
 
 void PartitionManager::Classify(db::Transaction* txn, NodeId home) const {
@@ -88,15 +85,15 @@ StatusOr<PartitionManager::Compiled> PartitionManager::Compile(
   for (size_t i = 0; i < txn.ops.size(); ++i) {
     const db::Op& op = txn.ops[i];
     if (op.type == db::OpType::kInsert || op.key_from_src) continue;
-    auto it = index_.find(HotItem{op.tuple, op.column});
-    if (it == index_.end()) continue;  // cold op: handled by the host
+    const sw::RegisterAddress* addr = index_.find(HotItem{op.tuple, op.column});
+    if (addr == nullptr) continue;  // cold op: handled by the host
 
     auto opcode = LowerOp(op.type);
     if (!opcode.ok()) return opcode.status();
 
     sw::Instruction instr;
     instr.op = *opcode;
-    instr.addr = it->second;
+    instr.addr = *addr;
     instr.operand = op.operand;
     // Dependencies: hot -> hot rides in packet metadata (PHV); cold -> hot
     // is folded into the immediate (warm transactions run their cold
@@ -138,10 +135,12 @@ StatusOr<PartitionManager::Compiled> PartitionManager::Compile(
     return Status::CapacityExceeded("too many hot ops for one packet");
   }
 
-  out.predicted_passes = sw::Pipeline::CountPasses(out.txn.instrs);
-  out.txn.is_multipass = out.predicted_passes > 1;
-  out.txn.lock_mask = sw::LockDemandFor(*pipeline_config_, out.txn.instrs);
-  out.txn.touch_mask = sw::TouchMaskFor(*pipeline_config_, out.txn.instrs);
+  const sw::PassSummary header =
+      sw::SummarizePasses(*pipeline_config_, out.txn.instrs);
+  out.predicted_passes = header.passes;
+  out.txn.is_multipass = header.passes > 1;
+  out.txn.lock_mask = header.lock_mask;
+  out.txn.touch_mask = header.touch_mask;
   return out;
 }
 

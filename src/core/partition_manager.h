@@ -4,11 +4,10 @@
 #include <cstdint>
 #include <optional>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
+#include "common/flat_map.h"
 #include "common/small_vector.h"
-
 #include "common/status.h"
 #include "common/types.h"
 #include "core/hot_items.h"
@@ -99,8 +98,10 @@ class PartitionManager {
  private:
   const db::Catalog* catalog_;
   const sw::PipelineConfig* pipeline_config_;
-  std::unordered_map<HotItem, sw::RegisterAddress, HotItemHash> index_;
-  std::unordered_map<HotItem, Value64, HotItemHash> initial_values_;
+  /// Kept at most half full (see RegisterHotItem): most lookups are misses
+  /// (cold ops in Classify and 2PL), and a miss probes to the next empty
+  /// slot.
+  FlatMap<HotItem, sw::RegisterAddress> index_;
   std::vector<HotEntry> entries_;
   std::vector<size_t> recovery_watermarks_;
 };

@@ -30,36 +30,39 @@ bool DepsSatisfied(std::span<const Instruction> instrs, size_t i,
 /// One pipeline pass: the packet flows through the stages in order; each
 /// register array executes the FIRST not-yet-executed instruction that
 /// targets it (one RegisterAction per array per pass), if its dependencies
-/// allow. Returns the instruction indices executed this pass, in stage
-/// order. Deterministic and shared verbatim between the live data plane
-/// and the node-side pass planner.
+/// allow. Marks every executed instruction with `cur_pass` in `exec_pass`
+/// as it goes and returns their indices in stage order. Deterministic and
+/// shared verbatim between the live data plane and the node-side planner.
 SmallVector<uint32_t, 16> SweepOnePass(std::span<const Instruction> instrs,
-                                       std::span<const uint32_t> exec_pass,
+                                       std::span<uint32_t> exec_pass,
                                        uint32_t cur_pass) {
-  // Arrays with remaining work, in pipeline order.
-  SmallVector<std::pair<uint8_t, uint8_t>, 16> arrays;  // (stage, reg)
+  // The head (first pending instruction, in index order) of every array
+  // with remaining work, kept sorted by pipeline position stage<<8 | reg.
+  // A pass only executes heads, and executing one array's head never
+  // changes another array's, so the heads can be fixed up front.
+  struct Head {
+    uint16_t key;
+    uint32_t instr;
+  };
+  SmallVector<Head, 16> heads;
   for (size_t i = 0; i < instrs.size(); ++i) {
     if (exec_pass[i] != 0) continue;
-    arrays.emplace_back(instrs[i].addr.stage, instrs[i].addr.reg);
+    const uint16_t key =
+        static_cast<uint16_t>(instrs[i].addr.stage << 8 | instrs[i].addr.reg);
+    const auto pos = std::lower_bound(
+        heads.begin(), heads.end(), key,
+        [](const Head& h, uint16_t k) { return h.key < k; });
+    if (pos != heads.end() && pos->key == key) continue;  // not the head
+    heads.insert(pos, Head{key, static_cast<uint32_t>(i)});
   }
-  std::sort(arrays.begin(), arrays.end());
-  arrays.erase(std::unique(arrays.begin(), arrays.end()), arrays.end());
 
-  PassPlan pass_view(exec_pass.begin(), exec_pass.end());  // updated live
   SmallVector<uint32_t, 16> executed;
-  for (const auto& [stage, reg] : arrays) {
-    for (size_t i = 0; i < instrs.size(); ++i) {
-      if (pass_view[i] != 0) continue;
-      if (instrs[i].addr.stage != stage || instrs[i].addr.reg != reg) {
-        continue;
-      }
-      // Only the first pending instruction of the array is considered (the
-      // stage's match-action entry consumes one instruction per packet).
-      if (DepsSatisfied(instrs, i, pass_view, cur_pass)) {
-        pass_view[i] = cur_pass;
-        executed.push_back(static_cast<uint32_t>(i));
-      }
-      break;
+  for (const Head& h : heads) {
+    // Checked against the live plan: a producer executed earlier in this
+    // sweep counts only if its stage is strictly earlier.
+    if (DepsSatisfied(instrs, h.instr, exec_pass, cur_pass)) {
+      exec_pass[h.instr] = cur_pass;
+      executed.push_back(h.instr);
     }
   }
   return executed;
@@ -76,45 +79,29 @@ uint32_t Pipeline::PlanPasses(std::span<const Instruction> instrs,
                               PassPlan* exec_pass) {
   exec_pass->assign(instrs.size(), 0);
   if (instrs.empty()) return 1;
+  const std::span<uint32_t> plan(exec_pass->data(), exec_pass->size());
   size_t remaining = instrs.size();
   uint32_t pass = 0;
   while (remaining > 0) {
     ++pass;
-    const auto done = SweepOnePass(instrs, *exec_pass, pass);
-    assert(!done.empty() && "pass made no progress");
-    for (uint32_t i : done) (*exec_pass)[i] = pass;
-    remaining -= done.size();
+    const size_t done = SweepOnePass(instrs, plan, pass).size();
+    assert(done != 0 && "pass made no progress");
+    remaining -= done;
   }
   return pass;
 }
 
-uint32_t Pipeline::CountPasses(std::span<const Instruction> instrs) {
+PassSummary SummarizePasses(const PipelineConfig& config,
+                            std::span<const Instruction> instrs) {
   PassPlan exec_pass;
-  return PlanPasses(instrs, &exec_pass);
-}
-
-uint8_t LockDemandFor(const PipelineConfig& config,
-                      std::span<const Instruction> instrs) {
-  PassPlan exec_pass;
-  Pipeline::PlanPasses(instrs, &exec_pass);
-  uint8_t mask = 0;
+  PassSummary summary;
+  summary.passes = Pipeline::PlanPasses(instrs, &exec_pass);
   for (size_t i = 0; i < instrs.size(); ++i) {
-    if (exec_pass[i] > 1) mask |= RegionOf(config, instrs[i].addr.stage);
+    const uint8_t region = RegionOf(config, instrs[i].addr.stage);
+    summary.touch_mask |= region;
+    if (exec_pass[i] > 1) summary.lock_mask |= region;
   }
-  return mask;
-}
-
-uint8_t TouchMaskFor(const PipelineConfig& config,
-                     std::span<const Instruction> instrs) {
-  uint8_t mask = 0;
-  for (const Instruction& in : instrs) {
-    mask |= RegionOf(config, in.addr.stage);
-  }
-  return mask;
-}
-
-uint8_t Pipeline::LockDemand(std::span<const Instruction> instrs) const {
-  return LockDemandFor(config_, instrs);
+  return summary;
 }
 
 Pipeline::Pipeline(sim::Simulator* sim, const PipelineConfig& config,
@@ -170,18 +157,16 @@ Status Pipeline::Validate(const SwitchTxn& txn) const {
           "operand_src must reference an earlier instruction");
     }
   }
-  const uint32_t passes = CountPasses(txn.instrs);
-  if (txn.is_multipass != (passes > 1)) {
+  const PassSummary need = SummarizePasses(config_, txn.instrs);
+  if (txn.is_multipass != (need.passes > 1)) {
     return Status::InvalidArgument("is_multipass flag does not match access "
                                    "pattern (passes=" +
-                                   std::to_string(passes) + ")");
+                                   std::to_string(need.passes) + ")");
   }
-  const uint8_t demand = LockDemandFor(config_, txn.instrs);
-  if ((txn.lock_mask & demand) != demand) {
+  if ((txn.lock_mask & need.lock_mask) != need.lock_mask) {
     return Status::InvalidArgument("lock_mask does not cover pending stages");
   }
-  const uint8_t touch = TouchMaskFor(config_, txn.instrs);
-  if ((txn.touch_mask & touch) != touch) {
+  if ((txn.touch_mask & need.touch_mask) != need.touch_mask) {
     return Status::InvalidArgument("touch_mask does not cover touched "
                                    "stages");
   }
@@ -354,13 +339,13 @@ void Pipeline::Arrive(InflightRef fl) {
 
 bool Pipeline::ExecutePass(Inflight& fl) {
   const uint32_t cur_pass = fl.result.passes;
-  const auto executable = SweepOnePass(fl.txn.instrs, fl.exec_pass, cur_pass);
+  const auto executable = SweepOnePass(
+      fl.txn.instrs, {fl.exec_pass.data(), fl.exec_pass.size()}, cur_pass);
   for (uint32_t i : executable) {
     bool constraint_ok = true;
     fl.result.values[i] =
         ApplyInstruction(fl, fl.txn.instrs[i], &constraint_ok);
     fl.result.constraint_ok[i] = constraint_ok;
-    fl.exec_pass[i] = cur_pass;
     if (!constraint_ok) {
       ++stats_.constrained_write_failures;
       mirror_.constrained_write_failures->Increment();

@@ -2,7 +2,6 @@
 #define P4DB_SWITCHSIM_PIPELINE_H_
 
 #include <cstdint>
-#include <initializer_list>
 #include <memory>
 #include <span>
 #include <vector>
@@ -28,17 +27,26 @@ namespace p4db::sw {
 /// virtually always <= 64); planning never allocates on the hot path.
 using PassPlan = SmallVector<uint32_t, 64>;
 
-/// Regions (kLockLeft/kLockRight) containing registers that stay PENDING
-/// after the first pipeline pass — the locks a multi-pass transaction must
-/// acquire. Zero for single-pass sequences. (Free functions so the
-/// node-side compiler can compute headers without a Pipeline instance.)
-uint8_t LockDemandFor(const PipelineConfig& config,
-                      std::span<const Instruction> instrs);
+/// One pass plan boiled down to the packet header the node-side compiler
+/// stamps (Section 5.4).
+struct PassSummary {
+  /// Pipeline passes the sequence needs (> 1 means multi-pass).
+  uint32_t passes = 1;
+  /// Regions (kLockLeft/kLockRight) with instructions still PENDING after
+  /// the first pass — the locks a multi-pass transaction must acquire.
+  /// Zero for single-pass sequences.
+  uint8_t lock_mask = 0;
+  /// Regions touched by ANY instruction: these must be free of other
+  /// transactions' locks at admission.
+  uint8_t touch_mask = 0;
+};
 
-/// Regions touched by ANY instruction of the sequence: these must be free
-/// of other transactions' locks at admission.
-uint8_t TouchMaskFor(const PipelineConfig& config,
-                     std::span<const Instruction> instrs);
+/// Plans the sequence once (Pipeline::PlanPasses) and derives both lock
+/// masks from that plan. A free function so the node-side compiler can
+/// compute headers without a Pipeline instance, and provably agree with
+/// the switch.
+PassSummary SummarizePasses(const PipelineConfig& config,
+                            std::span<const Instruction> instrs);
 
 /// Runtime counters exposed by the pipeline.
 struct PipelineStats {
@@ -105,24 +113,11 @@ class Pipeline {
   /// by the control plane when a program is deployed.
   Status Validate(const SwitchTxn& txn) const;
 
-  /// Computes the number of pipeline passes this instruction sequence needs
-  /// under the PISA access rules (the same per-stage sweep the data plane
-  /// performs). Exposed so the node-side compiler provably agrees with the
-  /// switch.
-  static uint32_t CountPasses(std::span<const Instruction> instrs);
-  static uint32_t CountPasses(std::initializer_list<Instruction> instrs) {
-    return CountPasses(
-        std::span<const Instruction>(instrs.begin(), instrs.size()));
-  }
-
-  /// Full pass plan: fills exec_pass[i] with the 1-based pass in which
-  /// instruction i executes; returns the number of passes.
+  /// Full pass plan under the PISA access rules (the same per-stage sweep
+  /// the data plane performs): fills exec_pass[i] with the 1-based pass in
+  /// which instruction i executes; returns the number of passes.
   static uint32_t PlanPasses(std::span<const Instruction> instrs,
                              PassPlan* exec_pass);
-
-  /// Pending-region lock mask required by the given instructions under this
-  /// pipeline's locking mode (see LockDemandFor).
-  uint8_t LockDemand(std::span<const Instruction> instrs) const;
 
   RegisterFile& registers() { return registers_; }
   const RegisterFile& registers() const { return registers_; }

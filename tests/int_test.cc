@@ -162,9 +162,10 @@ sw::SwitchTxn ArmedTxn(std::vector<sw::Instruction> instrs,
                        const sw::PipelineConfig& cfg) {
   sw::SwitchTxn txn;
   txn.instrs = std::move(instrs);
-  txn.is_multipass = sw::Pipeline::CountPasses(txn.instrs) > 1;
-  txn.lock_mask = sw::LockDemandFor(cfg, txn.instrs);
-  txn.touch_mask = sw::TouchMaskFor(cfg, txn.instrs);
+  const sw::PassSummary header = sw::SummarizePasses(cfg, txn.instrs);
+  txn.is_multipass = header.passes > 1;
+  txn.lock_mask = header.lock_mask;
+  txn.touch_mask = header.touch_mask;
   txn.int_flags = sw::SwitchTxn::kIntEnabled;
   return txn;
 }

@@ -53,6 +53,48 @@ TEST_F(PartitionManagerTest, RegistrationAndLookup) {
   EXPECT_EQ(pm_.entries()[0].initial_value, 99);
 }
 
+TEST_F(PartitionManagerTest, LookupsAtOffloadIndexSize) {
+  // 400 items: the hot set offload installs for the default YCSB workload.
+  // Every registered item hits with its own address; neighbouring keys,
+  // other columns and other tables miss.
+  constexpr Key kItems = 400;
+  const auto addr_of = [](Key i) {
+    return sw::RegisterAddress{static_cast<uint8_t>(i % 4),
+                               static_cast<uint8_t>(i / 4 % 2),
+                               static_cast<uint32_t>(i / 8)};
+  };
+  for (Key i = 0; i < kItems; ++i) {
+    const sw::RegisterAddress a = addr_of(i);
+    RegisterHot(i * 3, 0, a.stage, a.reg, a.index);
+  }
+  ASSERT_EQ(pm_.num_hot_items(), kItems);
+  for (Key i = 0; i < kItems; ++i) {
+    const HotItem hot{TupleId{table_, i * 3}, 0};
+    EXPECT_TRUE(pm_.IsHot(hot));
+    const sw::RegisterAddress* addr = pm_.AddressOf(hot);
+    ASSERT_NE(addr, nullptr);
+    EXPECT_EQ(*addr, addr_of(i));
+    for (const HotItem& miss :
+         {HotItem{TupleId{table_, i * 3 + 1}, 0},
+          HotItem{TupleId{table_, i * 3 + 2}, 0},
+          HotItem{TupleId{table_, i * 3}, 1},
+          HotItem{TupleId{repl_table_, i * 3}, 0}}) {
+      EXPECT_FALSE(pm_.IsHot(miss));
+      EXPECT_EQ(pm_.AddressOf(miss), nullptr);
+    }
+  }
+}
+
+TEST_F(PartitionManagerTest, UpdateInitialValueReachesEntries) {
+  RegisterHot(1, 0, 0, 0, 0, 10);
+  RegisterHot(2, 0, 1, 0, 0, 20);
+  pm_.UpdateInitialValue(1, 25);
+  ASSERT_EQ(pm_.entries().size(), 2u);
+  EXPECT_EQ(pm_.entries()[0].initial_value, 10);
+  EXPECT_EQ(pm_.entries()[1].initial_value, 25);
+  EXPECT_EQ(pm_.entries()[1].item, (HotItem{TupleId{table_, 2}, 0}));
+}
+
 TEST_F(PartitionManagerTest, ClassifyHot) {
   RegisterHot(1, 0, 0, 0, 0);
   RegisterHot(2, 0, 1, 0, 0);

@@ -4,7 +4,6 @@
 #include <optional>
 #include <ostream>
 #include <set>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -124,10 +123,11 @@ TEST_P(PassPlanPropertyTest, LiveExecutionMatchesThePlan) {
     Pipeline pipe(&sim, cfg);
     SwitchTxn txn;
     txn.instrs = RandomInstrs(rng, cfg, 10);
-    const uint32_t planned = Pipeline::CountPasses(txn.instrs);
+    const PassSummary header = SummarizePasses(cfg, txn.instrs);
+    const uint32_t planned = header.passes;
     txn.is_multipass = planned > 1;
-    txn.lock_mask = LockDemandFor(cfg, txn.instrs);
-    txn.touch_mask = TouchMaskFor(cfg, txn.instrs);
+    txn.lock_mask = header.lock_mask;
+    txn.touch_mask = header.touch_mask;
     ASSERT_TRUE(pipe.Validate(txn).ok());
     ResultBox box;
     sim::Task t = Collect(pipe, std::move(txn), &box);
@@ -173,18 +173,6 @@ PipelineConfig WideConfig() {
   return cfg;
 }
 
-struct Header {
-  uint32_t passes;
-  uint8_t lock_mask;
-  uint8_t touch_mask;
-};
-
-Header HeaderFor(const PipelineConfig& cfg,
-                 std::span<const Instruction> instrs) {
-  return Header{Pipeline::CountPasses(instrs), LockDemandFor(cfg, instrs),
-                TouchMaskFor(cfg, instrs)};
-}
-
 struct GoldenCase {
   bool wide;
   bool fine_grained_locks;
@@ -215,7 +203,7 @@ TEST_P(PassPlanGoldenTest, PlanAndHeaderDigestIsPinned) {
     const auto instrs = RandomInstrs(rng, cfg, MaxInstrs());
     PassPlan exec_pass;
     const uint32_t passes = Pipeline::PlanPasses(instrs, &exec_pass);
-    const Header h = HeaderFor(cfg, instrs);
+    const PassSummary h = SummarizePasses(cfg, instrs);
     ASSERT_EQ(h.passes, passes);
     d.Add(instrs.size());
     d.Add(passes);
@@ -274,7 +262,7 @@ TEST_P(PassPlanGoldenTest, LiveExecutionOrderDigestIsPinned) {
       SwitchTxn txn;
       const auto instrs = RandomInstrs(rng, cfg, MaxInstrs());
       txn.instrs.assign(instrs.begin(), instrs.end());
-      const Header h = HeaderFor(cfg, txn.instrs);
+      const PassSummary h = SummarizePasses(cfg, txn.instrs);
       txn.is_multipass = h.passes > 1;
       txn.lock_mask = h.lock_mask;
       txn.touch_mask = h.touch_mask;

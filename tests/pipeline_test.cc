@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <initializer_list>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -41,9 +43,10 @@ Instruction Make(OpCode op, uint8_t stage, uint8_t reg, uint32_t index,
 SwitchTxn TxnOf(std::vector<Instruction> instrs, const PipelineConfig& cfg) {
   SwitchTxn txn;
   txn.instrs = std::move(instrs);
-  txn.is_multipass = Pipeline::CountPasses(txn.instrs) > 1;
-  txn.lock_mask = LockDemandFor(cfg, txn.instrs);
-  txn.touch_mask = TouchMaskFor(cfg, txn.instrs);
+  const PassSummary header = SummarizePasses(cfg, txn.instrs);
+  txn.is_multipass = header.passes > 1;
+  txn.lock_mask = header.lock_mask;
+  txn.touch_mask = header.touch_mask;
   return txn;
 }
 
@@ -177,15 +180,21 @@ TEST(PipelineOpsTest, TwoMetadataSourcesCombine) {
 
 // ------------------------------------------------------- pass counting ---
 
+uint32_t CountPasses(std::initializer_list<Instruction> instrs) {
+  PassPlan exec_pass;
+  return Pipeline::PlanPasses(
+      std::span<const Instruction>(instrs.begin(), instrs.size()), &exec_pass);
+}
+
 TEST(PassCountTest, IncreasingStagesIsSinglePass) {
-  EXPECT_EQ(Pipeline::CountPasses({Make(OpCode::kRead, 0, 0, 0),
+  EXPECT_EQ(CountPasses({Make(OpCode::kRead, 0, 0, 0),
                                    Make(OpCode::kRead, 1, 0, 0),
                                    Make(OpCode::kRead, 3, 1, 0)}),
             1u);
 }
 
 TEST(PassCountTest, SameStageDifferentArraysIsSinglePass) {
-  EXPECT_EQ(Pipeline::CountPasses({Make(OpCode::kRead, 2, 0, 0),
+  EXPECT_EQ(CountPasses({Make(OpCode::kRead, 2, 0, 0),
                                    Make(OpCode::kRead, 2, 1, 0)}),
             1u);
 }
@@ -193,7 +202,7 @@ TEST(PassCountTest, SameStageDifferentArraysIsSinglePass) {
 TEST(PassCountTest, SameArrayDifferentTuplesNeedsTwoPasses) {
   // One RegisterAction per register array per pass: co-located tuples force
   // recirculation — exactly what the declustered layout avoids.
-  EXPECT_EQ(Pipeline::CountPasses({Make(OpCode::kRead, 2, 0, 0),
+  EXPECT_EQ(CountPasses({Make(OpCode::kRead, 2, 0, 0),
                                    Make(OpCode::kRead, 2, 0, 1)}),
             2u);
 }
@@ -202,14 +211,14 @@ TEST(PassCountTest, ProgramOrderAgainstStageOrderStillSinglePass) {
   // The data plane executes out of order: each stage picks the instruction
   // targeting it as the packet flows, so independent accesses need no
   // particular order in the packet.
-  EXPECT_EQ(Pipeline::CountPasses({Make(OpCode::kRead, 3, 0, 0),
+  EXPECT_EQ(CountPasses({Make(OpCode::kRead, 3, 0, 0),
                                    Make(OpCode::kWrite, 1, 0, 0, 1)}),
             1u);
 }
 
 TEST(PassCountTest, SameTupleTwiceNeedsTwoPasses) {
   // Section 4.1: "multiple operations on the same tuple" always multi-pass.
-  EXPECT_EQ(Pipeline::CountPasses({Make(OpCode::kRead, 1, 0, 7),
+  EXPECT_EQ(CountPasses({Make(OpCode::kRead, 1, 0, 7),
                                    Make(OpCode::kWrite, 1, 0, 7, 5)}),
             2u);
 }
@@ -217,21 +226,21 @@ TEST(PassCountTest, SameTupleTwiceNeedsTwoPasses) {
 TEST(PassCountTest, DependencyInSameStageNeedsTwoPasses) {
   Instruction consume = Make(OpCode::kAdd, 1, 1, 0, 0);
   consume.operand_src = 0;
-  EXPECT_EQ(Pipeline::CountPasses({Make(OpCode::kRead, 1, 0, 0), consume}),
+  EXPECT_EQ(CountPasses({Make(OpCode::kRead, 1, 0, 0), consume}),
             2u);
 }
 
 TEST(PassCountTest, DependencyAgainstStageOrderNeedsTwoPasses) {
   Instruction consume = Make(OpCode::kAdd, 0, 0, 0, 0);
   consume.operand_src = 0;
-  EXPECT_EQ(Pipeline::CountPasses({Make(OpCode::kRead, 2, 0, 0), consume}),
+  EXPECT_EQ(CountPasses({Make(OpCode::kRead, 2, 0, 0), consume}),
             2u);
 }
 
 TEST(PassCountTest, ArrayReusePairsUpAcrossPasses) {
   // Two tuples in array (3,0) and two in (0,0): each pass serves one per
   // array, so two passes suffice regardless of packet order.
-  EXPECT_EQ(Pipeline::CountPasses({Make(OpCode::kRead, 3, 0, 0),
+  EXPECT_EQ(CountPasses({Make(OpCode::kRead, 3, 0, 0),
                                    Make(OpCode::kRead, 0, 0, 0),
                                    Make(OpCode::kRead, 3, 0, 1),
                                    Make(OpCode::kRead, 0, 0, 1)}),
@@ -239,7 +248,7 @@ TEST(PassCountTest, ArrayReusePairsUpAcrossPasses) {
 }
 
 TEST(PassCountTest, EmptyIsOnePass) {
-  EXPECT_EQ(Pipeline::CountPasses({}), 1u);
+  EXPECT_EQ(CountPasses({}), 1u);
 }
 
 // ---------------------------------------------------------- validation ---
