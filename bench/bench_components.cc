@@ -211,6 +211,10 @@ void BM_CompileHotTxn(benchmark::State& state) {
     pm.Classify(&txn, 0);
     if (txn.cls == db::TxnClass::kHot) hot_txns.push_back(std::move(txn));
   }
+  if (hot_txns.empty()) {
+    state.SkipWithError("no sampled transaction classified as hot");
+    return;
+  }
   size_t next = 0;
   uint32_t seq = 0;
   for (auto _ : state) {
