@@ -14,9 +14,12 @@ namespace p4db {
 /// through to plain new/delete (class 0).
 ///
 /// A 16-byte header in front of the payload records the class, keeping the
-/// payload max_align_t-aligned. Freed blocks are retained for the process
-/// lifetime (they stay reachable through the static free lists, so leak
-/// checkers see them).
+/// payload max_align_t-aligned. An empty class grows geometrically: a miss
+/// allocates as many blocks as the class has grown so far (at least one),
+/// so growth events are logarithmic in a class's high-water mark and
+/// cluster at the start of a run. A concurrency peak first reached late
+/// (an arrival burst) then usually finds a spare block instead of calling
+/// operator new inside an allocation-free steady state.
 ///
 /// The free lists are thread-local: each simulation thread recycles through
 /// its own lists with zero synchronization, exactly as fast as the old
@@ -25,6 +28,12 @@ namespace p4db {
 /// simply joins the freeing thread's list — safe, because every cross-shard
 /// handoff in the parallel runtime is separated by a window barrier, which
 /// orders the owning thread's writes before any reuse.
+///
+/// Freed blocks stay on the freeing thread's lists until that thread calls
+/// ReleaseThreadCache(). The lists have no destructor, so a thread that
+/// exits without releasing loses its blocks for good (leak checkers report
+/// them); every short-lived thread that runs simulation work must release
+/// before it returns. The main thread's lists stay reachable until exit.
 class FreePool {
  public:
   static void* Allocate(size_t bytes) {
@@ -36,12 +45,9 @@ class FreePool {
       *static_cast<size_t*>(raw) = 0;
     } else {
       void*& head = free_lists_[cls];
-      if (head != nullptr) {
-        raw = head;
-        head = *static_cast<void**>(raw);
-      } else {
-        raw = ::operator new(cls * kGranularity);
-      }
+      if (head == nullptr) Grow(cls);
+      raw = head;
+      head = *static_cast<void**>(raw);
       *static_cast<size_t*>(raw) = cls;
     }
     return static_cast<unsigned char*>(raw) + kHeaderBytes;
@@ -59,12 +65,39 @@ class FreePool {
     free_lists_[cls] = raw;
   }
 
+  /// Returns every block on the calling thread's free lists to the heap and
+  /// resets its growth state. Blocks still in use are unaffected.
+  static void ReleaseThreadCache() noexcept {
+    for (size_t cls = 1; cls < kNumClasses; ++cls) {
+      void* p = free_lists_[cls];
+      while (p != nullptr) {
+        void* next = *static_cast<void**>(p);
+        ::operator delete(p);
+        p = next;
+      }
+      free_lists_[cls] = nullptr;
+      grown_[cls] = 0;
+    }
+  }
+
   static constexpr size_t kHeaderBytes = 16;
   static constexpr size_t kGranularity = 64;
   static constexpr size_t kNumClasses = 65;  // classes 1..64 => up to 4 KiB
 
  private:
+  /// Pushes max(1, blocks grown so far) fresh blocks onto class `cls`.
+  static void Grow(size_t cls) {
+    const size_t n = grown_[cls] == 0 ? 1 : grown_[cls];
+    for (size_t i = 0; i < n; ++i) {
+      void* raw = ::operator new(cls * kGranularity);
+      *static_cast<void**>(raw) = free_lists_[cls];
+      free_lists_[cls] = raw;
+    }
+    grown_[cls] += n;
+  }
+
   static inline thread_local void* free_lists_[kNumClasses] = {};
+  static inline thread_local size_t grown_[kNumClasses] = {};
 };
 
 /// Minimal std-compatible allocator over FreePool, for

@@ -158,12 +158,6 @@ struct SystemConfig {
   CcProtocol cc_protocol = CcProtocol::k2pl;
   db::CcScheme cc_scheme = db::CcScheme::kNoWait;
   uint64_t seed = 42;
-  /// Retry budget per transaction; 0 = unbounded (historical behavior).
-  /// When bounded, a transaction that aborts `max_attempts` times is given
-  /// up ("engine.txn_gaveup") instead of silently pinning its worker, and
-  /// per-transaction attempt counts land in the "engine.txn_attempts"
-  /// histogram.
-  uint32_t max_attempts = 0;
 
   /// Number of programmable switches (replicas of the hot-tuple pipeline).
   /// 1 = the classic single-ToR cluster, byte-identical to every committed

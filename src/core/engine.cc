@@ -15,6 +15,9 @@ namespace p4db::core {
 
 namespace {
 
+/// Stream multiplier of closed-loop workers and open-loop sessions.
+constexpr uint64_t kWorkerStream = 0x9e3779b97f4a7c15ULL;
+
 SystemConfig Normalize(SystemConfig config) {
   config.network.num_nodes = config.num_nodes;
   config.network.num_switches = config.num_switches;
@@ -157,25 +160,11 @@ Engine::Engine(const SystemConfig& config)
 
   committed_counter_ = &registry_.counter("engine.committed");
   aborted_counter_ = &registry_.counter("engine.aborted_attempts");
-  // Retry-cap series exist only when the cap is on, so unbounded-retry runs
-  // dump exactly the historical key set.
-  gaveup_counter_ = config_.max_attempts > 0
-                        ? &registry_.counter("engine.txn_gaveup")
-                        : &MetricsRegistry::NullCounter();
-  attempts_hist_ = config_.max_attempts > 0
-                       ? &registry_.histogram("engine.txn_attempts")
-                       : &MetricsRegistry::NullHistogram();
   if (sharded_) {
     for (uint16_t n = 0; n < config_.num_nodes; ++n) {
       EngineShard& es = *eshards_[n];
       es.committed = &es.registry.counter("engine.committed");
       es.aborted = &es.registry.counter("engine.aborted_attempts");
-      es.gaveup = config_.max_attempts > 0
-                      ? &es.registry.counter("engine.txn_gaveup")
-                      : &es.discard_counter;
-      es.attempts_hist = config_.max_attempts > 0
-                             ? &es.registry.histogram("engine.txn_attempts")
-                             : &es.discard_hist;
     }
   }
   crash_record_offset_.assign(config_.num_nodes, 0);
@@ -282,8 +271,11 @@ Engine::Engine(const SystemConfig& config)
   cc_ = cc::MakeConcurrencyControl(config_.cc_protocol, ctx);
 }
 
-Engine::~Engine() {
-  // Teardown protocol: no queued event may outlive a coroutine frame.
+Engine::~Engine() { TearDownWorkers(); }
+
+void Engine::TearDownWorkers() {
+  // No queued event may outlive a coroutine frame: drop undelivered
+  // cross-shard records and pending events first, then destroy the frames.
   if (sharded_) {
     ssim_->DiscardMailboxes();
     for (uint32_t s = 0; s < ssim_->num_shards(); ++s) {
@@ -294,6 +286,32 @@ Engine::~Engine() {
   sim_.Stop();
   sim_.DiscardPending();
   workers_.clear();
+  // The parked coroutine frames are gone with workers_; dangling handles
+  // must not survive into post-run inspection.
+  for (auto& ol : open_loop_) {
+    ol->idle_sessions.clear();
+    ol->parked_generator = nullptr;
+  }
+  // Idle but resumable, so ExecuteOnce or recovery still work after Run.
+  if (sharded_) {
+    for (uint32_t s = 0; s < ssim_->num_shards(); ++s) {
+      ssim_->shard(s).Resume();
+    }
+  }
+  sim_.Resume();
+}
+
+void Engine::ResetWindow() {
+  metrics_ = Metrics();
+  for (auto& p : pipelines_) p->ResetStats();
+  for (auto& lm : lock_managers_) lm->ResetStats();
+  switch_lm_->ResetStats();
+  registry_.Reset();
+  for (auto& es : eshards_) {
+    es->registry.Reset();
+    es->metrics = Metrics();
+  }
+  for (IntCollector& ic : int_collectors_) ic.ResetWindow();
 }
 
 void Engine::SetWorkload(wl::Workload* workload) {
@@ -362,21 +380,23 @@ SimTime Engine::BackoffDelay(int attempt, Rng& rng) {
   return static_cast<SimTime>(static_cast<double>(base) * jitter);
 }
 
-sim::Task Engine::RunWorker(NodeId node, WorkerId worker,
-                            uint64_t seed_salt) {
-  // Sharded workers derive their stream from the home shard's seed and bind
-  // it to the shard, so a draw from any other shard trips the RNG ownership
-  // assert. Legacy workers keep the historical seed formula byte-for-byte.
+Rng Engine::NodeRng(NodeId node, uint64_t seed_salt, uint64_t multiplier,
+                    uint64_t index) const {
+  // Legacy streams keep the historical seed formula byte-for-byte.
   const uint64_t base_seed =
       sharded_ ? ShardSeed(config_.seed, node) : config_.seed;
-  Rng rng(base_seed ^ seed_salt ^
-          (0x9e3779b97f4a7c15ULL * (static_cast<uint64_t>(node) * 1024 +
-                                    worker + 1)));
+  Rng rng(base_seed ^ seed_salt ^ (multiplier * index));
   if (sharded_) rng.BindOwner(ssim_->RngToken(node));
+  return rng;
+}
+
+sim::CoTask<bool> Engine::RunTransaction(
+    NodeId node, db::Transaction& txn, SimTime epoch, Rng& rng,
+    std::vector<std::optional<Value64>>* results) {
   // Home-shard bindings. Every ExecuteAttempt path ends back on the home
   // shard (sends migrate the coroutine out and back; timeout paths hop home
-  // explicitly), so the loop's bookkeeping below always runs there and
-  // these references never go stale.
+  // explicitly), so the bookkeeping below always runs there and these
+  // references never go stale.
   sim::Simulator& hsim = HomeSim(node);
   trace::Tracer& htracer = HomeTracer(node);
   Metrics& wmetrics = sharded_ ? eshards_[node]->metrics : metrics_;
@@ -384,77 +404,63 @@ sim::Task Engine::RunWorker(NodeId node, WorkerId worker,
       sharded_ ? *eshards_[node]->committed : *committed_counter_;
   MetricsRegistry::Counter& aborted_c =
       sharded_ ? *eshards_[node]->aborted : *aborted_counter_;
-  MetricsRegistry::Counter& gaveup_c =
-      sharded_ ? *eshards_[node]->gaveup : *gaveup_counter_;
-  Histogram& attempts_h =
-      sharded_ ? *eshards_[node]->attempts_hist : *attempts_hist_;
+  TxnTimers timers;
+  const uint64_t ts = PeekTxnId(node);  // kept across retries (fairness)
+  // Spans carry `ts` (stable across retries, globally unique) so every
+  // record of one transaction shares a trace lane.
+  trace::Tracer::Span txn_span(&htracer, trace::Category::kTxn, ts, node);
+  for (int attempt = 0;;) {
+    const uint64_t txn_id = TakeTxnId(node);
+    results->assign(txn.ops.size(), std::nullopt);
+    trace::Tracer::Span attempt_span(&htracer, trace::Category::kAttempt,
+                                     ts, node,
+                                     static_cast<uint8_t>(
+                                         std::min(attempt + 1, 255)));
+    const bool ok = co_await cc_->ExecuteAttempt(node, txn, txn_id, ts,
+                                                 results, &timers);
+    attempt_span.End();
+    if (ok) break;
+    if (measuring_) {
+      wmetrics.RecordAbort(txn.cls);
+      aborted_c.Increment();
+    }
+    ++attempt;
+    const SimTime backoff = BackoffDelay(attempt, rng);
+    timers.backoff += backoff;
+    const SimTime backoff_begin = hsim.now();
+    co_await sim::Delay(hsim, backoff);
+    htracer.CompleteSpan(backoff_begin, hsim.now(),
+                         trace::Category::kBackoff, ts, node,
+                         static_cast<uint8_t>(std::min(attempt, 255)));
+  }
+  txn_span.End();
+  if (measuring_) {
+    wmetrics.RecordCommit(txn.cls, txn.distributed, hsim.now() - epoch,
+                          timers);
+    committed_c.Increment();
+  }
+  co_return true;
+}
+
+sim::Task Engine::RunWorker(NodeId node, WorkerId worker,
+                            uint64_t seed_salt) {
+  Rng rng = NodeRng(node, seed_salt, kWorkerStream,
+                    static_cast<uint64_t>(node) * 1024 + worker + 1);
+  sim::Simulator& hsim = HomeSim(node);
   std::vector<std::optional<Value64>> results;
   while (!hsim.stopped()) {
     if (node_crashed_[node]) co_return;  // crashed nodes issue nothing
     db::Transaction txn = workload_->Next(rng, node);
     pm_.Classify(&txn, node);
-    const SimTime start = hsim.now();
-    TxnTimers timers;
-    const uint64_t ts = PeekTxnId(node);  // kept across retries (fairness)
-    int attempt = 0;
-    bool committed = true;
-    // Spans carry `ts` (stable across retries, globally unique) so every
-    // record of one transaction shares a trace lane.
-    trace::Tracer::Span txn_span(&htracer, trace::Category::kTxn, ts, node);
-    for (;;) {
-      const uint64_t txn_id = TakeTxnId(node);
-      results.assign(txn.ops.size(), std::nullopt);
-      trace::Tracer::Span attempt_span(&htracer, trace::Category::kAttempt,
-                                       ts, node,
-                                       static_cast<uint8_t>(
-                                           std::min(attempt + 1, 255)));
-      const bool ok = co_await cc_->ExecuteAttempt(node, txn, txn_id, ts,
-                                                   &results, &timers);
-      attempt_span.End();
-      if (ok) break;
-      if (measuring_) {
-        wmetrics.RecordAbort(txn.cls);
-        aborted_c.Increment();
-      }
-      ++attempt;
-      if (config_.max_attempts > 0 &&
-          static_cast<uint32_t>(attempt) >= config_.max_attempts) {
-        committed = false;  // retry budget exhausted: give the txn up
-        break;
-      }
-      const SimTime backoff = BackoffDelay(attempt, rng);
-      timers.backoff += backoff;
-      const SimTime backoff_begin = hsim.now();
-      co_await sim::Delay(hsim, backoff);
-      htracer.CompleteSpan(backoff_begin, hsim.now(),
-                           trace::Category::kBackoff, ts, node,
-                           static_cast<uint8_t>(std::min(attempt, 255)));
-    }
-    txn_span.End();
-    if (measuring_) {
-      // Attempts used: aborts plus the final success (gave-up txns spent
-      // exactly `attempt` == max_attempts). Null sink unless capped.
-      attempts_h.Record(attempt + (committed ? 1 : 0));
-      if (committed) {
-        wmetrics.RecordCommit(txn.cls, txn.distributed, hsim.now() - start,
-                              timers);
-        committed_c.Increment();
-      } else {
-        gaveup_c.Increment();
-      }
-    }
+    co_await RunTransaction(node, txn, hsim.now(), rng, &results);
   }
 }
 
 sim::Task Engine::RunOpenLoopGenerator(NodeId node, uint64_t seed_salt) {
   // The generator's stream is distinct from every session stream (different
-  // multiplier), and — like workers — derives from the home shard's seed
-  // when sharded so thread counts cannot perturb the draws.
-  const uint64_t base_seed =
-      sharded_ ? ShardSeed(config_.seed, node) : config_.seed;
-  Rng rng(base_seed ^ seed_salt ^
-          (0xda3e39cb94b95bdbULL * (static_cast<uint64_t>(node) + 1)));
-  if (sharded_) rng.BindOwner(ssim_->RngToken(node));
+  // multiplier).
+  Rng rng = NodeRng(node, seed_salt, 0xda3e39cb94b95bdbULL,
+                    static_cast<uint64_t>(node) + 1);
   sim::Simulator& hsim = HomeSim(node);
   trace::Tracer& htracer = HomeTracer(node);
   OpenLoopNode& ol = *open_loop_[node];
@@ -553,23 +559,10 @@ sim::Task Engine::RunOpenLoopSession(NodeId node, WorkerId session,
   // Sessions replace closed-loop workers one-for-one and reuse their seed
   // formula — only one of the two pools ever exists, so the streams cannot
   // collide.
-  const uint64_t base_seed =
-      sharded_ ? ShardSeed(config_.seed, node) : config_.seed;
-  Rng rng(base_seed ^ seed_salt ^
-          (0x9e3779b97f4a7c15ULL * (static_cast<uint64_t>(node) * 1024 +
-                                    session + 1)));
-  if (sharded_) rng.BindOwner(ssim_->RngToken(node));
+  Rng rng = NodeRng(node, seed_salt, kWorkerStream,
+                    static_cast<uint64_t>(node) * 1024 + session + 1);
   sim::Simulator& hsim = HomeSim(node);
   trace::Tracer& htracer = HomeTracer(node);
-  Metrics& wmetrics = sharded_ ? eshards_[node]->metrics : metrics_;
-  MetricsRegistry::Counter& committed_c =
-      sharded_ ? *eshards_[node]->committed : *committed_counter_;
-  MetricsRegistry::Counter& aborted_c =
-      sharded_ ? *eshards_[node]->aborted : *aborted_counter_;
-  MetricsRegistry::Counter& gaveup_c =
-      sharded_ ? *eshards_[node]->gaveup : *gaveup_counter_;
-  Histogram& attempts_h =
-      sharded_ ? *eshards_[node]->attempts_hist : *attempts_hist_;
   OpenLoopNode& ol = *open_loop_[node];
   std::vector<std::optional<Value64>> results;
   while (!hsim.stopped()) {
@@ -599,65 +592,27 @@ sim::Task Engine::RunOpenLoopSession(NodeId node, WorkerId session,
       ol.parked_generator = nullptr;
       hsim.ScheduleResume(0, g);
     }
-    const SimTime start = hsim.now();
-    TxnTimers timers;
-    const uint64_t ts = PeekTxnId(node);
     // Admission wait: the client's send instant to dispatch — queueing the
-    // open load observes before execution even begins.
-    htracer.CompleteSpan(arrival, start, trace::Category::kAdmission, ts,
-                         node);
+    // open load observes before execution even begins. It shares the lane
+    // of the transaction RunTransaction is about to start.
+    const SimTime start = hsim.now();
+    htracer.CompleteSpan(arrival, start, trace::Category::kAdmission,
+                         PeekTxnId(node), node);
     if (!int_collectors_.empty()) {
       int_collectors_[node].RecordAdmissionWait(start - arrival);
     }
-    int attempt = 0;
-    bool committed = true;
-    trace::Tracer::Span txn_span(&htracer, trace::Category::kTxn, ts, node);
-    for (;;) {
-      const uint64_t txn_id = TakeTxnId(node);
-      results.assign(txn.ops.size(), std::nullopt);
-      trace::Tracer::Span attempt_span(&htracer, trace::Category::kAttempt,
-                                       ts, node,
-                                       static_cast<uint8_t>(
-                                           std::min(attempt + 1, 255)));
-      const bool ok = co_await cc_->ExecuteAttempt(node, txn, txn_id, ts,
-                                                   &results, &timers);
-      attempt_span.End();
-      if (ok) break;
-      if (measuring_) {
-        wmetrics.RecordAbort(txn.cls);
-        aborted_c.Increment();
-      }
-      ++attempt;
-      if (config_.max_attempts > 0 &&
-          static_cast<uint32_t>(attempt) >= config_.max_attempts) {
-        committed = false;
-        break;
-      }
-      const SimTime backoff = BackoffDelay(attempt, rng);
-      timers.backoff += backoff;
-      const SimTime backoff_begin = hsim.now();
-      co_await sim::Delay(hsim, backoff);
-      htracer.CompleteSpan(backoff_begin, hsim.now(),
-                           trace::Category::kBackoff, ts, node,
-                           static_cast<uint8_t>(std::min(attempt, 255)));
-    }
-    txn_span.End();
-    if (measuring_) {
-      attempts_h.Record(attempt + (committed ? 1 : 0));
-      if (committed) {
-        // Latency epoch is the ARRIVAL instant: admission queueing counts,
-        // which is what bends the knee curve upward past saturation.
-        wmetrics.RecordCommit(txn.cls, txn.distributed, hsim.now() - arrival,
-                              timers);
-        committed_c.Increment();
-      } else {
-        gaveup_c.Increment();
-      }
-    }
+    // Latency epoch is the ARRIVAL instant: admission queueing counts,
+    // which is what bends the knee curve upward past saturation.
+    co_await RunTransaction(node, txn, arrival, rng, &results);
   }
 }
 
 void Engine::SpawnNode(NodeId node, uint64_t seed_salt) {
+  // Tasks start eagerly; in sharded mode their first synchronous section
+  // (and any cross-shard posts it makes) must run under the home shard's
+  // context.
+  std::optional<sim::ShardedSimulator::ScopedShard> guard;
+  if (sharded_) guard.emplace(ssim_.get(), node);
   if (config_.open_loop.enabled) {
     workers_.push_back(RunOpenLoopGenerator(node, seed_salt));
     for (uint16_t s = 0; s < config_.open_loop.sessions_per_node; ++s) {
@@ -673,115 +628,66 @@ void Engine::SpawnNode(NodeId node, uint64_t seed_salt) {
 Metrics Engine::Run(SimTime warmup, SimTime duration) {
   assert(!ran_ && "Engine::Run is single-shot");
   assert(workload_ != nullptr);
-  if (sharded_) return RunSharded(warmup, duration);
   ran_ = true;
+  if (sharded_) {
+    assert(workload_->ThreadSafeGeneration() &&
+           "sharded runtime requires a thread-safe workload generator");
+    // Rows materialize lazily from several shards at once mid-run.
+    catalog_->EnableConcurrentAccess();
+  }
 
   measuring_ = false;
   running_ = true;
   for (uint16_t n = 0; n < config_.num_nodes; ++n) SpawnNode(n, 0);
-  sim_.RunUntil(warmup);
-  metrics_ = Metrics();
-  for (auto& p : pipelines_) p->ResetStats();
-  for (auto& lm : lock_managers_) lm->ResetStats();
-  switch_lm_->ResetStats();
-  registry_.Reset();
-  for (IntCollector& ic : int_collectors_) ic.ResetWindow();
-  if (sampler_ != nullptr) {
-    // Baselines snapshot after the reset so the first window starts at
-    // zero; ticks cover (warmup, warmup + duration] inclusive.
-    sampler_->Begin(warmup, warmup + duration, sampler_tick_);
-  }
-  measuring_ = true;
-  sim_.RunUntil(warmup + duration);
-  measuring_ = false;
-  running_ = false;
-
-  Metrics out = metrics_;
-  // Teardown: drop pending events before destroying worker frames, then
-  // resume the (now idle) simulator so post-run inspection such as
-  // ExecuteOnce or recovery still works.
-  sim_.Stop();
-  sim_.DiscardPending();
-  workers_.clear();
-  DropParkedHandles();
-  sim_.Resume();
-  return out;
-}
-
-Metrics Engine::RunSharded(SimTime warmup, SimTime duration) {
-  ran_ = true;
-  assert(workload_->ThreadSafeGeneration() &&
-         "sharded runtime requires a thread-safe workload generator");
-  // Rows materialize lazily from several shards at once mid-run.
-  catalog_->EnableConcurrentAccess();
-
-  measuring_ = false;
-  running_ = true;
-  for (uint16_t n = 0; n < config_.num_nodes; ++n) {
-    // Tasks start eagerly; the worker's first synchronous section (and any
-    // cross-shard posts it makes) must run under the home shard's context.
-    sim::ShardedSimulator::ScopedShard guard(ssim_.get(), n);
-    SpawnNode(n, 0);
-  }
-
-  // Coordinator-phase globals. Scheduling order fixes the sequence numbers,
-  // which break same-time ties: at t == warmup the reset runs before any
-  // tick, and at t == warmup + duration the last tick runs before the stop.
-  ssim_->ScheduleGlobal(warmup, [this, warmup, duration] {
-    metrics_ = Metrics();
-    for (auto& p : pipelines_) p->ResetStats();
-    for (auto& lm : lock_managers_) lm->ResetStats();
-    switch_lm_->ResetStats();
-    registry_.Reset();
-    for (auto& es : eshards_) {
-      es->registry.Reset();
-      es->metrics = Metrics();
-    }
-    for (IntCollector& ic : int_collectors_) ic.ResetWindow();
+  if (!sharded_) {
+    sim_.RunUntil(warmup);
+    ResetWindow();
     if (sampler_ != nullptr) {
-      sampler_->BeginExternal(warmup, warmup + duration, sampler_tick_);
+      // Baselines snapshot after the reset so the first window starts at
+      // zero; ticks cover (warmup, warmup + duration] inclusive.
+      sampler_->Begin(warmup, warmup + duration, sampler_tick_);
     }
     measuring_ = true;
-  });
-  if (sampler_ != nullptr) {
-    // Sampler ticks are quiescent barrier-phase snapshots of the summed
-    // per-shard sources — same tick times as a legacy Begin()-driven run.
-    for (SimTime t = warmup + sampler_tick_; t <= warmup + duration;
-         t += sampler_tick_) {
-      ssim_->ScheduleGlobal(t, [this] { sampler_->TickExternal(); });
+    sim_.RunUntil(warmup + duration);
+  } else {
+    // Coordinator-phase globals. Scheduling order fixes the sequence
+    // numbers, which break same-time ties: at t == warmup the reset runs
+    // before any tick, and at t == warmup + duration the last tick runs
+    // before the stop.
+    ssim_->ScheduleGlobal(warmup, [this, warmup, duration] {
+      ResetWindow();
+      if (sampler_ != nullptr) {
+        sampler_->BeginExternal(warmup, warmup + duration, sampler_tick_);
+      }
+      measuring_ = true;
+    });
+    if (sampler_ != nullptr) {
+      // Sampler ticks are quiescent barrier-phase snapshots of the summed
+      // per-shard sources — same tick times as a legacy Begin()-driven run.
+      for (SimTime t = warmup + sampler_tick_; t <= warmup + duration;
+           t += sampler_tick_) {
+        ssim_->ScheduleGlobal(t, [this] { sampler_->TickExternal(); });
+      }
     }
+    ssim_->ScheduleGlobal(warmup + duration, [this] {
+      measuring_ = false;
+      ssim_->RequestStop();
+    });
+    ssim_->Run(config_.threads);
   }
-  ssim_->ScheduleGlobal(warmup + duration, [this] {
-    measuring_ = false;
-    ssim_->RequestStop();
-  });
-
-  ssim_->Run(config_.threads);
   measuring_ = false;
   running_ = false;
+  TearDownWorkers();
 
-  // Teardown mirrors the legacy path: drop undelivered cross-shard records
-  // and pending events before destroying worker frames, then resume the
-  // idle shard simulators for post-run inspection.
-  ssim_->DiscardMailboxes();
-  for (uint32_t s = 0; s < ssim_->num_shards(); ++s) {
-    ssim_->shard(s).Stop();
-    ssim_->shard(s).DiscardPending();
-  }
-  workers_.clear();
-  DropParkedHandles();
-  for (uint32_t s = 0; s < ssim_->num_shards(); ++s) {
-    ssim_->shard(s).Resume();
-  }
-
-  // Deterministic merges in fixed shard order: per-shard metrics fold into
-  // the engine Metrics, per-shard registries into the engine registry (the
-  // merged dump reproduces the legacy series names with summed values).
-  for (uint16_t n = 0; n < config_.num_nodes; ++n) {
-    metrics_.Merge(eshards_[n]->metrics);
-  }
-  for (auto& es : eshards_) {
-    registry_.MergeFrom(es->registry);
+  if (sharded_) {
+    // Deterministic merges in fixed shard order: per-shard metrics fold
+    // into the engine Metrics, per-shard registries into the engine
+    // registry (the merged dump reproduces the legacy series names with
+    // summed values).
+    for (uint16_t n = 0; n < config_.num_nodes; ++n) {
+      metrics_.Merge(eshards_[n]->metrics);
+    }
+    for (auto& es : eshards_) registry_.MergeFrom(es->registry);
   }
   return metrics_;
 }
@@ -791,70 +697,57 @@ trace::Sampler& Engine::EnableTimeSeries(SimTime tick) {
   assert(tick > 0);
   sampler_tick_ = tick;
   sampler_ = std::make_unique<trace::Sampler>(&sim_);
+  // One logical series per metric: legacy runs back it with the one
+  // engine-level instance, sharded runs with the per-shard instances.
+  std::vector<MetricsRegistry*> node_regs{&registry_};
+  std::vector<MetricsRegistry*> switch_regs{&registry_};
+  std::vector<const Histogram*> latency{&metrics_.latency_all};
+  if (sharded_) {
+    node_regs.clear();
+    switch_regs.clear();
+    latency.clear();
+    for (uint16_t n = 0; n < config_.num_nodes; ++n) {
+      node_regs.push_back(&eshards_[n]->registry);
+      latency.push_back(&eshards_[n]->metrics.latency_all);
+    }
+    for (uint16_t k = 0; k < config_.num_switches; ++k) {
+      switch_regs.push_back(&eshards_[switch_shard() + k]->registry);
+    }
+  }
+  const auto counters = [](const std::vector<MetricsRegistry*>& regs,
+                           const std::string& name) {
+    std::vector<const MetricsRegistry::Counter*> out;
+    for (MetricsRegistry* reg : regs) out.push_back(&reg->counter(name));
+    return out;
+  };
   // The standard series every bench cares about: throughput, abort rate,
   // how much of the mix the switch absorbed, and tail latency — all as
   // curves over the measured window instead of end-of-run scalars.
-  if (sharded_) {
-    // One logical series per metric, backed by the per-shard instances.
-    std::vector<const MetricsRegistry::Counter*> committed;
-    std::vector<const MetricsRegistry::Counter*> aborted;
-    std::vector<const Histogram*> latency;
-    for (uint16_t n = 0; n < config_.num_nodes; ++n) {
-      committed.push_back(eshards_[n]->committed);
-      aborted.push_back(eshards_[n]->aborted);
-      latency.push_back(&eshards_[n]->metrics.latency_all);
-    }
-    sampler_->AddCounterRate("committed", std::move(committed));
-    sampler_->AddCounterRate("aborted_attempts", std::move(aborted));
-    std::vector<const MetricsRegistry::Counter*> switch_txns;
-    for (uint16_t k = 0; k < config_.num_switches; ++k) {
-      switch_txns.push_back(&eshards_[switch_shard() + k]->registry.counter(
-          "switch.txns_completed"));
-    }
-    sampler_->AddCounterRate("switch_txns", std::move(switch_txns));
-    sampler_->AddHistogramQuantile("p99_latency_ns", latency, 0.99);
-    if (config_.open_loop.enabled) {
-      // Extreme-tail series only for open-loop runs (the knee bench gates
-      // on p999); closed-loop dumps keep the historical key set.
-      sampler_->AddHistogramQuantile("p999_latency_ns", std::move(latency),
-                                     0.999);
-    }
-    if (config_.int_telemetry.enabled) {
-      // Postcard fold + register-touch rates, summed over the per-node
-      // collectors (and, for accesses, over the per-switch key family).
-      std::vector<const MetricsRegistry::Counter*> postcards;
-      std::vector<const MetricsRegistry::Counter*> accesses;
-      for (uint16_t n = 0; n < config_.num_nodes; ++n) {
-        postcards.push_back(&eshards_[n]->registry.counter("int.postcards"));
-        for (uint16_t k = 0; k < config_.num_switches; ++k) {
-          accesses.push_back(&eshards_[n]->registry.counter(
-              IntCollector::SwitchPrefix(k) + "int_reg_accesses"));
-        }
-      }
-      sampler_->AddCounterRate("int_postcards", std::move(postcards));
-      sampler_->AddCounterRate("int_reg_accesses", std::move(accesses));
-    }
-  } else {
-    sampler_->AddCounterRate("committed", committed_counter_);
-    sampler_->AddCounterRate("aborted_attempts", aborted_counter_);
-    sampler_->AddCounterRate("switch_txns",
-                             &registry_.counter("switch.txns_completed"));
-    sampler_->AddHistogramQuantile("p99_latency_ns", &metrics_.latency_all,
-                                   0.99);
-    if (config_.open_loop.enabled) {
-      sampler_->AddHistogramQuantile("p999_latency_ns",
-                                     &metrics_.latency_all, 0.999);
-    }
-    if (config_.int_telemetry.enabled) {
-      sampler_->AddCounterRate("int_postcards",
-                               &registry_.counter("int.postcards"));
-      std::vector<const MetricsRegistry::Counter*> accesses;
+  sampler_->AddCounterRate("committed", counters(node_regs, "engine.committed"));
+  sampler_->AddCounterRate("aborted_attempts",
+                           counters(node_regs, "engine.aborted_attempts"));
+  sampler_->AddCounterRate("switch_txns",
+                           counters(switch_regs, "switch.txns_completed"));
+  sampler_->AddHistogramQuantile("p99_latency_ns", latency, 0.99);
+  if (config_.open_loop.enabled) {
+    // Extreme-tail series only for open-loop runs (the knee bench gates on
+    // p999); closed-loop dumps keep the historical key set.
+    sampler_->AddHistogramQuantile("p999_latency_ns", std::move(latency),
+                                   0.999);
+  }
+  if (config_.int_telemetry.enabled) {
+    // Postcard fold + register-touch rates, summed over the per-node
+    // collectors (and, for accesses, over the per-switch key family).
+    sampler_->AddCounterRate("int_postcards",
+                             counters(node_regs, "int.postcards"));
+    std::vector<const MetricsRegistry::Counter*> accesses;
+    for (MetricsRegistry* reg : node_regs) {
       for (uint16_t k = 0; k < config_.num_switches; ++k) {
-        accesses.push_back(&registry_.counter(
-            IntCollector::SwitchPrefix(k) + "int_reg_accesses"));
+        accesses.push_back(&reg->counter(IntCollector::SwitchPrefix(k) +
+                                         "int_reg_accesses"));
       }
-      sampler_->AddCounterRate("int_reg_accesses", std::move(accesses));
     }
+    sampler_->AddCounterRate("int_reg_accesses", std::move(accesses));
   }
   return *sampler_;
 }
@@ -904,20 +797,10 @@ std::string Engine::TraceJson(std::string_view fault_schedule_json) {
 sim::Task Engine::DriveOnce(db::Transaction* txn, NodeId home,
                             std::vector<std::optional<Value64>>* results,
                             bool* done) {
+  // Outside Run nothing is measured (measuring_ is false), so only the
+  // attempts, backoff draws and spans of the loop take effect.
   Rng rng(config_.seed ^ 0x5eed5eed5eed5eedULL);
-  TxnTimers timers;
-  const uint64_t ts = next_txn_id_;
-  int attempt = 0;
-  for (;;) {
-    const uint64_t txn_id = next_txn_id_++;
-    results->assign(txn->ops.size(), std::nullopt);
-    const bool ok = co_await cc_->ExecuteAttempt(home, *txn, txn_id, ts,
-                                                 results, &timers);
-    if (ok) break;
-    ++attempt;
-    co_await sim::Delay(sim_, BackoffDelay(attempt, rng));
-  }
-  *done = true;
+  *done = co_await RunTransaction(home, *txn, sim_.now(), rng, results);
 }
 
 StatusOr<std::vector<Value64>> Engine::ExecuteOnce(db::Transaction txn,
@@ -966,15 +849,6 @@ void Engine::SimulateNodeCrash(NodeId node) {
   }
 }
 
-void Engine::DropParkedHandles() {
-  // Post-teardown the parked coroutine frames are gone (workers_ owned
-  // them); dangling handles must not survive into post-run inspection.
-  for (auto& ol : open_loop_) {
-    ol->idle_sessions.clear();
-    ol->parked_generator = nullptr;
-  }
-}
-
 Status Engine::RecoverSwitch() {
   std::vector<const db::Wal*> logs;
   for (const auto& w : wals_) logs.push_back(w.get());
@@ -988,18 +862,10 @@ Status Engine::RecoverNode(NodeId node) {
   if (!node_crashed_[node]) {
     return Status::InvalidArgument("node is not crashed");
   }
-  // Restart scan: every committed host record's effects already live in the
-  // (shared) storage model and gid-less switch intents are the *switch*
+  // No WAL replay: every committed host record's effects already live in
+  // the (shared) storage model and gid-less switch intents are the *switch*
   // recovery's job to apply — the node must never replay them itself, or a
-  // recovered intent would be applied twice. The scan is bookkeeping plus
-  // observability.
-  size_t open_intents = 0;
-  for (const db::LogRecord& rec : wals_[node]->records()) {
-    if (rec.kind == db::LogKind::kSwitchIntent && !rec.has_result) {
-      ++open_intents;
-    }
-  }
-  (void)open_intents;
+  // recovered intent would be applied twice.
   node_crashed_[node] = false;
   // Lazily created, so only runs that actually recover a node publish it.
   registry_.counter("engine.node_recoveries").Increment();
@@ -1008,15 +874,7 @@ Status Engine::RecoverNode(NodeId node) {
     // generation's streams died mid-sequence, and reusing them would replay
     // transactions the node already issued.
     ++recover_generation_;
-    const uint64_t salt = 0xa0761d6478bd642fULL * recover_generation_;
-    if (sharded_) {
-      // Restart events run as quiescent globals; the respawned workers'
-      // eager first sections need the home shard's context installed.
-      sim::ShardedSimulator::ScopedShard guard(ssim_.get(), node);
-      SpawnNode(node, salt);
-    } else {
-      SpawnNode(node, salt);
-    }
+    SpawnNode(node, 0xa0761d6478bd642fULL * recover_generation_);
   }
   return Status::Ok();
 }

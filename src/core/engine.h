@@ -52,9 +52,11 @@ struct OffloadReport {
 /// four engine modes (P4DB, No-Switch, LM-Switch, Chiller).
 ///
 /// The Engine is a thin orchestrator: it owns the shared infrastructure,
-/// runs the closed-loop workers, performs the offline offload and the
-/// crash/recovery hooks — and delegates all transaction execution to a
-/// pluggable cc::ConcurrencyControl strategy (TwoPhaseLocking or
+/// runs the load (closed-loop workers, or open-loop generators and
+/// sessions), performs the offline offload and the crash/recovery hooks.
+/// Every transaction — a worker's, a session's or ExecuteOnce's — goes
+/// through one retry loop, RunTransaction, which delegates each attempt to
+/// a pluggable cc::ConcurrencyControl strategy (TwoPhaseLocking or
 /// OptimisticCC, selected by SystemConfig::cc_protocol) that sees the
 /// cluster through a cc::ExecutionContext.
 ///
@@ -110,9 +112,9 @@ class Engine {
   /// Rebuilds the switch state from all node WALs (delegates to
   /// RecoverSwitchState in core/recovery.h).
   Status RecoverSwitch();
-  /// Brings a crashed node back: scans its WAL (committed records and
-  /// switch intents are durable; applying in-flight intents is the switch
-  /// recovery's job) and, if a run is in progress, respawns its workers
+  /// Brings a crashed node back. Its WAL needs no replay (committed records
+  /// and switch intents are durable; applying in-flight intents is the
+  /// switch recovery's job). If a run is in progress, respawns its workers
   /// with a fresh RNG generation. Inverse of SimulateNodeCrash.
   Status RecoverNode(NodeId node);
 
@@ -271,19 +273,28 @@ class Engine {
     uint64_t next_txn_id = 0;  // per-node id counter (see TakeTxnId)
     MetricsRegistry::Counter* committed = nullptr;
     MetricsRegistry::Counter* aborted = nullptr;
-    MetricsRegistry::Counter* gaveup = nullptr;
-    Histogram* attempts_hist = nullptr;
-    /// Shard-private discard sinks for the retry-cap series when the cap
-    /// is off: the process-wide null sinks would be written from several
-    /// shards at once, and registering real per-shard series would change
-    /// the dumped key set relative to legacy uncapped runs.
-    MetricsRegistry::Counter discard_counter;
-    Histogram discard_hist;
     /// Chaos only: this shard's deterministic fault stream, seeded
     /// ShardSeed(config.seed, shard).
     std::unique_ptr<net::FaultInjector> injector;
   };
 
+  /// The one transaction loop: executes `txn` from node `node`, backing
+  /// off and retrying on abort until an attempt commits, and — inside the
+  /// measured window — records each abort and the commit, with latency
+  /// measured from `epoch`. Owns the txn / attempt / backoff spans and the
+  /// id allocation. Runs on (and always returns to) the home shard. Always
+  /// yields true; CoTask has no void form.
+  sim::CoTask<bool> RunTransaction(
+      NodeId node, db::Transaction& txn, SimTime epoch, Rng& rng,
+      std::vector<std::optional<Value64>>* results);
+  /// The seeded stream of one of node `node`'s coroutines: `multiplier`
+  /// times `index` picks the coroutine, `seed_salt` the respawn generation.
+  /// Sharded streams derive from the home shard's seed and are bound to
+  /// it, so thread counts cannot perturb the draws and a draw from another
+  /// shard trips the ownership assert.
+  Rng NodeRng(NodeId node, uint64_t seed_salt, uint64_t multiplier,
+              uint64_t index) const;
+  /// A closed-loop worker: draw, classify, RunTransaction, repeat.
   sim::Task RunWorker(NodeId node, WorkerId worker, uint64_t seed_salt = 0);
 
   // -- Open-loop runtime (open_loop.enabled; see DESIGN.md §4i) --
@@ -312,25 +323,24 @@ class Engine {
   /// the (simulated) client population and admits transactions into the
   /// bounded ring — shedding or stalling on overflow per the policy.
   sim::Task RunOpenLoopGenerator(NodeId node, uint64_t seed_salt = 0);
-  /// One session worker draining the node's admission ring; the open-loop
+  /// One session draining the node's admission ring; the open-loop
   /// counterpart of RunWorker, measuring latency from the arrival instant.
   sim::Task RunOpenLoopSession(NodeId node, WorkerId session,
                                uint64_t seed_salt = 0);
   /// Spawns node `node`'s coroutines for the configured load mode (closed
-  /// loop: workers_per_node workers; open loop: generator + session pool).
+  /// loop: workers_per_node workers; open loop: generator + session pool),
+  /// under the home shard's context when sharded.
   void SpawnNode(NodeId node, uint64_t seed_salt);
-  /// Clears parked open-loop coroutine handles after run teardown freed
-  /// their frames (no-op in closed-loop runs).
-  void DropParkedHandles();
+  /// Destroys every worker frame after dropping all pending events, then
+  /// leaves the simulators idle and resumable.
+  void TearDownWorkers();
+  /// Zeroes every measured-window statistic (the warmup boundary).
+  void ResetWindow();
 
-  /// Driver for ExecuteOnce: retries one transaction to completion.
+  /// Driver for ExecuteOnce: runs one transaction to completion.
   sim::Task DriveOnce(db::Transaction* txn, NodeId home,
                       std::vector<std::optional<Value64>>* results,
                       bool* done);
-
-  /// Sharded-mode Run: spawns workers under their shard contexts, drives
-  /// the window protocol, then merges per-shard state deterministically.
-  Metrics RunSharded(SimTime warmup, SimTime duration);
 
   SimTime BackoffDelay(int attempt, Rng& rng);
 
@@ -498,10 +508,6 @@ class Engine {
   /// EngineShard's counters and the dump merge reproduces these series.
   MetricsRegistry::Counter* committed_counter_ = nullptr;
   MetricsRegistry::Counter* aborted_counter_ = nullptr;
-  /// Bound to real series only when config.max_attempts > 0 (else the
-  /// static null sinks), keeping unbounded-retry dumps unchanged.
-  MetricsRegistry::Counter* gaveup_counter_ = nullptr;
-  Histogram* attempts_hist_ = nullptr;
 
   /// Per-node INT postcard collectors (config.int_telemetry.enabled only;
   /// empty otherwise so INT-off runs carry no collector state at all).

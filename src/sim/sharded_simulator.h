@@ -11,6 +11,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/object_pool.h"
 #include "common/rng.h"
 #include "common/types.h"
 #include "sim/inline_event.h"
@@ -229,6 +230,9 @@ class ShardedSimulator {
           RunOwnedShards(t, nthreads);
           barrier.Wait(&sense);  // window closed
         }
+        // Frames and shared states this thread freed sit on its
+        // thread-local pool lists, which die with the thread.
+        FreePool::ReleaseThreadCache();
       });
     }
     bool sense = false;

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <thread>
 #include <vector>
 
 #include "common/arena.h"
@@ -144,6 +145,52 @@ TEST(FreePoolTest, DistinctLiveBlocksDoNotAlias) {
   EXPECT_EQ(*static_cast<unsigned char*>(b), 0x22);
   FreePool::Free(a);
   FreePool::Free(b);
+}
+
+TEST(FreePoolTest, ReleaseThreadCacheReturnsEveryBlockFreedOnAThread) {
+  // A thread's free lists die with it: a pool thread must release them
+  // before it returns, or every block it freed is lost. The counters are
+  // process-wide and the main thread sits in join(), so the deltas below
+  // are exactly this thread's pool traffic.
+  testing::AllocSnapshot before, after;
+  std::thread worker([&before, &after] {
+    std::vector<void*> live;
+    live.reserve(1200);
+    before = testing::CaptureAllocs();
+    for (int i = 0; i < 300; ++i) {
+      for (size_t bytes : {32u, 200u, 1000u, 4000u}) {
+        live.push_back(FreePool::Allocate(bytes));
+      }
+    }
+    for (void* p : live) FreePool::Free(p);
+    FreePool::ReleaseThreadCache();
+    after = testing::CaptureAllocs();
+  });
+  worker.join();
+  EXPECT_GT(after.allocs - before.allocs, 0u);
+  EXPECT_EQ(after.frees - before.frees, after.allocs - before.allocs);
+}
+
+TEST(FreePoolTest, MissesGrowAClassGeometrically) {
+  // On a fresh thread (empty lists): holding n live blocks of one class
+  // costs at most 2n blocks in about log2(n) growth steps, and a class
+  // serves any later peak up to its size without operator new.
+  std::thread worker([] {
+    std::vector<void*> live;
+    live.reserve(128);
+    const testing::AllocSnapshot a0 = testing::CaptureAllocs();
+    for (int i = 0; i < 100; ++i) live.push_back(FreePool::Allocate(200));
+    const testing::AllocSnapshot a1 = testing::CaptureAllocs();
+    EXPECT_EQ(a1.allocs - a0.allocs, 128u);  // 1 + 1 + 2 + ... + 64
+    for (int i = 0; i < 28; ++i) live.push_back(FreePool::Allocate(200));
+    for (void* p : live) FreePool::Free(p);
+    live.clear();
+    for (int i = 0; i < 128; ++i) live.push_back(FreePool::Allocate(200));
+    EXPECT_EQ(testing::CaptureAllocs().allocs - a1.allocs, 0u);
+    for (void* p : live) FreePool::Free(p);
+    FreePool::ReleaseThreadCache();
+  });
+  worker.join();
 }
 
 }  // namespace

@@ -71,14 +71,17 @@ struct RunDigest {
   uint64_t digest = 0;
 };
 
-/// One full run with a full trace; digests counts, registry dump and trace.
+/// One full run with a full trace; digests counts, registry dump and trace
+/// (and, when armed, the sampler's time series).
 RunDigest DigestRun(const SystemConfig& cfg, wl::Workload* workload,
                     size_t hot_items,
-                    const net::FaultSchedule* schedule = nullptr) {
+                    const net::FaultSchedule* schedule = nullptr,
+                    bool time_series = false) {
   Engine engine(cfg);
   engine.SetWorkload(workload);
   engine.Offload(5000, hot_items);
   if (schedule != nullptr) engine.InstallFaultSchedule(*schedule);
+  if (time_series) engine.EnableTimeSeries(100 * kMicrosecond);
   engine.EnableFullTrace();
   const Metrics m = engine.Run(kWarmup, kMeasure);
   const MetricsRegistry& reg = engine.metrics_registry();
@@ -90,6 +93,7 @@ RunDigest DigestRun(const SystemConfig& cfg, wl::Workload* workload,
   d.Add(out.aborted);
   d.Add(reg.ToJson());
   d.Add(engine.TraceJson());
+  if (time_series) d.Add(engine.sampler()->ToJson());
   out.digest = d.value();
   return out;
 }
@@ -103,6 +107,8 @@ enum class Case {
   kOpenLoopShed,
   kOpenLoopDelay,
   kOpenLoopNodeRestart,
+  kIntSeries,
+  kShardedIntSeries,
 };
 
 struct GoldenCase {
@@ -167,6 +173,14 @@ RunDigest RunCase(Case which) {
           net::FaultEvent::NodeRestart(1300 * kMicrosecond, 2));
       return DigestRun(cfg, &ycsb, 40, &schedule);
     }
+    case Case::kIntSeries:
+    case Case::kShardedIntSeries:
+      // Every sampler series: rates, p99/p999 and the INT pair.
+      cfg.threads = which == Case::kShardedIntSeries ? 1 : 0;
+      cfg.open_loop.enabled = true;
+      cfg.open_loop.offered_load = 2e6;
+      cfg.int_telemetry.enabled = true;
+      return DigestRun(cfg, &ycsb, 40, nullptr, /*time_series=*/true);
   }
   return {};
 }
@@ -200,7 +214,11 @@ INSTANTIATE_TEST_SUITE_P(
         GoldenCase{Case::kOpenLoopDelay, "open_loop_delay", 1662, 4,
                    0x16bae64bb4bd139dULL},
         GoldenCase{Case::kOpenLoopNodeRestart, "open_loop_node_restart", 1591,
-                   3, 0x4241cbec47ee6ff5ULL}),
+                   3, 0x4241cbec47ee6ff5ULL},
+        GoldenCase{Case::kIntSeries, "int_series", 1658, 3,
+                   0xb4707247c79a2bb6ULL},
+        GoldenCase{Case::kShardedIntSeries, "sharded_int_series", 1755, 11,
+                   0x17cbc022c596d554ULL}),
     [](const ::testing::TestParamInfo<GoldenCase>& info) {
       return std::string(info.param.name);
     });

@@ -46,6 +46,9 @@ class HotAddWorkload : public wl::Workload {
     return txn;
   }
 
+  /// Next is a pure function of (rng, home): safe on the sharded runtime.
+  bool ThreadSafeGeneration() const override { return true; }
+
   TableId table_id() const { return table_; }
 
  private:
