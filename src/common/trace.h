@@ -19,7 +19,7 @@ class Sampler;
 /// Where a span or instant event came from. Names are the event names shown
 /// in Perfetto / chrome://tracing.
 enum class Category : uint8_t {
-  kTxn,          // one transaction, dispatch to commit/give-up (all attempts)
+  kTxn,          // one transaction, dispatch to commit (all attempts)
   kAttempt,      // one CC attempt of a transaction
   kBackoff,      // abort penalty + retry backoff between attempts
   kLockWait,     // lock manager round trip + queueing
