@@ -723,7 +723,8 @@ trace::Sampler& Engine::EnableTimeSeries(SimTime tick) {
   // The standard series every bench cares about: throughput, abort rate,
   // how much of the mix the switch absorbed, and tail latency — all as
   // curves over the measured window instead of end-of-run scalars.
-  sampler_->AddCounterRate("committed", counters(node_regs, "engine.committed"));
+  sampler_->AddCounterRate("committed",
+                           counters(node_regs, "engine.committed"));
   sampler_->AddCounterRate("aborted_attempts",
                            counters(node_regs, "engine.aborted_attempts"));
   sampler_->AddCounterRate("switch_txns",
