@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "core/engine.h"
 #include "db/wal.h"
+#include "workload/ycsb.h"
 
 namespace p4db::db {
 namespace {
@@ -70,6 +74,64 @@ TEST(WalTest, IntentKeepsExactInstructions) {
   ASSERT_EQ(rec.instrs.size(), 2u);
   EXPECT_EQ(rec.instrs[0].addr.stage, 2);
   EXPECT_EQ(rec.instrs[1].operand, -3);
+}
+
+
+/// The cold 2PL path logs one host write per applied write op, in op
+/// order, carrying the cell's value at commit time (so two writes to one
+/// cell both log its final value); reads and skipped constrained writes
+/// log nothing.
+TEST(WalEngineTest, ColdCommitLogsEachAppliedWriteWithFinalValue) {
+  wl::YcsbConfig ycsb_cfg;
+  ycsb_cfg.variant = 'A';
+  ycsb_cfg.table_size = 100000;
+  ycsb_cfg.hot_keys_per_node = 10;
+  wl::Ycsb ycsb(ycsb_cfg);
+  core::SystemConfig cfg;
+  cfg.mode = core::EngineMode::kNoSwitch;
+  cfg.num_nodes = 4;
+  cfg.workers_per_node = 4;
+  cfg.seed = 42;
+  core::Engine engine(cfg);
+  engine.SetWorkload(&ycsb);
+  engine.Offload(5000, 40);
+  engine.catalog().table(0).GetOrCreate(5001)[0] = 2;
+
+  const auto op = [](OpType type, Key key, Value64 operand) {
+    Op o;
+    o.type = type;
+    o.tuple = TupleId{0, key};
+    o.operand = operand;
+    return o;
+  };
+  Transaction txn;
+  txn.ops = {op(OpType::kPut, 5000, 42),
+             op(OpType::kAdd, 5000, 8),
+             op(OpType::kGet, 5000, 0),
+             op(OpType::kCondAddGeZero, 5001, -5),  // skipped: 2 - 5 < 0
+             op(OpType::kCondAddGeZero, 5001, -1),
+             op(OpType::kMax, 5002, 7),
+             op(OpType::kSwap, 5003, 9)};
+  const size_t before = engine.wal(0).size();
+  auto r = engine.ExecuteOnce(txn, 0);
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(*r, (std::vector<Value64>{42, 50, 50, 2, 1, 7, 0}));
+
+  const Wal& wal = engine.wal(0);
+  ASSERT_EQ(wal.size(), before + 1);
+  const LogRecord& rec = wal.records().back();
+  ASSERT_EQ(rec.kind, LogKind::kHostCommit);
+  const std::vector<HostLogOp> expect = {{TupleId{0, 5000}, 0, 50},
+                                         {TupleId{0, 5000}, 0, 50},
+                                         {TupleId{0, 5001}, 0, 1},
+                                         {TupleId{0, 5002}, 0, 7},
+                                         {TupleId{0, 5003}, 0, 9}};
+  ASSERT_EQ(rec.host_writes.size(), expect.size());
+  for (size_t i = 0; i < expect.size(); ++i) {
+    EXPECT_EQ(rec.host_writes[i].tuple, expect[i].tuple) << i;
+    EXPECT_EQ(rec.host_writes[i].column, expect[i].column) << i;
+    EXPECT_EQ(rec.host_writes[i].new_value, expect[i].new_value) << i;
+  }
 }
 
 }  // namespace
