@@ -3,7 +3,6 @@
 
 #include <memory>
 #include <optional>
-#include <tuple>
 #include <vector>
 
 #include "common/small_vector.h"
@@ -14,9 +13,19 @@
 
 namespace p4db::core::cc {
 
-/// Per-attempt undo record: (tuple, column, pre-image). Inline capacity
-/// matches the common 8-op transaction so collecting undo never allocates.
-using UndoLog = SmallVector<std::tuple<TupleId, uint16_t, Value64>, 8>;
+/// One host write applied by an attempt: the written row's tuple, the
+/// column and the cell itself. Cells live in table storage that never
+/// moves, so the WAL commit record reads each write's final value through
+/// `cell` instead of looking the row up again.
+struct LoggedWrite {
+  TupleId tuple;
+  uint16_t column;
+  const Value64* cell;
+};
+
+/// Per-attempt write log. Inline capacity matches the common 8-op
+/// transaction so collecting it never allocates.
+using WriteLog = SmallVector<LoggedWrite, 8>;
 
 /// Wire sizes of the host protocol messages (shared by every strategy).
 constexpr uint32_t kLockRequestBytes = 96;   // lock msg incl. piggybacked data
@@ -116,14 +125,14 @@ class ConcurrencyControl {
   sim::CoTask<std::optional<sw::SwitchResult>> SubmitToSwitch(
       sw::SwitchTxn txn);
 
-  /// Applies one op to host storage. `undo` collects (tuple, column, old
-  /// value) for every write — used to build the WAL commit record. There is
-  /// no rollback path: aborts can only happen during lock acquisition /
+  /// Applies one op to host storage. `writes` collects every applied write
+  /// (inserts excepted) — used to build the WAL commit record. There is no
+  /// rollback path: aborts can only happen during lock acquisition /
   /// validation, before any write is applied (constrained writes skip
   /// instead of aborting, matching the switch, Section 5.1).
   Value64 ApplyHostOp(const db::Op& op,
                       const std::vector<std::optional<Value64>>& results,
-                      UndoLog* undo);
+                      WriteLog* writes);
 
   const SystemConfig& config() const { return *ctx_.config; }
 

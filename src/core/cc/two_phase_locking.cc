@@ -193,7 +193,7 @@ sim::CoTask<bool> TwoPhaseLocking::ExecuteCold(
   // Execute. In LM-Switch mode the lock for a hot item was decided at the
   // switch, but the data still lives on the owner node: remote hot items
   // cost an extra data round trip here.
-  UndoLog undo;
+  WriteLog writes;
   for (size_t i = 0; i < txn.ops.size(); ++i) {
     const db::Op& op = txn.ops[i];
     if (config().mode == EngineMode::kLmSwitch &&
@@ -208,7 +208,7 @@ sim::CoTask<bool> TwoPhaseLocking::ExecuteCold(
       co_await ctx_.SendMsg(owner, self, kDataRequestBytes, ts);
       timers->remote_access += ctx_.Now() - t0;
     }
-    (*results)[i] = ApplyHostOp(op, *results, &undo);
+    (*results)[i] = ApplyHostOp(op, *results, &writes);
   }
   const SimTime exec_cost = t.op_local * static_cast<SimTime>(txn.ops.size());
   co_await sim::Delay(ctx_.Sim(), exec_cost);
@@ -217,14 +217,11 @@ sim::CoTask<bool> TwoPhaseLocking::ExecuteCold(
   const SimTime wal_begin = ctx_.Now();
   co_await sim::Delay(ctx_.Sim(), t.wal_append);
   timers->local_work += t.wal_append;
-  SmallVector<db::HostLogOp, 8> writes;
-  for (const auto& [tuple, column, old_value] : undo) {
-    (void)old_value;
-    writes.push_back(db::HostLogOp{
-        tuple, column,
-        ctx_.catalog->table(tuple.table).GetOrCreate(tuple.key)[column]});
+  SmallVector<db::HostLogOp, 8> log_ops;
+  for (const LoggedWrite& w : writes) {
+    log_ops.push_back(db::HostLogOp{w.tuple, w.column, *w.cell});
   }
-  ctx_.wal(node).AppendHostCommit(writes);
+  ctx_.wal(node).AppendHostCommit(log_ops);
   ctx_.Trace().CompleteSpan(wal_begin, ctx_.Now(),
                             trace::Category::kWalAppend, ts, node);
 
@@ -290,7 +287,7 @@ sim::CoTask<bool> TwoPhaseLocking::ExecuteWarm(
   // inserts and cold ops that consume hot/deferred results — they cannot
   // abort since every lock is already held, mirroring the paper's
   // "offload dependent cold tuples" rule), and immediate cold (now).
-  UndoLog undo;
+  WriteLog writes;  // the warm path logs no host commit record
   SmallVector<uint8_t, 64> is_hot_op(txn.ops.size(), 0);
   SmallVector<uint8_t, 64> deferred(txn.ops.size(), 0);
   for (size_t i = 0; i < txn.ops.size(); ++i) {
@@ -323,7 +320,7 @@ sim::CoTask<bool> TwoPhaseLocking::ExecuteWarm(
       ++deferred_ops;
       continue;
     }
-    (*results)[i] = ApplyHostOp(txn.ops[i], *results, &undo);
+    (*results)[i] = ApplyHostOp(txn.ops[i], *results, &writes);
     ++cold_ops;
   }
   const SimTime exec_cost = t.op_local * static_cast<SimTime>(cold_ops);
@@ -466,7 +463,7 @@ sim::CoTask<bool> TwoPhaseLocking::ExecuteWarm(
   if (deferred_ops > 0) {
     for (size_t i = 0; i < txn.ops.size(); ++i) {
       if (!deferred[i]) continue;
-      (*results)[i] = ApplyHostOp(txn.ops[i], *results, &undo);
+      (*results)[i] = ApplyHostOp(txn.ops[i], *results, &writes);
     }
     const SimTime def_cost =
         t.op_local * static_cast<SimTime>(deferred_ops);

@@ -1,5 +1,6 @@
 #include "db/table.h"
 
+#include <algorithm>
 #include <cassert>
 #include <utility>
 
@@ -16,45 +17,27 @@ Table::Table(TableId id, std::string name, uint16_t num_columns,
   assert(default_row_.size() == num_columns_);
 }
 
-Row& Table::GetOrCreate(Key key) {
+RowRef Table::GetOrCreate(Key key) {
   if (concurrent_) {
     std::lock_guard<std::mutex> lock(mu_);
-    auto [it, inserted] = rows_.try_emplace(key, default_row_);
-    return it->second;
+    return GetOrCreateUnguarded(key);
   }
-  auto [it, inserted] = rows_.try_emplace(key, default_row_);
-  return it->second;
+  return GetOrCreateUnguarded(key);
 }
 
-const Row* Table::Find(Key key) const {
-  if (concurrent_) {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = rows_.find(key);
-    return it == rows_.end() ? nullptr : &it->second;
+RowRef Table::GetOrCreateUnguarded(Key key) {
+  const auto [row, inserted] =
+      index_.try_emplace(key, static_cast<uint32_t>(index_.size()));
+  assert(index_.size() <= UINT32_MAX && "row numbers are 32-bit");
+  const uint32_t offset = *row & (kChunkRows - 1);
+  if (inserted && offset == 0) {
+    chunks_.push_back(std::make_unique_for_overwrite<Value64[]>(
+        size_t{kChunkRows} * num_columns_));
   }
-  auto it = rows_.find(key);
-  return it == rows_.end() ? nullptr : &it->second;
-}
-
-bool Table::Contains(Key key) const {
-  if (concurrent_) {
-    std::lock_guard<std::mutex> lock(mu_);
-    return rows_.contains(key);
-  }
-  return rows_.contains(key);
-}
-
-Status Table::Insert(Key key, Row row) {
-  assert(row.size() == num_columns_);
-  if (concurrent_) {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto [it, inserted] = rows_.try_emplace(key, std::move(row));
-    if (!inserted) return Status::InvalidArgument("duplicate primary key");
-    return Status::Ok();
-  }
-  auto [it, inserted] = rows_.try_emplace(key, std::move(row));
-  if (!inserted) return Status::InvalidArgument("duplicate primary key");
-  return Status::Ok();
+  Value64* cells =
+      chunks_[*row >> kChunkShift].get() + size_t{offset} * num_columns_;
+  if (inserted) std::copy_n(default_row_.data(), num_columns_, cells);
+  return RowRef(cells, num_columns_);
 }
 
 TableId Catalog::CreateTable(std::string name, uint16_t num_columns,

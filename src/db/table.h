@@ -5,10 +5,12 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
+#include "common/flat_map.h"
 #include "common/status.h"
 #include "common/types.h"
 
@@ -16,8 +18,11 @@ namespace p4db::db {
 
 /// Fixed-width numeric row. String columns are dictionary-encoded to
 /// integers by the workloads (the same trick the switch needs, Table 1), so
-/// one representation serves both substrates.
+/// one representation serves both substrates. `Row` is the owning form a
+/// schema's default row is declared in; stored rows are handed out as
+/// `RowRef`, a view of `num_columns` cells inside the table's storage.
 using Row = std::vector<Value64>;
+using RowRef = std::span<Value64>;
 
 /// How a table's keys are spread over database nodes (shared-nothing
 /// partitioning, Section 7.1).
@@ -47,9 +52,15 @@ struct PartitionSpec {
   }
 };
 
-/// In-memory hash table storing one relation. Rows materialize lazily with
-/// schema defaults: benchmark tables are logically huge (YCSB: 10^9 keys)
-/// but only touched keys occupy memory.
+/// In-memory storage of one relation. Rows materialize lazily with schema
+/// defaults: benchmark tables are logically huge (YCSB: 10^9 keys) but only
+/// touched keys occupy memory.
+///
+/// Layout: a FlatMap indexes key -> row number; rows are fixed-width runs
+/// of `num_columns` cells in chunks of kChunkRows rows, allocated once per
+/// chunk and never moved. A RowRef therefore stays valid for the table's
+/// lifetime, across index rehashes and later inserts. Rows are never
+/// erased and nothing iterates them, so the layout is invisible to results.
 class Table {
  public:
   Table(TableId id, std::string name, uint16_t num_columns,
@@ -61,34 +72,36 @@ class Table {
   const PartitionSpec& partition() const { return partition_; }
 
   /// Row accessor; creates the row with defaults on first touch.
-  Row& GetOrCreate(Key key);
-  /// Read-only lookup; kNotFound if the row was never materialized.
-  const Row* Find(Key key) const;
-  bool Contains(Key key) const;
-  /// Explicit insert (kInsert op); fails if the key already exists.
-  Status Insert(Key key, Row row);
+  RowRef GetOrCreate(Key key);
 
-  /// Switches the accessors to mutex-guarded mode for the parallel sharded
-  /// runtime: rows materialize lazily, so several shards can race the hash
-  /// map itself mid-run. Only the MAP structure is guarded — references
-  /// returned by GetOrCreate stay valid across rehashes (node-based map)
-  /// and row CONTENT synchronization remains the lock managers' job
-  /// (conflicting accesses are serialized by 2PL, and the lock handoff
-  /// always crosses a window barrier between shards). Legacy single-thread
-  /// runs never take the mutex.
+  /// Switches GetOrCreate to mutex-guarded mode for the parallel sharded
+  /// runtime: rows materialize lazily, and coordinators apply ops in place
+  /// to rows other nodes own, so shards on different threads can race the
+  /// index and the chunk list mid-run. Only that structure is guarded —
+  /// RowRefs stay valid across rehashes (chunks never move) and row
+  /// CONTENT synchronization remains the lock managers' job (conflicting
+  /// accesses are serialized by 2PL, and the lock handoff always crosses a
+  /// window barrier between shards). Legacy single-thread runs never take
+  /// the mutex.
   void EnableConcurrentAccess() { concurrent_ = true; }
 
-  size_t materialized_rows() const { return rows_.size(); }
+  size_t materialized_rows() const { return index_.size(); }
 
  private:
+  static constexpr uint32_t kChunkShift = 10;
+  static constexpr uint32_t kChunkRows = uint32_t{1} << kChunkShift;
+
+  RowRef GetOrCreateUnguarded(Key key);
+
   TableId id_;
   std::string name_;
   uint16_t num_columns_;
   PartitionSpec partition_;
   Row default_row_;
-  std::unordered_map<Key, Row> rows_;
+  FlatMap<Key, uint32_t> index_;  // key -> row number
+  std::vector<std::unique_ptr<Value64[]>> chunks_;
   bool concurrent_ = false;
-  mutable std::mutex mu_;
+  std::mutex mu_;
 };
 
 /// Secondary index mapping an alternate key to a primary key. Kept on the
