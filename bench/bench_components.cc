@@ -12,6 +12,7 @@
 #include "core/layout.h"
 #include "core/maxcut.h"
 #include "core/partition_manager.h"
+#include "db/table.h"
 #include "sim/simulator.h"
 #include "sim/task.h"
 #include "switchsim/packet.h"
@@ -225,6 +226,32 @@ void BM_CompileHotTxn(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }
 BENCHMARK(BM_CompileHotTxn);
+
+// ------------------------------------------------------------ row store --
+
+// GetOrCreate as YCSB drives it: keys uniform over 10^9, so the table grows
+// to ~200 K rows (one materialization each), interleaved with re-hits of
+// keys already touched. One iteration runs a fresh table through the whole
+// stream, teardown included.
+void BM_TableGetOrCreate(benchmark::State& state) {
+  constexpr size_t kGets = 400000;
+  Rng rng(6);
+  std::vector<Key> keys;
+  keys.reserve(kGets);
+  for (size_t i = 0; i < kGets; ++i) {
+    keys.push_back(keys.empty() || rng.NextBool(0.5)
+                       ? rng.NextRange(1000000000ULL)
+                       : keys[rng.NextRange(keys.size())]);
+  }
+  for (auto _ : state) {
+    db::Table table(0, "usertable", 1, db::PartitionSpec{});
+    Value64 sum = 0;
+    for (const Key key : keys) sum += table.GetOrCreate(key)[0]++;
+    benchmark::DoNotOptimize(sum);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * kGets));
+}
+BENCHMARK(BM_TableGetOrCreate)->Unit(benchmark::kMillisecond);
 
 void BM_WorkloadNext(benchmark::State& state) {
   db::Catalog catalog(8);
