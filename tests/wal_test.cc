@@ -77,41 +77,50 @@ TEST(WalTest, IntentKeepsExactInstructions) {
 }
 
 
-/// The cold 2PL path logs one host write per applied write op, in op
-/// order, carrying the cell's value at commit time (so two writes to one
-/// cell both log its final value); reads and skipped constrained writes
-/// log nothing.
-TEST(WalEngineTest, ColdCommitLogsEachAppliedWriteWithFinalValue) {
-  wl::YcsbConfig ycsb_cfg;
-  ycsb_cfg.variant = 'A';
-  ycsb_cfg.table_size = 100000;
-  ycsb_cfg.hot_keys_per_node = 10;
-  wl::Ycsb ycsb(ycsb_cfg);
+wl::YcsbConfig SmallYcsb() {
+  wl::YcsbConfig ycsb;
+  ycsb.variant = 'A';
+  ycsb.table_size = 100000;
+  ycsb.hot_keys_per_node = 10;
+  return ycsb;
+}
+
+core::SystemConfig NoSwitchCluster() {
   core::SystemConfig cfg;
   cfg.mode = core::EngineMode::kNoSwitch;
   cfg.num_nodes = 4;
   cfg.workers_per_node = 4;
   cfg.seed = 42;
-  core::Engine engine(cfg);
+  return cfg;
+}
+
+Op MakeOp(OpType type, Key key, Value64 operand) {
+  Op o;
+  o.type = type;
+  o.tuple = TupleId{0, key};
+  o.operand = operand;
+  return o;
+}
+
+/// The cold 2PL path logs one host write per applied write op, in op
+/// order, carrying the cell's value at commit time (so two writes to one
+/// cell both log its final value); reads and skipped constrained writes
+/// log nothing.
+TEST(WalEngineTest, ColdCommitLogsEachAppliedWriteWithFinalValue) {
+  wl::Ycsb ycsb(SmallYcsb());
+  core::Engine engine(NoSwitchCluster());
   engine.SetWorkload(&ycsb);
   engine.Offload(5000, 40);
   engine.catalog().table(0).GetOrCreate(5001)[0] = 2;
 
-  const auto op = [](OpType type, Key key, Value64 operand) {
-    Op o;
-    o.type = type;
-    o.tuple = TupleId{0, key};
-    o.operand = operand;
-    return o;
-  };
   Transaction txn;
-  txn.ops = {op(OpType::kPut, 5000, 42),
-             op(OpType::kAdd, 5000, 8),
-             op(OpType::kGet, 5000, 0),
-             op(OpType::kCondAddGeZero, 5001, -5),  // skipped: 2 - 5 < 0
-             op(OpType::kCondAddGeZero, 5001, -1),
-             op(OpType::kMax, 5002, 7),
-             op(OpType::kSwap, 5003, 9)};
+  txn.ops = {MakeOp(OpType::kPut, 5000, 42),
+             MakeOp(OpType::kAdd, 5000, 8),
+             MakeOp(OpType::kGet, 5000, 0),
+             MakeOp(OpType::kCondAddGeZero, 5001, -5),  // skipped: 2 - 5 < 0
+             MakeOp(OpType::kCondAddGeZero, 5001, -1),
+             MakeOp(OpType::kMax, 5002, 7),
+             MakeOp(OpType::kSwap, 5003, 9)};
   const size_t before = engine.wal(0).size();
   auto r = engine.ExecuteOnce(txn, 0);
   ASSERT_TRUE(r.ok());
@@ -132,6 +141,34 @@ TEST(WalEngineTest, ColdCommitLogsEachAppliedWriteWithFinalValue) {
     EXPECT_EQ(rec.host_writes[i].column, expect[i].column) << i;
     EXPECT_EQ(rec.host_writes[i].new_value, expect[i].new_value) << i;
   }
+}
+
+/// A write whose key comes from an earlier result (TPC-C Delivery's carrier
+/// stamp) logs the row it wrote, and touches no other row.
+TEST(WalEngineTest, KeyFromSourceWriteLogsTheRowItWrote) {
+  wl::Ycsb ycsb(SmallYcsb());
+  core::Engine engine(NoSwitchCluster());
+  engine.SetWorkload(&ycsb);
+  engine.Offload(5000, 40);
+  Table& table = engine.catalog().table(0);
+  table.GetOrCreate(6000)[0] = 3;
+  const size_t rows_before = table.materialized_rows();
+
+  Op stamp = MakeOp(OpType::kPut, 7000, 9);
+  stamp.operand_src = 0;
+  stamp.key_from_src = true;
+  Transaction txn;
+  txn.ops = {MakeOp(OpType::kGet, 6000, 0), stamp};
+  auto r = engine.ExecuteOnce(txn, 0);
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(table.GetOrCreate(7003)[0], 9);
+  EXPECT_EQ(table.materialized_rows(), rows_before + 1);
+
+  const LogRecord& rec = engine.wal(0).records().back();
+  ASSERT_EQ(rec.kind, LogKind::kHostCommit);
+  ASSERT_EQ(rec.host_writes.size(), 1u);
+  EXPECT_EQ(rec.host_writes[0].tuple, (TupleId{0, 7003}));
+  EXPECT_EQ(rec.host_writes[0].new_value, 9);
 }
 
 }  // namespace
