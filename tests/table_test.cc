@@ -98,7 +98,7 @@ void CheckAgainstModel(Table* t, const Row& defaults, uint64_t key_space,
       key = seen[rng.NextRange(seen.size())];
     }
     auto [it, inserted] = model.try_emplace(key, defaults);
-    decltype(auto) row = t->GetOrCreate(key);
+    const RowRef row = t->GetOrCreate(key);
     ASSERT_EQ(row.size(), cols);
     for (uint16_t c = 0; c < cols; ++c) {
       ASSERT_EQ(row[c], it->second[c]) << "step " << step << " key " << key;
@@ -115,7 +115,7 @@ void CheckAgainstModel(Table* t, const Row& defaults, uint64_t key_space,
     ASSERT_EQ(t->materialized_rows(), model.size()) << "step " << step;
   }
   for (const auto& [key, expect] : model) {
-    decltype(auto) row = t->GetOrCreate(key);
+    const RowRef row = t->GetOrCreate(key);
     for (uint16_t c = 0; c < cols; ++c) ASSERT_EQ(row[c], expect[c]);
   }
   EXPECT_EQ(t->materialized_rows(), model.size());
@@ -137,7 +137,7 @@ TEST(TableModelTest, FourColumnTableWithDefaultsMatchesMapModel) {
 
 TEST(TableModelTest, EarlyRowReferenceSurvivesLaterInserts) {
   Table t(0, "t", 2, PartitionSpec{}, {3, 4});
-  decltype(auto) early = t.GetOrCreate(7);
+  const RowRef early = t.GetOrCreate(7);
   early[1] = 40;
   Value64* cell = &early[1];
   for (Key k = 1000; k < 101000; ++k) t.GetOrCreate(k)[0] = 1;
@@ -163,17 +163,14 @@ TEST(TableConcurrentTest, OverlappingGetOrCreateMaterializesEachKeyOnce) {
   for (int i = 0; i < kThreads; ++i) {
     threads.emplace_back([&t, i] {
       const Key begin = static_cast<Key>(i) * kStride;
-      for (Key k = begin; k < begin + kPerThread; ++k) {
-        decltype(auto) row = t.GetOrCreate(k * 7919);
-        (void)row;
-      }
+      for (Key k = begin; k < begin + kPerThread; ++k) t.GetOrCreate(k * 7919);
     });
   }
   for (std::thread& th : threads) th.join();
   const Key distinct = (kThreads - 1) * kStride + kPerThread;
   EXPECT_EQ(t.materialized_rows(), distinct);
   for (Key k = 0; k < distinct; ++k) {
-    decltype(auto) row = t.GetOrCreate(k * 7919);
+    const RowRef row = t.GetOrCreate(k * 7919);
     ASSERT_EQ(row[0], 5) << k;
     ASSERT_EQ(row[1], 6) << k;
   }
