@@ -5,7 +5,10 @@
 // counters a commit or an abort touches — shows up as a digest change.
 // The cases cover every caller of the loop: closed-loop workers on both
 // runtimes and both CC protocols, open-loop sessions under both overflow
-// policies, sessions respawned by node recovery, and ExecuteOnce.
+// policies, sessions respawned by node recovery, and ExecuteOnce. The
+// switch-fault cases pin the control plane's state machine: a K = 1 dark
+// window with failback, a K = 2 promotion with the old primary rejoining as
+// backup, a K = 2 backup crash, and offline recovery from a mid-run crash.
 
 #include <gtest/gtest.h>
 
@@ -69,6 +72,10 @@ struct RunDigest {
   uint64_t committed = 0;
   uint64_t aborted = 0;
   uint64_t digest = 0;
+  // Which switch-fault paths ran (zero without a fault schedule).
+  uint64_t failovers = 0;
+  uint64_t view_changes = 0;
+  uint64_t rejoins = 0;
 };
 
 /// One full run with a full trace; digests counts, registry dump and trace
@@ -88,6 +95,9 @@ RunDigest DigestRun(const SystemConfig& cfg, wl::Workload* workload,
   RunDigest out;
   out.committed = m.committed;
   out.aborted = CounterValue(reg, "engine.aborted_attempts");
+  out.failovers = CounterValue(reg, "engine.failovers");
+  out.view_changes = CounterValue(reg, "engine.view_changes");
+  out.rejoins = CounterValue(reg, "engine.switch_rejoins");
   Digest d;
   d.Add(out.committed);
   d.Add(out.aborted);
@@ -109,6 +119,11 @@ enum class Case {
   kOpenLoopNodeRestart,
   kIntSeries,
   kShardedIntSeries,
+  kRebootFailback,
+  kShardedRebootFailback,
+  kPrimaryCrashPromotion,
+  kShardedPrimaryCrashPromotion,
+  kBackupCrash,
 };
 
 struct GoldenCase {
@@ -117,6 +132,9 @@ struct GoldenCase {
   uint64_t committed;
   uint64_t aborted;
   uint64_t digest;
+  bool degraded = false;  // the K = 1 dark window ran degraded txns
+  uint64_t view_changes = 0;
+  uint64_t rejoins = 0;
 };
 
 void PrintTo(const GoldenCase& c, std::ostream* os) { *os << c.name; }
@@ -181,6 +199,35 @@ RunDigest RunCase(Case which) {
       cfg.open_loop.offered_load = 2e6;
       cfg.int_telemetry.enabled = true;
       return DigestRun(cfg, &ycsb, 40, nullptr, /*time_series=*/true);
+    case Case::kRebootFailback:
+    case Case::kShardedRebootFailback: {
+      // K = 1: the switch goes dark mid-window, degraded traffic runs on
+      // WAL-seeded host rows, and failback re-provisions the registers.
+      cfg.threads = which == Case::kShardedRebootFailback ? 1 : 0;
+      net::FaultSchedule schedule;
+      schedule.events.push_back(net::FaultEvent::SwitchReboot(
+          900 * kMicrosecond, 200 * kMicrosecond));
+      return DigestRun(cfg, &ycsb, 40, &schedule);
+    }
+    case Case::kPrimaryCrashPromotion:
+    case Case::kShardedPrimaryCrashPromotion: {
+      // K = 2: the primary dies, the backup promotes after the view-change
+      // pause, and the old primary rejoins as the new primary's backup.
+      cfg.threads = which == Case::kShardedPrimaryCrashPromotion ? 1 : 0;
+      cfg.num_switches = 2;
+      net::FaultSchedule schedule;
+      schedule.events.push_back(net::FaultEvent::SwitchReboot(
+          900 * kMicrosecond, 200 * kMicrosecond, /*switch_id=*/0));
+      return DigestRun(cfg, &ycsb, 40, &schedule);
+    }
+    case Case::kBackupCrash: {
+      // K = 2: the backup dies and rejoins; the primary only retargets.
+      cfg.num_switches = 2;
+      net::FaultSchedule schedule;
+      schedule.events.push_back(net::FaultEvent::SwitchReboot(
+          900 * kMicrosecond, 200 * kMicrosecond, /*switch_id=*/1));
+      return DigestRun(cfg, &ycsb, 40, &schedule);
+    }
   }
   return {};
 }
@@ -194,6 +241,9 @@ TEST_P(EngineGoldenTest, RunDigestIsPinned) {
   EXPECT_EQ(r.committed, g.committed);
   EXPECT_EQ(r.aborted, g.aborted);
   EXPECT_EQ(r.digest, g.digest) << std::hex << "0x" << r.digest;
+  EXPECT_EQ(r.failovers > 0, g.degraded);
+  EXPECT_EQ(r.view_changes, g.view_changes);
+  EXPECT_EQ(r.rejoins, g.rejoins);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -218,7 +268,21 @@ INSTANTIATE_TEST_SUITE_P(
         GoldenCase{Case::kIntSeries, "int_series", 1658, 3,
                    0xb4707247c79a2bb6ULL},
         GoldenCase{Case::kShardedIntSeries, "sharded_int_series", 1755, 11,
-                   0x17cbc022c596d554ULL}),
+                   0x17cbc022c596d554ULL},
+        GoldenCase{Case::kRebootFailback, "reboot_failback", 1391, 127,
+                   0x8422e933124bdee5ULL, /*degraded=*/true},
+        GoldenCase{Case::kShardedRebootFailback, "sharded_reboot_failback",
+                   1454, 141, 0xef57de54f88adc5eULL, /*degraded=*/true},
+        GoldenCase{Case::kPrimaryCrashPromotion, "primary_crash_promotion",
+                   1686, 45, 0x489e71cb1261b9f4ULL, false,
+                   /*view_changes=*/1, /*rejoins=*/1},
+        GoldenCase{Case::kShardedPrimaryCrashPromotion,
+                   "sharded_primary_crash_promotion", 1651, 38,
+                   0xf725ac8025851318ULL, false, /*view_changes=*/1,
+                   /*rejoins=*/1},
+        GoldenCase{Case::kBackupCrash, "backup_crash", 1714, 0,
+                   0x5d9df0e5e6e18788ULL, false, /*view_changes=*/0,
+                   /*rejoins=*/1}),
     [](const ::testing::TestParamInfo<GoldenCase>& info) {
       return std::string(info.param.name);
     });
@@ -251,6 +315,34 @@ TEST(EngineGoldenExecuteOnceTest, WarmTxnDigestIsPinned) {
   d.Add(engine.metrics_registry().ToJson());
   d.Add(engine.simulator().now());
   EXPECT_EQ(d.value(), 0x8980030a80853cfcULL) << std::hex << "0x" << d.value();
+}
+
+// Offline recovery from a mid-run crash: the reboot's dark period outlasts
+// the run, so the WAL tails end in gid-less intents. Pin the run and the
+// register file the offline replay rebuilds from them.
+TEST(EngineGoldenRecoveryTest, OfflineRecoveryDigestIsPinned) {
+  wl::Ycsb ycsb(SmallYcsb());
+  Engine engine(SmallCluster());
+  engine.SetWorkload(&ycsb);
+  engine.Offload(5000, 40);
+  net::FaultSchedule schedule;
+  schedule.events.push_back(
+      net::FaultEvent::SwitchReboot(1800 * kMicrosecond, kSecond));
+  engine.InstallFaultSchedule(schedule);
+  engine.EnableFullTrace();
+  const Metrics m = engine.Run(kWarmup, kMeasure);
+  ASSERT_TRUE(engine.RecoverSwitch().ok());
+  Digest d;
+  d.Add(m.committed);
+  d.Add(engine.metrics_registry().ToJson());
+  d.Add(engine.TraceJson());
+  for (const PartitionManager::HotEntry& e :
+       engine.partition_manager().entries()) {
+    d.Add(static_cast<uint64_t>(*engine.control_plane().ReadValue(e.addr)));
+  }
+  d.Add(engine.pipeline().next_gid());
+  EXPECT_EQ(m.committed, 1558u);
+  EXPECT_EQ(d.value(), 0xe9484ca336b5e187ULL) << std::hex << "0x" << d.value();
 }
 
 }  // namespace
