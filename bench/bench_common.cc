@@ -216,15 +216,19 @@ RunOutput RunWorkload(const core::SystemConfig& config, wl::Workload* workload,
                       size_t sample_size, size_t max_hot_items,
                       const BenchTime& time) {
   core::SystemConfig cfg = config;
+  // Each flag applies only where ValidateConfig accepts the result; other
+  // runs keep their configuration (an explicit field is honored as-is).
+  const auto apply_if_valid = [&cfg](auto&& set) {
+    core::SystemConfig candidate = cfg;
+    set(candidate);
+    if (core::ValidateConfig(candidate).ok()) cfg = candidate;
+  };
   // --threads=N opts every compatible run into the parallel sharded
-  // runtime; the remaining mode/protocol/workload combinations stay on the
-  // legacy runtime (an explicit config.threads is honored as-is).
+  // runtime; the rest stay on the legacy runtime. A thread-safe generator
+  // is a workload property, so it is checked here.
   if (cfg.threads == 0 && g_threads > 0 &&
-      cfg.cc_protocol == core::CcProtocol::k2pl &&
-      (cfg.mode == core::EngineMode::kP4db ||
-       cfg.mode == core::EngineMode::kNoSwitch) &&
       workload->ThreadSafeGeneration()) {
-    cfg.threads = g_threads;
+    apply_if_valid([](core::SystemConfig& c) { c.threads = g_threads; });
   }
   // --open-loop / --offered-load switches any run to open-loop arrivals;
   // --batch=N arms the egress batcher on the runs that support it.
@@ -232,19 +236,17 @@ RunOutput RunWorkload(const core::SystemConfig& config, wl::Workload* workload,
     cfg.open_loop.enabled = true;
     cfg.open_loop.offered_load = g_offered_load;
   }
-  if (cfg.batch.size == 1 && g_batch_size > 1 &&
-      cfg.mode == core::EngineMode::kP4db &&
-      cfg.cc_protocol == core::CcProtocol::k2pl && cfg.num_switches == 1) {
-    cfg.batch.size = g_batch_size;
+  if (cfg.batch.size == 1 && g_batch_size > 1) {
+    apply_if_valid(
+        [](core::SystemConfig& c) { c.batch.size = g_batch_size; });
   }
-  // --int arms telemetry on the runs that support it (same constraint set
-  // as ValidateConfig: switch traffic under 2PL); baselines and other modes
-  // run byte-identical to an INT-free binary.
-  if (!cfg.int_telemetry.enabled && g_int_enabled &&
-      cfg.mode == core::EngineMode::kP4db &&
-      cfg.cc_protocol == core::CcProtocol::k2pl) {
-    cfg.int_telemetry.enabled = true;
-    cfg.int_telemetry.wire_cost = g_int_wire_cost;
+  // --int arms telemetry on the runs that support it; baselines and other
+  // modes run byte-identical to an INT-free binary.
+  if (!cfg.int_telemetry.enabled && g_int_enabled) {
+    apply_if_valid([](core::SystemConfig& c) {
+      c.int_telemetry.enabled = true;
+      c.int_telemetry.wire_cost = g_int_wire_cost;
+    });
   }
   core::Engine engine(cfg);
   engine.SetWorkload(workload);

@@ -20,6 +20,19 @@ Status ValidateConfig(const SystemConfig& config) {
   if (config.num_nodes == 0) {
     return Status::InvalidArgument("num_nodes must be >= 1");
   }
+  if (config.threads < 0) {
+    return Status::InvalidArgument("threads must be >= 0 (0 = legacy runtime)");
+  }
+  if (config.threads > 0 &&
+      (config.cc_protocol != CcProtocol::k2pl ||
+       (config.mode != EngineMode::kP4db &&
+        config.mode != EngineMode::kNoSwitch))) {
+    return Status::Unsupported(
+        std::string("the sharded runtime (threads >= 1) runs P4DB and "
+                    "No-Switch under 2PL only, not ") +
+        EngineModeName(config.mode) + " under " +
+        CcProtocolName(config.cc_protocol) + "; use threads = 0");
+  }
   if (config.num_switches > 1) {
     if (config.mode != EngineMode::kP4db) {
       return Status::Unsupported(

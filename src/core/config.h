@@ -175,7 +175,7 @@ struct SystemConfig {
   /// threads >= 1 value produces bit-identical results for a given seed —
   /// threads only buys wall-clock speed. Sharded mode supports
   /// kP4db/kNoSwitch with the 2PL protocol (the modes every figure
-  /// benchmark scales); the engine rejects other combinations.
+  /// benchmark scales); ValidateConfig rejects other combinations.
   int threads = 0;
 
   TimingConfig timing;

@@ -81,14 +81,6 @@ Engine::Engine(const SystemConfig& config)
     (void)valid;
   }
   if (sharded_) {
-    // The sharded runtime covers the configurations every figure benchmark
-    // scales (P4DB and the No-Switch baseline under 2PL); the remaining
-    // mode/protocol combinations stay on the legacy reference runtime.
-    assert(config_.cc_protocol == CcProtocol::k2pl &&
-           "sharded runtime supports the 2PL protocol only");
-    assert((config_.mode == EngineMode::kP4db ||
-            config_.mode == EngineMode::kNoSwitch) &&
-           "sharded runtime supports kP4db / kNoSwitch modes only");
     const uint32_t shard_count =
         static_cast<uint32_t>(config_.num_nodes) + config_.num_switches;
     // Lookahead = the minimum cross-shard latency: every network leg
@@ -805,7 +797,10 @@ sim::Task Engine::DriveOnce(db::Transaction* txn, NodeId home,
 
 StatusOr<std::vector<Value64>> Engine::ExecuteOnce(db::Transaction txn,
                                                    NodeId home) {
-  assert(!sharded_ && "ExecuteOnce drives the legacy runtime only");
+  if (sharded_) {
+    return Status::Unsupported(
+        "ExecuteOnce drives the legacy runtime only (threads == 0)");
+  }
   assert(workload_ != nullptr || !txn.ops.empty());
   pm_.Classify(&txn, home);
   std::vector<std::optional<Value64>> results;

@@ -98,7 +98,7 @@ class Engine {
 
   /// Executes a single transaction to completion on an otherwise idle
   /// cluster (for tests and examples). Returns per-op results. Legacy
-  /// runtime only.
+  /// runtime only: Unsupported when SystemConfig::threads > 0.
   StatusOr<std::vector<Value64>> ExecuteOnce(db::Transaction txn,
                                              NodeId home);
 

@@ -1,4 +1,4 @@
-// ValidateConfig coverage for the open-loop / batching knobs: every
+// ValidateConfig coverage for the open-loop / batching / runtime knobs: every
 // inconsistent combination must be rejected with a non-OK Status before an
 // Engine is built around it (the Engine constructor asserts validity), and
 // the valid combinations — including the all-defaults config every existing
@@ -133,6 +133,38 @@ TEST(ConfigValidationTest, OpenLoopComposesWithBatching) {
   cfg.open_loop.offered_load = 4e6;
   cfg.open_loop.process = ArrivalProcess::kMmpp;
   EXPECT_TRUE(ValidateConfig(cfg).ok());
+}
+
+TEST(ConfigValidationTest, NegativeThreadsRejected) {
+  SystemConfig cfg;
+  cfg.threads = -1;
+  EXPECT_EQ(ValidateConfig(cfg).code(), Code::kInvalidArgument);
+}
+
+TEST(ConfigValidationTest, ShardedRuntimeRequires2pl) {
+  SystemConfig cfg;
+  cfg.threads = 2;
+  EXPECT_TRUE(ValidateConfig(cfg).ok());
+  cfg.cc_protocol = CcProtocol::kOcc;
+  EXPECT_EQ(ValidateConfig(cfg).code(), Code::kUnsupported);
+  cfg.threads = 0;
+  EXPECT_TRUE(ValidateConfig(cfg).ok());
+}
+
+TEST(ConfigValidationTest, ShardedRuntimeRequiresP4dbOrNoSwitch) {
+  for (const EngineMode mode : {EngineMode::kP4db, EngineMode::kNoSwitch,
+                                EngineMode::kLmSwitch, EngineMode::kChiller}) {
+    SystemConfig cfg;
+    cfg.mode = mode;
+    EXPECT_TRUE(ValidateConfig(cfg).ok()) << EngineModeName(mode);
+    cfg.threads = 1;
+    const bool sharded_ok =
+        mode == EngineMode::kP4db || mode == EngineMode::kNoSwitch;
+    EXPECT_EQ(ValidateConfig(cfg).ok(), sharded_ok) << EngineModeName(mode);
+    if (!sharded_ok) {
+      EXPECT_EQ(ValidateConfig(cfg).code(), Code::kUnsupported);
+    }
+  }
 }
 
 }  // namespace

@@ -183,6 +183,25 @@ TEST(EngineExecuteOnceTest, ColdReadReturnsDefault) {
   EXPECT_EQ((*r)[0], 0);
 }
 
+TEST(EngineExecuteOnceTest, ShardedRuntimeIsUnsupported) {
+  // ExecuteOnce drives the legacy simulator; on the sharded runtime it must
+  // refuse up front rather than spin an idle simulator and time out.
+  wl::Ycsb ycsb(SmallYcsb());
+  SystemConfig cfg = SmallCluster(EngineMode::kP4db);
+  cfg.threads = 1;
+  Engine engine(cfg);
+  engine.SetWorkload(&ycsb);
+  engine.Offload(5000, 40);
+  db::Transaction txn;
+  db::Op op;
+  op.type = db::OpType::kGet;
+  op.tuple = TupleId{0, 77777};
+  txn.ops.push_back(op);
+  const auto r = engine.ExecuteOnce(txn, 0);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), Code::kUnsupported);
+}
+
 TEST(EngineExecuteOnceTest, WarmTxnAppliesBothSides) {
   wl::Ycsb ycsb(SmallYcsb());
   Engine engine(SmallCluster(EngineMode::kP4db));
