@@ -43,9 +43,9 @@ void FullClusterRecovery() {
               static_cast<unsigned long long>(engine.pipeline().next_gid()));
 
   const auto before = engine.control_plane().DumpState();
-  engine.SimulateSwitchCrash();
+  engine.switches().SimulateSwitchCrash();
   std::printf("  switch crashed: %zu registers wiped\n", before.size());
-  const Status st = engine.RecoverSwitch();
+  const Status st = engine.switches().RecoverSwitch();
   std::printf("  recovery: %s\n", st.ToString().c_str());
   size_t restored = 0;
   const auto after = engine.control_plane().DumpState();

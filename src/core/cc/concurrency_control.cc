@@ -14,25 +14,25 @@ sim::CoTask<bool> ConcurrencyControl::ExecuteAttempt(
     NodeId node, db::Transaction& txn, uint64_t txn_id, uint64_t ts,
     std::vector<std::optional<Value64>>* results, TxnTimers* timers) {
   if (config().mode == EngineMode::kP4db) {
-    if (txn.cls != db::TxnClass::kCold && ctx_.ChaosArmed() &&
-        !ctx_.SwitchUp()) {
+    if (txn.cls != db::TxnClass::kCold && ctx_.switches->chaos_armed() &&
+        !ctx_.switches->switch_up()) {
       // Switch is dark: hot and warm transactions degrade to host-only
       // execution under the regular CC protocol — host rows for the hot
       // items were seeded from the WAL replay at crash time. During the
       // failback drain no NEW degraded work may start (its host writes
       // would race the register re-install), so abort and let the worker's
       // backoff carry the transaction past the drain window.
-      if (ctx_.SwitchDraining()) {
+      if (ctx_.switches->switch_draining()) {
         co_await sim::Delay(ctx_.Sim(), ctx_.timing().abort_cost);
         timers->backoff += ctx_.timing().abort_cost;
         co_return false;
       }
       failovers_[node]->Increment();
       ctx_.Trace().Instant(trace::Category::kDegraded, ts, node);
-      ++ctx_.degraded_inflight[node];
+      ctx_.switches->EnterDegraded(node);
       const bool ok =
           co_await ExecuteCold(node, txn, txn_id, ts, results, timers);
-      --ctx_.degraded_inflight[node];
+      ctx_.switches->ExitDegraded(node);
       co_return ok;
     }
     switch (txn.cls) {
@@ -50,14 +50,30 @@ sim::CoTask<bool> ConcurrencyControl::ExecuteAttempt(
 
 sim::CoTask<std::optional<sw::SwitchResult>> ConcurrencyControl::SubmitToSwitch(
     sw::SwitchTxn txn) {
-  if (!ctx_.ChaosArmed()) {
+  if (!ctx_.switches->chaos_armed()) {
     // Fault-free runs take the historical deadline-free await; this path
     // produces the identical simulator event sequence as calling Submit
     // directly (the nested CoTask resumes by symmetric transfer).
-    co_return co_await ctx_.Primary()->Submit(std::move(txn));
+    co_return co_await ctx_.switches->primary_pipeline().Submit(
+        std::move(txn));
   }
-  sim::Future<sw::SwitchResult> fut = ctx_.Primary()->Submit(std::move(txn));
+  sim::Future<sw::SwitchResult> fut =
+      ctx_.switches->primary_pipeline().Submit(std::move(txn));
   co_return co_await fut.WithTimeout(ctx_.timing().switch_timeout);
+}
+
+StatusOr<PartitionManager::Compiled> ConcurrencyControl::CompileSwitchTxn(
+    const db::Transaction& txn,
+    std::span<const std::optional<Value64>> resolved, NodeId node) {
+  auto compiled =
+      ctx_.pm->Compile(txn, resolved, node, (*ctx_.next_client_seq)[node]++);
+  if (compiled.ok() && ctx_.config->int_telemetry.enabled) {
+    compiled->txn.int_flags = static_cast<uint8_t>(
+        sw::SwitchTxn::kIntEnabled |
+        (ctx_.config->int_telemetry.wire_cost ? sw::SwitchTxn::kIntWireCost
+                                              : 0));
+  }
+  return compiled;
 }
 
 sim::CoTask<bool> ConcurrencyControl::ExecuteHot(
@@ -72,27 +88,14 @@ sim::CoTask<bool> ConcurrencyControl::ExecuteHot(
   co_await sim::Delay(ctx_.Sim(), host_cost);
   timers->local_work += host_cost;
 
-  auto compiled = ctx_.pm->Compile(txn, *results, node,
-                                   (*ctx_.next_client_seq)[node]++);
+  auto compiled = CompileSwitchTxn(txn, *results, node);
   assert(compiled.ok() && "hot transaction must compile");
-  if (ctx_.config->int_telemetry.enabled) {
-    compiled->txn.int_flags = static_cast<uint8_t>(
-        sw::SwitchTxn::kIntEnabled |
-        (ctx_.config->int_telemetry.wire_cost ? sw::SwitchTxn::kIntWireCost
-                                              : 0));
-  }
 
-  // Log the intent BEFORE sending: the switch transaction counts as
-  // committed from here on (Section 6.1). The epoch stamp and the append
-  // share one synchronous block (no co_await between them) so the packet
-  // carries exactly the epoch current when the intent landed — the fence's
-  // exactly-once argument needs that equality.
+  // Log the intent BEFORE sending.
   const SimTime wal_begin = ctx_.Now();
   co_await sim::Delay(ctx_.Sim(), t.wal_append);
   timers->local_work += t.wal_append;
-  compiled->txn.epoch = ctx_.SwitchEpoch();
-  const db::Lsn lsn = ctx_.wal(node).AppendSwitchIntent(
-      compiled->txn.client_seq, compiled->txn.instrs);
+  const db::Lsn lsn = LogSwitchIntent(node, compiled->txn);
   ctx_.Trace().CompleteSpan(wal_begin, ctx_.Now(),
                             trace::Category::kWalAppend, ts, node);
   if (auto* ic = ctx_.Int(node)) ic->RecordWal(ctx_.Now() - wal_begin);

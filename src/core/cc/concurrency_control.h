@@ -3,6 +3,7 @@
 
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "common/small_vector.h"
@@ -64,21 +65,13 @@ class ConcurrencyControl {
   /// Points the chaos-event counters at the real registry series. Called by
   /// the Engine when a fault schedule arms; until then both stay on the
   /// process-wide discard sink so fault-free runs never register (and never
-  /// dump) the chaos-only keys. In legacy mode every node shares the one
-  /// cluster-wide failover counter.
-  void BindChaosCounters(MetricsRegistry* metrics) {
-    txn_timeouts_ = &metrics->counter("engine.txn_timeouts");
-    MetricsRegistry::Counter* f = &metrics->counter("engine.failovers");
-    for (auto& entry : failovers_) entry = f;
-  }
-
-  /// Sharded-mode variant: timeouts fire while the coroutine is parked at
-  /// the switch (they count into the switch shard's registry), failovers
-  /// fire on the home shard (each node counts into its own shard's
-  /// registry). The merged dump sums them back into the same series names.
-  void BindChaosCountersSharded(
-      MetricsRegistry* switch_metrics,
-      const std::vector<MetricsRegistry*>& node_metrics) {
+  /// dump) the chaos-only keys. Timeouts fire while the coroutine is parked
+  /// at the switch, so they count into `switch_metrics`; failovers fire on
+  /// the home node and count into `node_metrics[node]`. Sharded runs pass
+  /// shard registries (the merged dump sums them back into the same series
+  /// names); legacy runs pass the one cluster registry throughout.
+  void BindChaosCounters(MetricsRegistry* switch_metrics,
+                         const std::vector<MetricsRegistry*>& node_metrics) {
     txn_timeouts_ = &switch_metrics->counter("engine.txn_timeouts");
     for (size_t n = 0; n < failovers_.size(); ++n) {
       failovers_[n] = &node_metrics[n]->counter("engine.failovers");
@@ -111,17 +104,30 @@ class ConcurrencyControl {
                                std::vector<std::optional<Value64>>* results,
                                TxnTimers* timers);
 
-  /// Sends one compiled switch transaction. The caller must have stamped
-  /// txn.epoch with ctx_.SwitchEpoch() in the same synchronous block as the
-  /// AppendSwitchIntent call — the epoch fence relies on packet epoch ==
-  /// epoch-at-append, so the failback replay and the pipeline agree on
-  /// exactly one applier for every intent. With no chaos harness armed this
-  /// is exactly the historical deadline-free await; armed, the await
-  /// carries timing().switch_timeout and yields nullopt when it fires (the
-  /// switch went dark, or the packet was fenced by the epoch check after a
-  /// reboot). A nullopt NEVER triggers a re-send: the intent is already in
-  /// the WAL, so the transaction is committed and recovery owns applying
-  /// it exactly once (at-most-once on the wire).
+  /// Compiles `txn`'s hot part into a switch packet under `node`'s next
+  /// client sequence number, INT-armed when telemetry is on.
+  StatusOr<PartitionManager::Compiled> CompileSwitchTxn(
+      const db::Transaction& txn,
+      std::span<const std::optional<Value64>> resolved, NodeId node);
+
+  /// Stamps `txn` with the current switch epoch (mod 256, the packet
+  /// field's width) and logs its intent in one synchronous block: the epoch
+  /// fence relies on packet epoch == epoch-at-append, so the failback
+  /// replay and the pipeline agree on exactly one applier for every intent.
+  /// From here on the switch transaction counts as committed (Section 6.1).
+  db::Lsn LogSwitchIntent(NodeId node, sw::SwitchTxn& txn) {
+    txn.epoch = static_cast<uint8_t>(ctx_.switches->switch_epoch());
+    return ctx_.wal(node).AppendSwitchIntent(txn.client_seq, txn.instrs);
+  }
+
+  /// Sends one compiled switch transaction whose intent LogSwitchIntent
+  /// logged. With no chaos harness armed this is exactly the historical
+  /// deadline-free await; armed, the await carries timing().switch_timeout
+  /// and yields nullopt when it fires (the switch went dark, or the packet
+  /// was fenced by the epoch check after a reboot). A nullopt NEVER
+  /// triggers a re-send: the intent is already in the WAL, so the
+  /// transaction is committed and recovery owns applying it exactly once
+  /// (at-most-once on the wire).
   sim::CoTask<std::optional<sw::SwitchResult>> SubmitToSwitch(
       sw::SwitchTxn txn);
 

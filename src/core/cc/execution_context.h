@@ -11,12 +11,12 @@
 #include "core/int_collector.h"
 #include "core/partition_manager.h"
 #include "core/shard_router.h"
+#include "core/switch_controller.h"
 #include "db/lock_manager.h"
 #include "db/table.h"
 #include "db/wal.h"
 #include "net/network.h"
 #include "sim/simulator.h"
-#include "switchsim/pipeline.h"
 
 namespace p4db::core {
 class EgressBatcher;
@@ -26,7 +26,7 @@ namespace p4db::core::cc {
 
 /// Everything a concurrency-control strategy needs to execute transactions
 /// against one simulated cluster: the shared infrastructure owned by the
-/// Engine (simulator, rack network, switch pipeline, catalog, partition
+/// Engine (simulator, rack network, switch controller, catalog, partition
 /// manager, per-node lock managers and WALs) plus the mutable cluster state
 /// it must observe (crashed nodes) or advance (per-node client sequence
 /// numbers for switch packets).
@@ -38,12 +38,10 @@ struct ExecutionContext {
   const SystemConfig* config = nullptr;
   sim::Simulator* sim = nullptr;
   net::Network* net = nullptr;
-  sw::Pipeline* pipeline = nullptr;
-  /// All switch pipelines (index == switch id) and the engine's live
-  /// primary designation. Null in standalone/test contexts that wire only
-  /// `pipeline`; the Primary()/SwitchEp() helpers fall back accordingly.
-  const std::vector<std::unique_ptr<sw::Pipeline>>* pipelines = nullptr;
-  const uint16_t* primary_switch = nullptr;
+  /// The switch-side cluster state: the primary every node addresses, the
+  /// epoch it stamps, whether a fault schedule is armed and whether the
+  /// primary is up or draining (see SwitchController). Always wired.
+  SwitchController* switches = nullptr;
   db::Catalog* catalog = nullptr;
   PartitionManager* pm = nullptr;
   const std::vector<std::unique_ptr<db::LockManager>>* lock_managers = nullptr;
@@ -57,32 +55,6 @@ struct ExecutionContext {
   /// Engine's tracer; never null (defaults to the shared inert instance so
   /// strategy code can emit unconditionally).
   trace::Tracer* tracer = &trace::Tracer::Disabled();
-
-  /// Failure-awareness view, all owned by the Engine. Null (the default)
-  /// means "no chaos harness attached": strategies must then behave exactly
-  /// as they did before fault injection existed — no timeouts, no epoch
-  /// stamping beyond 0, no degraded dispatch — so fault-free runs stay
-  /// byte-identical.
-  ///
-  /// chaos_armed: a fault schedule is installed; switch awaits get
-  /// deadlines and failover bookkeeping is live.
-  const bool* chaos_armed = nullptr;
-  /// False while the switch is down (between a scripted reboot and the
-  /// control plane finishing online re-provisioning).
-  const bool* switch_up = nullptr;
-  /// Current control-plane epoch to stamp into outgoing switch packets
-  /// (truncated to the packet's 8-bit field).
-  const uint32_t* switch_epoch = nullptr;
-  /// True while the failback is waiting for degraded transactions to drain
-  /// before re-installing register values; new hot/warm work must abort and
-  /// retry rather than start more degraded host writes the install would
-  /// miss.
-  const bool* switch_draining = nullptr;
-  /// Per-node counts of degraded (switch-down fallback) transactions
-  /// currently in flight, indexed by home node; the failback drain polls
-  /// the sum down to zero. Per-node so each entry is only ever touched by
-  /// its home shard in parallel runs.
-  uint32_t* degraded_inflight = nullptr;
 
   /// Cross-shard router; non-null exactly when the engine runs the parallel
   /// sharded runtime. Strategy code must go through the Sim()/Trace()/
@@ -107,26 +79,12 @@ struct ExecutionContext {
     return int_collectors != nullptr ? &(*int_collectors)[node] : nullptr;
   }
 
-  bool ChaosArmed() const { return chaos_armed != nullptr && *chaos_armed; }
-  bool SwitchUp() const { return switch_up == nullptr || *switch_up; }
-  bool SwitchDraining() const {
-    return switch_draining != nullptr && *switch_draining;
+  /// The serving primary. Strategies address all switch traffic through
+  /// it, so a view change re-aims every node atomically at the promotion
+  /// instant.
+  net::Endpoint SwitchEp() const {
+    return net::Endpoint::Switch(switches->primary_switch());
   }
-  uint8_t SwitchEpoch() const {
-    return switch_epoch == nullptr ? 0 : static_cast<uint8_t>(*switch_epoch);
-  }
-
-  /// The switch currently serving hot/warm traffic (0 unless a replicated
-  /// cluster has promoted a backup). Strategies address all switch traffic
-  /// through these, so a view change re-aims every node atomically at the
-  /// promotion instant.
-  uint16_t PrimaryId() const {
-    return primary_switch != nullptr ? *primary_switch : 0;
-  }
-  sw::Pipeline* Primary() const {
-    return pipelines != nullptr ? (*pipelines)[PrimaryId()].get() : pipeline;
-  }
-  net::Endpoint SwitchEp() const { return net::Endpoint::Switch(PrimaryId()); }
 
   db::LockManager& lock_manager(NodeId node) const {
     return *(*lock_managers)[node];

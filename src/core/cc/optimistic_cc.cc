@@ -328,17 +328,12 @@ sim::CoTask<bool> OptimisticCC::ExecuteWarm(
   }
 
   // ---- SWITCH SUB-TRANSACTION (validated: can no longer abort) ----
-  auto compiled = ctx_.pm->Compile(txn, *results, node,
-                                   (*ctx_.next_client_seq)[node]++);
+  auto compiled = CompileSwitchTxn(txn, *results, node);
   assert(compiled.ok() && "warm transaction's hot part must compile");
   const SimTime wal_begin = sim.now();
   co_await sim::Delay(sim, t.wal_append);
   timers->local_work += t.wal_append;
-  // Epoch stamp and intent append in one synchronous block (see
-  // SubmitToSwitch's contract).
-  compiled->txn.epoch = ctx_.SwitchEpoch();
-  const db::Lsn lsn = ctx_.wal(node).AppendSwitchIntent(
-      compiled->txn.client_seq, compiled->txn.instrs);
+  const db::Lsn lsn = LogSwitchIntent(node, compiled->txn);
   ctx_.tracer->CompleteSpan(wal_begin, sim.now(),
                             trace::Category::kWalAppend, ts, node);
 

@@ -330,24 +330,13 @@ sim::CoTask<bool> TwoPhaseLocking::ExecuteWarm(
   }
 
   // Compile the switch sub-transaction with cold results resolved.
-  auto compiled = ctx_.pm->Compile(txn, *results, node,
-                                   (*ctx_.next_client_seq)[node]++);
+  auto compiled = CompileSwitchTxn(txn, *results, node);
   assert(compiled.ok() && "warm transaction's hot part must compile");
-  if (ctx_.config->int_telemetry.enabled) {
-    compiled->txn.int_flags = static_cast<uint8_t>(
-        sw::SwitchTxn::kIntEnabled |
-        (ctx_.config->int_telemetry.wire_cost ? sw::SwitchTxn::kIntWireCost
-                                              : 0));
-  }
 
   const SimTime wal_begin = ctx_.Now();
   co_await sim::Delay(ctx_.Sim(), t.wal_append);
   timers->local_work += t.wal_append;
-  // Epoch stamp and intent append in one synchronous block (see
-  // SubmitToSwitch's contract).
-  compiled->txn.epoch = ctx_.SwitchEpoch();
-  const db::Lsn lsn = ctx_.wal(node).AppendSwitchIntent(
-      compiled->txn.client_seq, compiled->txn.instrs);
+  const db::Lsn lsn = LogSwitchIntent(node, compiled->txn);
   ctx_.Trace().CompleteSpan(wal_begin, ctx_.Now(),
                             trace::Category::kWalAppend, ts, node);
   if (auto* ic = ctx_.Int(node)) ic->RecordWal(ctx_.Now() - wal_begin);
@@ -420,7 +409,7 @@ sim::CoTask<bool> TwoPhaseLocking::ExecuteWarm(
       } else {
         const auto arrivals =
             ctx_.net->MulticastFromSwitch(static_cast<uint32_t>(resp_bytes),
-                                          ctx_.PrimaryId());
+                                          ctx_.switches->primary_switch());
         // Remote participants commit & release when the multicast reaches
         // them.
         participants.ForEachReverse([&](NodeId p) {

@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cmath>
 #include <string>
-#include <unordered_map>
 #include <utility>
 
 #include "core/cc/execution_context.h"
@@ -31,40 +30,6 @@ SystemConfig Normalize(SystemConfig config) {
 
 }  // namespace
 
-const char* EngineModeName(EngineMode mode) {
-  switch (mode) {
-    case EngineMode::kP4db:
-      return "P4DB";
-    case EngineMode::kNoSwitch:
-      return "No-Switch";
-    case EngineMode::kLmSwitch:
-      return "LM-Switch";
-    case EngineMode::kChiller:
-      return "Chiller";
-  }
-  return "?";
-}
-
-const char* CcProtocolName(CcProtocol protocol) {
-  switch (protocol) {
-    case CcProtocol::k2pl:
-      return "2PL";
-    case CcProtocol::kOcc:
-      return "OCC";
-  }
-  return "?";
-}
-
-const char* ArrivalProcessName(ArrivalProcess process) {
-  switch (process) {
-    case ArrivalProcess::kPoisson:
-      return "poisson";
-    case ArrivalProcess::kMmpp:
-      return "mmpp";
-  }
-  return "?";
-}
-
 Engine::Engine(const SystemConfig& config)
     : config_(Normalize(config)),
       sharded_(config_.threads > 0),
@@ -72,9 +37,7 @@ Engine::Engine(const SystemConfig& config)
       catalog_(std::make_unique<db::Catalog>(config_.num_nodes)),
       pm_(catalog_.get(), &config_.pipeline),
       node_crashed_(config_.num_nodes, false),
-      next_client_seq_(config_.num_nodes, 1),
-      degraded_inflight_(config_.num_nodes, 0),
-      switch_alive_(config_.num_switches, true) {
+      next_client_seq_(config_.num_nodes, 1) {
   {
     const Status valid = ValidateConfig(config_);
     assert(valid.ok() && "invalid SystemConfig — see ValidateConfig()");
@@ -126,28 +89,32 @@ Engine::Engine(const SystemConfig& config)
     // shard: the simulator that resumes its waiters and the registry its
     // series merge from are both shard-local.
     lock_managers_.push_back(std::make_unique<db::LockManager>(
-        sharded_ ? &ssim_->shard(n) : &sim_, scheme,
-        sharded_ ? &eshards_[n]->registry : &registry_, "lock.node"));
-    wals_.push_back(std::make_unique<db::Wal>(
-        sharded_ ? &eshards_[n]->registry : &registry_));
+        &HomeSim(n), scheme, &HomeRegistry(n), "lock.node"));
+    wals_.push_back(std::make_unique<db::Wal>(&HomeRegistry(n)));
   }
   switch_lm_ = std::make_unique<db::LockManager>(
-      sharded_ ? &ssim_->shard(switch_shard()) : &sim_, scheme,
-      sharded_ ? &eshards_[switch_shard()]->registry : &registry_,
+      &HomeSim(switch_shard()), scheme, &HomeRegistry(switch_shard()),
       "lock.switch");
+  // The flight recorder is live from the first event; EnableFull upgrades
+  // the same tracer in place for --trace runs. In sharded mode each switch
+  // pipeline emits into its shard's ring; network spans are the router's
+  // job (each leg lands on the shard that models it).
+  net_.set_tracer(&tracer_);
+  SwitchController::Wiring wiring;
   for (uint16_t k = 0; k < config_.num_switches; ++k) {
     // Pipeline k lives on shard num_nodes + k when sharded; with one switch
     // this is exactly the historical switch shard.
     const uint32_t shard = switch_shard() + k;
     pipelines_.push_back(std::make_unique<sw::Pipeline>(
-        sharded_ ? &ssim_->shard(shard) : &sim_, config_.pipeline,
-        sharded_ ? &eshards_[shard]->registry : &registry_, k));
-    pipelines_.back()->set_trace_track(net::Endpoint::Switch(k).index);
+        &HomeSim(shard), config_.pipeline, &HomeRegistry(shard), k));
+    sw::Pipeline& pl = *pipelines_.back();
+    pl.set_trace_track(net::Endpoint::Switch(k).index);
+    pl.set_tracer(&HomeTracer(shard));
     // Only the serving primary stamps INT postcards; backups flip on at
     // promotion (and a rejoined ex-primary stays off until promoted again).
-    if (k != 0) pipelines_.back()->set_serving(false);
-    control_planes_.push_back(
-        std::make_unique<sw::ControlPlane>(pipelines_.back().get()));
+    if (k != 0) pl.set_serving(false);
+    wiring.pipelines.push_back(&pl);
+    wiring.switch_registries.push_back(&HomeRegistry(shard));
   }
 
   committed_counter_ = &registry_.counter("engine.committed");
@@ -159,7 +126,6 @@ Engine::Engine(const SystemConfig& config)
       es.aborted = &es.registry.counter("engine.aborted_attempts");
     }
   }
-  crash_record_offset_.assign(config_.num_nodes, 0);
 
   if (config_.batch.size > 1) {
     // Egress batching armed: the CC send sites route switch-bound requests
@@ -181,7 +147,7 @@ Engine::Engine(const SystemConfig& config)
       // Admission telemetry exists only in open-loop runs (closed-loop
       // dumps keep the historical key set), shard-local when sharded like
       // every other per-node series.
-      MetricsRegistry& reg = sharded_ ? eshards_[n]->registry : registry_;
+      MetricsRegistry& reg = HomeRegistry(n);
       ol->admitted = &reg.counter("engine.admission_admitted");
       ol->shed = &reg.counter("engine.admission_shed");
       ol->delayed = &reg.counter("engine.admission_delayed");
@@ -200,49 +166,41 @@ Engine::Engine(const SystemConfig& config)
     int_collectors_.resize(config_.num_nodes);
     for (uint16_t n = 0; n < config_.num_nodes; ++n) {
       int_collectors_[n].Bind(
-          sharded_ ? &eshards_[n]->registry : &registry_,
-          config_.num_switches,
+          &HomeRegistry(n), config_.num_switches,
           static_cast<size_t>(config_.pipeline.CapacityRows()));
     }
   }
 
-  // The flight recorder is live from the first event; EnableFull upgrades
-  // the same tracer in place for --trace runs. In sharded mode the switch
-  // pipeline emits into the switch shard's ring; network spans are the
-  // router's job (each leg lands on the shard that models it).
-  net_.set_tracer(&tracer_);
-  for (uint16_t k = 0; k < config_.num_switches; ++k) {
-    pipelines_[k]->set_tracer(
-        sharded_ ? eshards_[switch_shard() + k]->tracer.get() : &tracer_);
-  }
-
-  if (config_.num_switches > 1) {
-    // Primary-backup replication: every pipeline gets a sink (only the
-    // primary's ever fires — backups receive no packets), its own
-    // ReplicaState, and shard-local "switch.rep_*" counters. Registered at
-    // construction so the dumped key set is fixed per configuration.
-    replica_states_.resize(config_.num_switches);
-    for (auto& rs : replica_states_) rs.Reset(config_.num_nodes);
-    rep_link_busy_.assign(config_.num_switches, 0);
-    rep_target_ = 1;
-    for (uint16_t k = 0; k < config_.num_switches; ++k) {
-      MetricsRegistry& reg =
-          sharded_ ? eshards_[switch_shard() + k]->registry : registry_;
-      rep_sent_.push_back(&reg.counter("switch.rep_records_sent"));
-      rep_applied_.push_back(&reg.counter("switch.rep_records_applied"));
-      rep_stale_.push_back(&reg.counter("switch.rep_stale_drops"));
-      rep_channels_.push_back(std::make_unique<RepChannel>(this, k));
-      pipelines_[k]->set_replication_sink(rep_channels_.back().get());
+  wiring.config = &config_;
+  wiring.pm = &pm_;
+  for (const auto& w : wals_) wiring.wals.push_back(w.get());
+  wiring.catalog = catalog_.get();
+  wiring.int_collectors = int_collectors_;
+  wiring.registry = &registry_;
+  // Controller events are cluster-scope: quiescent coordinator globals on
+  // the sharded runtime, plain events on the legacy simulator.
+  wiring.after = [this](SimTime delay, std::function<void()> fn) {
+    ScheduleGlobalAt((sharded_ ? ssim_->global_now() : sim_.now()) + delay,
+                     std::move(fn));
+  };
+  wiring.deliver = [this](uint16_t k, SimTime at,
+                          SwitchController::RecordPtr rec) {
+    auto apply = [ctl = switches_.get(), k, rec] {
+      ctl->ApplyReplicationRecord(k, *rec);
+    };
+    if (sharded_) {
+      ssim_->Post(switch_shard() + k, at, std::move(apply));
+    } else {
+      sim_.ScheduleAt(at, std::move(apply));
     }
-  }
+  };
+  switches_ = std::make_unique<SwitchController>(std::move(wiring));
 
   cc::ExecutionContext ctx;
   ctx.config = &config_;
   ctx.sim = &sim_;
   ctx.net = &net_;
-  ctx.pipeline = pipelines_[0].get();
-  ctx.pipelines = &pipelines_;
-  ctx.primary_switch = &primary_switch_;
+  ctx.switches = switches_.get();
   ctx.catalog = catalog_.get();
   ctx.pm = &pm_;
   ctx.lock_managers = &lock_managers_;
@@ -251,11 +209,6 @@ Engine::Engine(const SystemConfig& config)
   ctx.node_crashed = &node_crashed_;
   ctx.next_client_seq = &next_client_seq_;
   ctx.metrics = &registry_;
-  ctx.chaos_armed = &chaos_armed_;
-  ctx.switch_up = &switch_up_;
-  ctx.switch_epoch = &switch_epoch_;
-  ctx.switch_draining = &switch_draining_;
-  ctx.degraded_inflight = degraded_inflight_.data();
   ctx.tracer = &tracer_;
   ctx.router = router_.get();
   ctx.batcher = batcher_.get();
@@ -338,27 +291,23 @@ OffloadReport Engine::Offload(size_t sample_size, size_t max_hot_items) {
                     ? planner.PlanOptimal(graph, config_.seed + 13)
                     : planner.PlanRandom(graph, config_.seed + 13);
 
-  // Install: allocate slots in deterministic item order, move the current
-  // host value into the switch register.
+  // Install: allocate slots on switch 0 in deterministic item order and
+  // register each item with its address and current host value, then move
+  // the values into every switch's registers.
+  sw::ControlPlane& cp = switches_->control_plane(0);
+  SwitchController::HotState values;
   for (uint32_t v = 0; v < graph.num_vertices(); ++v) {
     const HotItem& item = graph.item(v);
     const LayoutPlan::ArrayRef arr = report.plan.arrays.at(item);
     const Value64 value = catalog_->table(item.tuple.table).GetOrCreate(
         item.tuple.key)[item.column];
-    // Every switch provisions the identical layout (same allocator state,
-    // same order => same addresses); backups start as exact replicas.
-    sw::RegisterAddress primary_addr{};
-    for (uint16_t k = 0; k < config_.num_switches; ++k) {
-      auto addr = control_planes_[k]->AllocateSlot(arr.stage, arr.reg);
-      assert(addr.ok());
-      Status st = control_planes_[k]->InstallValue(*addr, value);
-      assert(st.ok());
-      (void)st;
-      if (k == 0) primary_addr = *addr;
-      assert(*addr == primary_addr && "replica layout diverged");
-    }
-    pm_.RegisterHotItem(item, primary_addr, value);
+    const StatusOr<sw::RegisterAddress> addr =
+        cp.AllocateSlot(arr.stage, arr.reg);
+    assert(addr.ok());
+    pm_.RegisterHotItem(item, *addr, value);
+    values[PackAddr(*addr)] = value;
   }
+  switches_->InstallHotSet(values);
   report.offloaded_hot_items = pm_.num_hot_items();
   return report;
 }
@@ -390,7 +339,7 @@ sim::CoTask<bool> Engine::RunTransaction(
   // references never go stale.
   sim::Simulator& hsim = HomeSim(node);
   trace::Tracer& htracer = HomeTracer(node);
-  Metrics& wmetrics = sharded_ ? eshards_[node]->metrics : metrics_;
+  Metrics& wmetrics = HomeMetrics(node);
   MetricsRegistry::Counter& committed_c =
       sharded_ ? *eshards_[node]->committed : *committed_counter_;
   MetricsRegistry::Counter& aborted_c =
@@ -690,20 +639,15 @@ trace::Sampler& Engine::EnableTimeSeries(SimTime tick) {
   sampler_ = std::make_unique<trace::Sampler>(&sim_);
   // One logical series per metric: legacy runs back it with the one
   // engine-level instance, sharded runs with the per-shard instances.
-  std::vector<MetricsRegistry*> node_regs{&registry_};
-  std::vector<MetricsRegistry*> switch_regs{&registry_};
-  std::vector<const Histogram*> latency{&metrics_.latency_all};
-  if (sharded_) {
-    node_regs.clear();
-    switch_regs.clear();
-    latency.clear();
-    for (uint16_t n = 0; n < config_.num_nodes; ++n) {
-      node_regs.push_back(&eshards_[n]->registry);
-      latency.push_back(&eshards_[n]->metrics.latency_all);
-    }
-    for (uint16_t k = 0; k < config_.num_switches; ++k) {
-      switch_regs.push_back(&eshards_[switch_shard() + k]->registry);
-    }
+  std::vector<MetricsRegistry*> node_regs;
+  std::vector<MetricsRegistry*> switch_regs;
+  std::vector<const Histogram*> latency;
+  for (uint16_t n = 0; n < (sharded_ ? config_.num_nodes : 1); ++n) {
+    node_regs.push_back(&HomeRegistry(n));
+    latency.push_back(&HomeMetrics(n).latency_all);
+  }
+  for (uint16_t k = 0; k < (sharded_ ? config_.num_switches : 1); ++k) {
+    switch_regs.push_back(&HomeRegistry(switch_shard() + k));
   }
   const auto counters = [](const std::vector<MetricsRegistry*>& regs,
                            const std::string& name) {
@@ -825,10 +769,6 @@ StatusOr<std::vector<Value64>> Engine::ExecuteOnce(db::Transaction txn,
   return out;
 }
 
-void Engine::SimulateSwitchCrash() {
-  control_planes_[primary_switch_]->Reset();
-}
-
 void Engine::SimulateNodeCrash(NodeId node) {
   node_crashed_[node] = true;
   if (node < open_loop_.size()) {
@@ -842,12 +782,6 @@ void Engine::SimulateNodeCrash(NodeId node) {
     ol.head = 0;
     ol.size = 0;
   }
-}
-
-Status Engine::RecoverSwitch() {
-  std::vector<const db::Wal*> logs;
-  for (const auto& w : wals_) logs.push_back(w.get());
-  return RecoverSwitchState(pm_, logs, control_planes_[primary_switch_].get());
 }
 
 Status Engine::RecoverNode(NodeId node) {
@@ -876,45 +810,37 @@ Status Engine::RecoverNode(NodeId node) {
 
 void Engine::InstallFaultSchedule(const net::FaultSchedule& schedule) {
   assert(!ran_ && "install the fault schedule before Run");
-  assert(!chaos_armed_ && "fault schedule already installed");
+  assert(!switches_->chaos_armed() && "fault schedule already installed");
   if (schedule.empty()) return;  // null schedule: nothing arms, zero overhead
   fault_schedule_ = schedule;
-  chaos_armed_ = true;
+  switches_->Arm();
   if (sharded_) {
     // One injector per shard: link faults are drawn on the SENDER's shard
     // in its deterministic send order, from a stream that is a pure
     // function of (seed, shard).
-    std::vector<MetricsRegistry*> node_registries;
-    node_registries.reserve(config_.num_nodes);
     for (uint32_t s = 0; s < ssim_->num_shards(); ++s) {
       EngineShard& es = *eshards_[s];
       es.injector = std::make_unique<net::FaultInjector>(
           fault_schedule_, ShardSeed(config_.seed, s), &es.registry);
       es.injector->BindRngOwner(ssim_->RngToken(s));
       router_->set_fault_injector(s, es.injector.get());
-      if (s < config_.num_nodes) node_registries.push_back(&es.registry);
-    }
-    cc_->BindChaosCountersSharded(&eshards_[switch_shard()]->registry,
-                                  node_registries);
-    for (uint16_t k = 0; k < config_.num_switches; ++k) {
-      pipelines_[k]->BindStaleEpochCounter(
-          &eshards_[switch_shard() + k]->registry.counter(
-              "switch.stale_epoch_drops"));
     }
   } else {
     fault_injector_ = std::make_unique<net::FaultInjector>(
         fault_schedule_, config_.seed, &registry_);
     net_.set_fault_injector(fault_injector_.get());
-    // Chaos-only series are registered at arming (not first use) so two
-    // runs with the same (seed, schedule) dump identical key sets even when
-    // an event never fires.
-    registry_.counter("engine.txn_timeouts");
-    registry_.counter("engine.failovers");
-    cc_->BindChaosCounters(&registry_);
-    for (auto& p : pipelines_) {
-      p->BindStaleEpochCounter(
-          &registry_.counter("switch.stale_epoch_drops"));
-    }
+  }
+  // Chaos-only series are registered at arming (not first use) so two runs
+  // with the same (seed, schedule) dump identical key sets even when an
+  // event never fires.
+  std::vector<MetricsRegistry*> node_registries;
+  for (uint16_t n = 0; n < config_.num_nodes; ++n) {
+    node_registries.push_back(&HomeRegistry(n));
+  }
+  cc_->BindChaosCounters(&HomeRegistry(switch_shard()), node_registries);
+  for (uint16_t k = 0; k < config_.num_switches; ++k) {
+    pipelines_[k]->BindStaleEpochCounter(
+        &HomeRegistry(switch_shard() + k).counter("switch.stale_epoch_drops"));
   }
   for (const net::FaultEvent& ev : fault_schedule_.events) {
     // Scripted events are cluster-scope state changes; the sharded runtime
@@ -923,10 +849,12 @@ void Engine::InstallFaultSchedule(const net::FaultSchedule& schedule) {
       case net::FaultEvent::Kind::kSwitchReboot:
         assert(ev.switch_id < config_.num_switches &&
                "fault event targets an unknown switch");
-        ScheduleGlobalAt(ev.at,
-                         [this, s = ev.switch_id] { OnSwitchCrash(s); });
-        ScheduleGlobalAt(ev.at + ev.downtime,
-                         [this, s = ev.switch_id] { BeginFailback(s); });
+        ScheduleGlobalAt(ev.at, [this, s = ev.switch_id] {
+          switches_->OnSwitchDown(s);
+        });
+        ScheduleGlobalAt(ev.at + ev.downtime, [this, s = ev.switch_id] {
+          switches_->OnSwitchUp(s);
+        });
         break;
       case net::FaultEvent::Kind::kNodeCrash:
         ScheduleGlobalAt(ev.at, [this, n = ev.node] { SimulateNodeCrash(n); });
@@ -936,391 +864,6 @@ void Engine::InstallFaultSchedule(const net::FaultSchedule& schedule) {
         break;
     }
   }
-}
-
-void Engine::SeedHostRowsFromWal() {
-  // Seed the host rows of every hot item with the switch's last committed
-  // state: recovery baseline plus all logged intents since the previous
-  // failback watermark. Hot/warm traffic executes against these rows (via
-  // the regular cold path) while the switch is dark.
-  std::unordered_map<uint64_t, Value64> initial;
-  for (const PartitionManager::HotEntry& e : pm_.entries()) {
-    initial[PackAddr(e.addr)] = e.initial_value;
-  }
-  std::vector<const db::Wal*> logs;
-  for (const auto& w : wals_) logs.push_back(w.get());
-  WalReplayOptions opts;
-  opts.first_record = pm_.recovery_watermarks();
-  opts.best_effort = true;  // a live cluster cannot halt on an inference miss
-  StatusOr<WalReplayResult> replay =
-      ReplayWalSwitchState(std::move(initial), logs, opts);
-  assert(replay.ok());
-  for (const PartitionManager::HotEntry& e : pm_.entries()) {
-    catalog_->table(e.item.tuple.table)
-        .GetOrCreate(e.item.tuple.key)[e.item.column] =
-        replay->state[PackAddr(e.addr)];
-  }
-}
-
-int Engine::NextAliveSwitch(uint16_t sw) const {
-  for (uint16_t step = 1; step < config_.num_switches; ++step) {
-    const uint16_t cand =
-        static_cast<uint16_t>((sw + step) % config_.num_switches);
-    if (switch_alive_[cand]) return cand;
-  }
-  return -1;
-}
-
-void Engine::OnSwitchCrash(uint16_t sw) {
-  if (!switch_alive_[sw]) return;  // coalesce overlapping reboot events
-  if (sw != primary_switch_) {
-    // A backup going dark is invisible to transaction traffic: the primary
-    // just stops forwarding to it (in-flight records get dropped by the
-    // alive check at arrival). Power-cycle the plane so its failback runs
-    // the same rejoin path as any other returning switch.
-    switch_alive_[sw] = false;
-    control_planes_[sw]->Reset();
-    pipelines_[sw]->Reboot();
-    RetargetReplication();
-    return;
-  }
-  switch_up_ = false;
-  switch_alive_[sw] = false;
-  // A dead primary stamps nothing; whoever gets promoted (or this switch
-  // itself at failback) turns stamping back on.
-  pipelines_[sw]->set_serving(false);
-  // Stragglers: a transaction that passed the switch-up dispatch check just
-  // before this instant appends its intent AFTER this capture. Failback /
-  // promotion reconciliation replays exactly those (plus, for promotion,
-  // any intent the replication stream never delivered).
-  for (uint16_t n = 0; n < config_.num_nodes; ++n) {
-    crash_record_offset_[n] = wals_[n]->records().size();
-  }
-  const int backup = NextAliveSwitch(sw);
-  if (backup < 0) {
-    // No live replica: the classic dark period. Degraded traffic executes
-    // against WAL-seeded host rows until failback re-provisions the switch.
-    SeedHostRowsFromWal();
-    // Power loss: registers and allocations wiped, the data plane drops
-    // every packet until failback powers it back on. The GID counter
-    // survives in the control plane (the paper restarts it above everything
-    // recovered; keeping it monotonic models that without re-deriving it).
-    control_planes_[sw]->Reset();
-    pipelines_[sw]->Reboot();
-    return;
-  }
-  // Replicated view change: a brief fenced pause instead of a dark period.
-  // Hot/warm transactions abort-and-retry against the draining flag (no
-  // degraded host-row writes, nothing to drain later); after
-  // view_change_delay the backup promotes with WAL-reconciled state.
-  control_planes_[sw]->Reset();
-  pipelines_[sw]->Reboot();
-  switch_draining_ = true;
-  const SimTime now = sharded_ ? ssim_->global_now() : sim_.now();
-  ScheduleGlobalAt(now + config_.timing.view_change_delay,
-                   [this, np = static_cast<uint16_t>(backup)] {
-                     PromoteBackup(np);
-                   });
-}
-
-void Engine::BeginFailback(uint16_t sw) {
-  if (switch_alive_[sw]) return;  // double failback / never crashed: no-op
-  if (NextAliveSwitch(sw) < 0) {
-    // No live peer anywhere: classic WAL re-provisioning of this switch as
-    // the sole primary (with one switch this is the entire failback path).
-    primary_switch_ = sw;
-    switch_draining_ = true;
-    FinalizeFailback();
-    return;
-  }
-  if (!switch_up_) {
-    // A view change is still mid-pause (downtime < view_change_delay);
-    // rejoin once the promoted primary is serving.
-    const SimTime now = sharded_ ? ssim_->global_now() : sim_.now();
-    ScheduleGlobalAt(now + config_.timing.view_change_delay,
-                     [this, sw] { BeginFailback(sw); });
-    return;
-  }
-  // Live primary exists: rejoin as a backup via control-plane snapshot. No
-  // epoch bump — an epoch change would fence the live primary's in-flight
-  // packets; the rejoining switch receives only replication records, which
-  // are view-checked instead.
-  pipelines_[sw]->PowerOn(static_cast<uint8_t>(switch_epoch_));
-  switch_alive_[sw] = true;
-  // Lazily created, so only runs that actually rejoin a switch publish it.
-  registry_.counter("engine.switch_rejoins").Increment();
-  RetargetReplication();
-}
-
-void Engine::FinalizeFailback() {
-  uint32_t degraded = 0;
-  for (uint32_t d : degraded_inflight_) degraded += d;
-  if (degraded > 0) {
-    // Degraded transactions are still mutating the hot items' host rows;
-    // installing register values mid-flight would lose their writes. The
-    // draining flag keeps new degraded work from starting; poll until the
-    // last one commits. The sharded poll is a coordinator global (reading
-    // the per-node counts is only safe with every shard quiescent).
-    if (sharded_) {
-      ssim_->ScheduleGlobal(ssim_->global_now() + 5 * kMicrosecond,
-                            [this] { FinalizeFailback(); });
-    } else {
-      sim_.Schedule(5 * kMicrosecond, [this] { FinalizeFailback(); });
-    }
-    return;
-  }
-  // Baseline = the host rows (crash-time seed + every degraded write),
-  // then fold in the stragglers: intents appended after the seeding
-  // instant, whose packets the dark/fenced pipeline is guaranteed to have
-  // dropped.
-  std::unordered_map<uint64_t, Value64> baseline;
-  const std::vector<PartitionManager::HotEntry>& entries = pm_.entries();
-  for (const PartitionManager::HotEntry& e : entries) {
-    baseline[PackAddr(e.addr)] =
-        catalog_->table(e.item.tuple.table)
-            .GetOrCreate(e.item.tuple.key)[e.item.column];
-  }
-  std::vector<const db::Wal*> logs;
-  for (const auto& w : wals_) logs.push_back(w.get());
-  WalReplayOptions opts;
-  opts.first_record = crash_record_offset_;
-  opts.best_effort = true;
-  StatusOr<WalReplayResult> replay =
-      ReplayWalSwitchState(std::move(baseline), logs, opts);
-  assert(replay.ok());
-  // Re-provision the data plane: the allocator is fresh after Reset(), so
-  // registration order reproduces every original address.
-  sw::ControlPlane& cp = *control_planes_[primary_switch_];
-  for (size_t i = 0; i < entries.size(); ++i) {
-    const PartitionManager::HotEntry& e = entries[i];
-    StatusOr<sw::RegisterAddress> addr =
-        cp.AllocateSlot(e.addr.stage, e.addr.reg);
-    assert(addr.ok() && *addr == e.addr);
-    (void)addr;
-    const Value64 value = replay->state[PackAddr(e.addr)];
-    Status st = cp.InstallValue(e.addr, value);
-    assert(st.ok());
-    (void)st;
-    // Installed values become the new recovery baseline, and the host rows
-    // absorb the straggler effects so a second crash seeds consistently.
-    pm_.UpdateInitialValue(i, value);
-    catalog_->table(e.item.tuple.table)
-        .GetOrCreate(e.item.tuple.key)[e.item.column] = value;
-  }
-  // Watermark: later replays (offline recovery or a second crash) start
-  // from here — everything earlier is folded into the refreshed baseline.
-  std::vector<size_t> watermarks(config_.num_nodes);
-  for (uint16_t n = 0; n < config_.num_nodes; ++n) {
-    watermarks[n] = wals_[n]->records().size();
-  }
-  pm_.set_recovery_watermarks(std::move(watermarks));
-  // GID counter restarts above everything recovered (Section 6.1).
-  sw::Pipeline& pl = *pipelines_[primary_switch_];
-  pl.set_next_gid(std::max(pl.next_gid(), replay->max_gid + 1) +
-                  static_cast<Gid>(replay->num_inflight));
-  if (config_.num_switches > 1) {
-    // Everything before the fresh watermark is folded into the installed
-    // baseline; replication bookkeeping restarts empty and consistent with
-    // it (registers == baseline + empty seen-set). A view bump fences any
-    // straggler record from the pre-provisioning stream.
-    for (auto& rs : replica_states_) rs.Reset(config_.num_nodes);
-    ++rep_view_;
-    pl.set_view(rep_view_);
-    pl.set_apply_seq(0);
-  }
-  // Epoch advances exactly when the watermark is cut: packets stamped
-  // before it (epoch N-1, intent < watermark) are fenced and their intents
-  // replayed above; packets stamped after carry the new epoch and execute
-  // on the switch. Each intent thus has exactly one applier.
-  ++switch_epoch_;
-  pl.PowerOn(static_cast<uint8_t>(switch_epoch_));
-  switch_alive_[primary_switch_] = true;
-  switch_draining_ = false;
-  switch_up_ = true;
-  // The re-provisioned primary resumes INT stamping; collectors fence onto
-  // the (possibly bumped) view so any straggler postcard from before the
-  // crash can never fold into the fresh pipeline's statistics.
-  pl.set_serving(true);
-  for (IntCollector& ic : int_collectors_) ic.OnViewChange(rep_view_);
-  RetargetReplication();
-}
-
-void Engine::RepChannel::OnRecord(const sw::ReplicationRecord& rec) {
-  engine->ForwardReplication(from_switch, rec);
-}
-
-void Engine::ForwardReplication(uint16_t from,
-                                const sw::ReplicationRecord& rec) {
-  // Primary-side bookkeeping first: the primary's own ReplicaState mirrors
-  // everything its registers contain, so a snapshot (registers + seen-set)
-  // hands a new backup a consistent pair and a later promotion never
-  // re-applies a transaction whose effect rode in with the snapshot.
-  sw::ReplicaState& rs = replica_states_[from];
-  rs.MarkSeen(rec.origin_node, rec.client_seq);
-  rs.NoteGid(rec.gid);
-  for (const sw::SlotWrite& w : rec.writes) rs.AdvanceSlot(w.addr, w.apply_seq);
-  if (rep_target_ < 0) return;  // sole survivor: the WALs cover the gap
-  const uint16_t backup = static_cast<uint16_t>(rep_target_);
-  rep_sent_[from]->Increment();
-  // In-band forwarding over the inter-switch link: serialize onto the
-  // egress (records queue behind each other), then one propagation delay.
-  // Not routed through the Network on purpose — no injector perturbation,
-  // so legacy and sharded runs stay draw-for-draw identical.
-  sim::Simulator& sim = sharded_ ? ssim_->CurrentSim() : sim_;
-  const SimTime ser = static_cast<SimTime>(
-      std::llround(static_cast<double>(sw::ReplicationWireSize(rec)) *
-                   config_.network.ns_per_byte));
-  const SimTime depart =
-      std::max(sim.now() + config_.network.send_overhead,
-               rep_link_busy_[from]) +
-      ser;
-  rep_link_busy_[from] = depart;
-  const SimTime arrive = depart + config_.network.switch_to_switch_one_way;
-  // The record outlives the emitting pass; shared_ptr keeps the closure
-  // copyable (InlineEvent requirement) and small, and frees the record even
-  // if teardown discards the event.
-  auto boxed = std::make_shared<const sw::ReplicationRecord>(rec);
-  if (sharded_) {
-    ssim_->Post(switch_shard() + backup, arrive, [this, backup, boxed] {
-      ApplyReplicationRecord(backup, *boxed);
-    });
-  } else {
-    sim_.ScheduleAt(arrive, [this, backup, boxed] {
-      ApplyReplicationRecord(backup, *boxed);
-    });
-  }
-}
-
-void Engine::ApplyReplicationRecord(uint16_t sw,
-                                    const sw::ReplicationRecord& rec) {
-  // Fencing: the target died since the record departed, or the record was
-  // emitted by a primary that has since been deposed (older view).
-  if (!switch_alive_[sw] || rec.view != rep_view_) {
-    rep_stale_[sw]->Increment();
-    return;
-  }
-  sw::ReplicaState& rs = replica_states_[sw];
-  if (!rs.MarkSeen(rec.origin_node, rec.client_seq)) {
-    rep_stale_[sw]->Increment();  // duplicate delivery
-    return;
-  }
-  rs.NoteGid(rec.gid);
-  sw::RegisterFile& regs = pipelines_[sw]->registers();
-  for (const sw::SlotWrite& w : rec.writes) {
-    // Absolute post-values ordered by apply_seq: stale writes (a snapshot
-    // already carried a newer value for the slot) are skipped.
-    if (rs.AdvanceSlot(w.addr, w.apply_seq)) regs.Write(w.addr, w.value);
-  }
-  rep_applied_[sw]->Increment();
-}
-
-void Engine::RetargetReplication() {
-  if (config_.num_switches < 2) return;
-  const int next = switch_up_ ? NextAliveSwitch(primary_switch_) : -1;
-  if (next == rep_target_) return;
-  rep_target_ = next;
-  if (next >= 0) SnapshotBackup(static_cast<uint16_t>(next));
-}
-
-void Engine::SnapshotBackup(uint16_t sw) {
-  // Control-plane state transfer at a quiescent instant: allocations,
-  // register values, and replication bookkeeping all come from the live
-  // primary, so the (registers, seen-set) invariant holds from the first
-  // streamed record onward.
-  const uint16_t p = primary_switch_;
-  const std::vector<PartitionManager::HotEntry>& entries = pm_.entries();
-  sw::ControlPlane& cp = *control_planes_[sw];
-  if (cp.allocated_slots() == 0) {
-    // Fresh after a reboot: re-provision the identical layout.
-    for (const PartitionManager::HotEntry& e : entries) {
-      StatusOr<sw::RegisterAddress> addr =
-          cp.AllocateSlot(e.addr.stage, e.addr.reg);
-      assert(addr.ok() && *addr == e.addr);
-      (void)addr;
-    }
-  }
-  const sw::RegisterFile& pregs = pipelines_[p]->registers();
-  for (const PartitionManager::HotEntry& e : entries) {
-    Status st = cp.InstallValue(e.addr, pregs.Read(e.addr));
-    assert(st.ok());
-    (void)st;
-  }
-  replica_states_[sw] = replica_states_[p];
-  pipelines_[sw]->set_next_gid(pipelines_[p]->next_gid());
-}
-
-void Engine::PromoteBackup(uint16_t np) {
-  if (switch_up_) return;  // an earlier promotion retry already completed
-  if (!switch_alive_[np]) {
-    // The designated backup died during the pause. Promote the next alive
-    // switch instead (its state is consistent-but-possibly-stale; the WAL
-    // reconciliation below covers whatever the stream missed), or go dark
-    // like the unreplicated path if nobody is left.
-    const int next = NextAliveSwitch(primary_switch_);
-    if (next < 0) {
-      SeedHostRowsFromWal();
-      switch_draining_ = false;  // degraded host-row execution may proceed
-      return;
-    }
-    np = static_cast<uint16_t>(next);
-  }
-  // Reconcile the replicated state against the WALs: an intent whose
-  // (node, client_seq) the stream never delivered — its packet died with
-  // the primary, or was fenced before execution — is applied here, exactly
-  // once. Scans start at the recovery watermark: everything earlier is
-  // already folded into the offload/failback baseline the replicas carry.
-  sw::ReplicaState& rs = replica_states_[np];
-  const std::vector<PartitionManager::HotEntry>& entries = pm_.entries();
-  sw::RegisterFile& regs = pipelines_[np]->registers();
-  std::unordered_map<uint64_t, Value64> state;
-  for (const PartitionManager::HotEntry& e : entries) {
-    state[PackAddr(e.addr)] = regs.Read(e.addr);
-  }
-  const std::vector<size_t>& marks = pm_.recovery_watermarks();
-  size_t reconciled = 0;
-  for (uint16_t n = 0; n < config_.num_nodes; ++n) {
-    const auto& recs = wals_[n]->records();
-    for (size_t i = marks.empty() ? 0 : marks[n]; i < recs.size(); ++i) {
-      const db::LogRecord& r = recs[i];
-      if (r.kind != db::LogKind::kSwitchIntent) continue;
-      if (!rs.MarkSeen(n, r.client_seq)) continue;  // stream delivered it
-      ReplayInstructions(r.instrs, &state);
-      if (r.has_result) rs.NoteGid(r.gid);
-      ++reconciled;
-    }
-  }
-  sw::ControlPlane& cp = *control_planes_[np];
-  for (const PartitionManager::HotEntry& e : entries) {
-    Status st = cp.InstallValue(e.addr, state[PackAddr(e.addr)]);
-    assert(st.ok());
-    (void)st;
-  }
-  sw::Pipeline& pl = *pipelines_[np];
-  // GID counter restarts above everything the stream or the logs recorded,
-  // plus headroom for the reconciled intents (same rule as failback).
-  pl.set_next_gid(std::max(pl.next_gid(), rs.max_gid() + 1) +
-                  static_cast<Gid>(reconciled));
-  // The new primary's writes extend the replication order; its records
-  // carry the new view so stragglers from the dead primary get fenced.
-  pl.set_apply_seq(rs.max_apply_seq());
-  ++rep_view_;
-  pl.set_view(rep_view_);
-  // Epoch fence: packets addressed to (and stamped for) the dead primary
-  // can never execute on the new one; nodes re-aim and re-stamp from here.
-  ++switch_epoch_;
-  pl.PowerOn(static_cast<uint8_t>(switch_epoch_));
-  primary_switch_ = np;
-  switch_draining_ = false;
-  switch_up_ = true;
-  // INT stamping follows the primaryship: exactly one serving pipeline at
-  // any instant, and every collector's sequence state restarts at the new
-  // view (stale-view postcards from the deposed primary get dropped).
-  for (uint16_t k = 0; k < config_.num_switches; ++k) {
-    pipelines_[k]->set_serving(k == np);
-  }
-  for (IntCollector& ic : int_collectors_) ic.OnViewChange(rep_view_);
-  registry_.counter("engine.view_changes").Increment();
-  RetargetReplication();
 }
 
 }  // namespace p4db::core

@@ -20,6 +20,7 @@
 #include "core/metrics.h"
 #include "core/partition_manager.h"
 #include "core/shard_router.h"
+#include "core/switch_controller.h"
 #include "db/lock_manager.h"
 #include "db/table.h"
 #include "db/txn.h"
@@ -33,7 +34,6 @@
 #include "sim/task.h"
 #include "switchsim/control_plane.h"
 #include "switchsim/pipeline.h"
-#include "switchsim/replication.h"
 #include "workload/workload.h"
 
 namespace p4db::core {
@@ -53,7 +53,8 @@ struct OffloadReport {
 ///
 /// The Engine is a thin orchestrator: it owns the shared infrastructure,
 /// runs the load (closed-loop workers, or open-loop generators and
-/// sessions), performs the offline offload and the crash/recovery hooks.
+/// sessions) and performs the offline offload. Switch failover, failback
+/// and replication belong to its SwitchController (switches()).
 /// Every transaction — a worker's, a session's or ExecuteOnce's — goes
 /// through one retry loop, RunTransaction, which delegates each attempt to
 /// a pluggable cc::ConcurrencyControl strategy (TwoPhaseLocking or
@@ -72,8 +73,8 @@ struct OffloadReport {
 ///    so any threads >= 1 run is bit-identical to threads == 1.
 ///
 /// Lifecycle: construct -> SetWorkload -> Offload -> Run (once) -> inspect
-/// metrics / state. Crash-recovery experiments use SimulateSwitchCrash +
-/// RecoverSwitch between runs of the recovery tests.
+/// metrics / state. Crash-recovery experiments use
+/// switches().SimulateSwitchCrash() + switches().RecoverSwitch() after Run.
 class Engine {
  public:
   explicit Engine(const SystemConfig& config);
@@ -102,16 +103,11 @@ class Engine {
   StatusOr<std::vector<Value64>> ExecuteOnce(db::Transaction txn,
                                              NodeId home);
 
-  // -- Crash / recovery hooks (Section 6.1, Appendix A.3) --
+  // -- Node crash / recovery hooks (Section 6.1, Appendix A.3) --
 
-  /// Power-cycles the switch: all register state and allocations are lost.
-  void SimulateSwitchCrash();
   /// Marks a node as crashed: its WAL survives, but gids of its in-flight
   /// switch transactions can never be filled in.
   void SimulateNodeCrash(NodeId node);
-  /// Rebuilds the switch state from all node WALs (delegates to
-  /// RecoverSwitchState in core/recovery.h).
-  Status RecoverSwitch();
   /// Brings a crashed node back. Its WAL needs no replay (committed records
   /// and switch intents are durable; applying in-flight intents is the
   /// switch recovery's job). If a run is in progress, respawns its workers
@@ -189,23 +185,6 @@ class Engine {
   /// (seed, schedule) — identical for every thread count.
   std::string TraceJson(std::string_view fault_schedule_json = {});
 
-  bool chaos_armed() const { return chaos_armed_; }
-  bool switch_up() const { return switch_up_; }
-  /// Control-plane epoch, bumped on every switch reboot; stamped (mod 256)
-  /// into switch packets so the pipeline fences pre-crash stragglers.
-  uint32_t switch_epoch() const { return switch_epoch_; }
-
-  // -- Replication (num_switches >= 2) --
-
-  /// Switch currently serving hot transactions (always 0 with one switch).
-  uint16_t primary_switch() const { return primary_switch_; }
-  /// Replication view, bumped at every promotion / WAL re-provisioning;
-  /// records stamped with an older view are fenced at the backup.
-  uint32_t replication_view() const { return rep_view_; }
-  bool switch_alive(uint16_t sw) const { return switch_alive_[sw]; }
-  /// Chain successor currently receiving the primary's records; -1 = none.
-  int replication_target() const { return rep_target_; }
-
   // -- Accessors --
   const SystemConfig& config() const { return config_; }
   /// True when SystemConfig::threads selected the parallel runtime.
@@ -214,12 +193,15 @@ class Engine {
   /// Non-null in sharded mode only.
   sim::ShardedSimulator* sharded_simulator() { return ssim_.get(); }
   net::Network& network() { return net_; }
+  /// Switch failover, failback and replication state (the primary, epoch,
+  /// view, alive set) and the crash/recover hooks.
+  SwitchController& switches() { return *switches_; }
   /// The primary switch's pipeline / control plane (the only ones with one
-  /// switch); use the indexed overloads to inspect a specific replica.
-  sw::Pipeline& pipeline() { return *pipelines_[primary_switch_]; }
-  sw::ControlPlane& control_plane() { return *control_planes_[primary_switch_]; }
-  sw::Pipeline& pipeline(uint16_t sw) { return *pipelines_[sw]; }
-  sw::ControlPlane& control_plane(uint16_t sw) { return *control_planes_[sw]; }
+  /// switch); switches().control_plane(sw) inspects a specific replica.
+  sw::Pipeline& pipeline() { return switches_->primary_pipeline(); }
+  sw::ControlPlane& control_plane() {
+    return switches_->control_plane(switches_->primary_switch());
+  }
   db::Catalog& catalog() { return *catalog_; }
   PartitionManager& partition_manager() { return pm_; }
   db::LockManager& lock_manager(NodeId node) { return *lock_managers_[node]; }
@@ -345,11 +327,19 @@ class Engine {
   SimTime BackoffDelay(int attempt, Rng& rng);
 
   uint32_t switch_shard() const { return config_.num_nodes; }
-  sim::Simulator& HomeSim(NodeId node) {
-    return sharded_ ? ssim_->shard(node) : sim_;
+  /// Shard `shard`'s simulator, tracer, registry and metrics when sharded
+  /// (a node id is its home shard); the engine-wide ones in legacy mode.
+  sim::Simulator& HomeSim(uint32_t shard) {
+    return sharded_ ? ssim_->shard(shard) : sim_;
   }
-  trace::Tracer& HomeTracer(NodeId node) {
-    return sharded_ ? *eshards_[node]->tracer : tracer_;
+  trace::Tracer& HomeTracer(uint32_t shard) {
+    return sharded_ ? *eshards_[shard]->tracer : tracer_;
+  }
+  MetricsRegistry& HomeRegistry(uint32_t shard) {
+    return sharded_ ? eshards_[shard]->registry : registry_;
+  }
+  Metrics& HomeMetrics(NodeId node) {
+    return sharded_ ? eshards_[node]->metrics : metrics_;
   }
   /// Transaction ids. Legacy: one global counter. Sharded: per-node
   /// counters interleaved as c * num_nodes + node + 1, so ids stay globally
@@ -365,59 +355,6 @@ class Engine {
     return c * config_.num_nodes + node + 1;
   }
 
-  // Chaos-harness event handlers (scheduled by InstallFaultSchedule).
-  /// Crash instant for switch `sw`. A backup going dark only retargets the
-  /// replication stream. A primary crash with a live backup starts an
-  /// epoch-fenced view change (brief pause, then PromoteBackup); with no
-  /// live backup it falls back to the classic dark period: seed host rows
-  /// for all hot items from the WAL replay, wipe the data plane. Traffic
-  /// continues degraded.
-  void OnSwitchCrash(uint16_t sw);
-  /// Downtime elapsed for switch `sw`: re-provision it as sole primary (no
-  /// live peer), rejoin it as a backup (live primary), or wait out a view
-  /// change still mid-pause. Idempotent: a second failback for a switch
-  /// that is already up is a no-op.
-  void BeginFailback(uint16_t sw);
-  /// Re-provisions the primary's registers from host rows + straggler
-  /// intents and reopens the switch. Polls itself until the degraded count
-  /// hits zero.
-  void FinalizeFailback();
-
-  // -- Replication machinery (all inert while num_switches == 1) --
-
-  /// Factored PR-3 crash seeding: host rows of every hot item take the
-  /// switch's last committed state (baseline + logged intents since the
-  /// recovery watermark) so degraded traffic executes against them.
-  void SeedHostRowsFromWal();
-  /// Ring successor of `sw` among the alive switches, excluding `sw`
-  /// itself; -1 when it is the only candidate left.
-  int NextAliveSwitch(uint16_t sw) const;
-  /// Sink callback of switch `from`'s pipeline: track the record in the
-  /// primary's own ReplicaState, then ship it over the inter-switch link.
-  void ForwardReplication(uint16_t from, const sw::ReplicationRecord& rec);
-  /// Record arrival at backup `sw`: fence stale views, dedupe by
-  /// (origin, client_seq), apply slot writes that advance their seq.
-  void ApplyReplicationRecord(uint16_t sw, const sw::ReplicationRecord& rec);
-  /// Recomputes rep_target_ from the alive set; on change, snapshots the
-  /// new target from the primary so its (registers, seen-set) pair starts
-  /// consistent mid-stream.
-  void RetargetReplication();
-  /// Control-plane state transfer primary -> `sw` at a quiescent instant:
-  /// allocations, register values and replication bookkeeping.
-  void SnapshotBackup(uint16_t sw);
-  /// View change: reconcile backup `np`'s replicated state against the
-  /// WALs (apply intents the stream never delivered, exactly once), bump
-  /// view + epoch, and open `np` as the new primary.
-  void PromoteBackup(uint16_t np);
-
-  /// Per-pipeline replication sink: tags records with the emitting switch.
-  struct RepChannel : sw::ReplicationSink {
-    RepChannel(Engine* e, uint16_t sw) : engine(e), from_switch(sw) {}
-    void OnRecord(const sw::ReplicationRecord& rec) override;
-    Engine* engine;
-    uint16_t from_switch;
-  };
-
   SystemConfig config_;
   const bool sharded_;
   sim::Simulator sim_;
@@ -430,11 +367,10 @@ class Engine {
   std::vector<std::unique_ptr<EngineShard>> eshards_;
   std::unique_ptr<ShardRouter> router_;
   net::Network net_;
-  /// One pipeline + control plane per switch (index == switch id). Slot 0
-  /// is the boot-time primary; with one switch this is exactly the classic
-  /// single-ToR cluster.
+  /// One pipeline per switch (index == switch id), each on its switch's
+  /// shard. Slot 0 is the boot-time primary; with one switch this is
+  /// exactly the classic single-ToR cluster.
   std::vector<std::unique_ptr<sw::Pipeline>> pipelines_;
-  std::vector<std::unique_ptr<sw::ControlPlane>> control_planes_;
   std::unique_ptr<db::Catalog> catalog_;
   PartitionManager pm_;
   std::vector<std::unique_ptr<db::LockManager>> lock_managers_;
@@ -468,40 +404,8 @@ class Engine {
   // exactly the historical metric key set.
   std::unique_ptr<net::FaultInjector> fault_injector_;
   net::FaultSchedule fault_schedule_;
-  bool chaos_armed_ = false;
-  bool switch_up_ = true;
-  bool switch_draining_ = false;
-  uint32_t switch_epoch_ = 0;
-  /// Per home node, each entry only ever touched by its owning shard (the
-  /// legacy runtime simply uses all entries from its one thread); the
-  /// failback drain sums them at a quiescent point.
-  std::vector<uint32_t> degraded_inflight_;
-  /// Per-node WAL record count captured at the crash instant; records at or
-  /// after it are stragglers (intent appended after the host rows were
-  /// seeded) and are replayed onto the host-row baseline at failback.
-  std::vector<size_t> crash_record_offset_;
   /// Generation counter salting respawned workers' RNG streams.
   uint64_t recover_generation_ = 0;
-
-  // Replication state. Sized in the constructor; everything below except
-  // switch_alive_ stays empty/zero with one switch, so single-switch runs
-  // are byte-identical to the pre-replication engine.
-  std::vector<bool> switch_alive_;
-  uint16_t primary_switch_ = 0;
-  /// Chain successor currently receiving the primary's records; -1 = none
-  /// (sole survivor, or single-switch cluster).
-  int rep_target_ = -1;
-  uint32_t rep_view_ = 0;
-  /// Per-switch inter-switch egress link occupancy (records serialize one
-  /// after another, like every other link in the rack).
-  std::vector<SimTime> rep_link_busy_;
-  /// What each switch knows of the replication stream; see ReplicaState.
-  std::vector<sw::ReplicaState> replica_states_;
-  std::vector<std::unique_ptr<RepChannel>> rep_channels_;
-  /// "switch.rep_*" counters, per switch (shard-local when sharded).
-  std::vector<MetricsRegistry::Counter*> rep_sent_;
-  std::vector<MetricsRegistry::Counter*> rep_applied_;
-  std::vector<MetricsRegistry::Counter*> rep_stale_;
 
   /// Engine-level registry counters (committed / aborted attempts over the
   /// measured window). Legacy runtime; sharded workers use their
@@ -514,6 +418,10 @@ class Engine {
   /// Sized once in the constructor — element addresses stay stable for the
   /// ExecutionContext view below.
   std::vector<IntCollector> int_collectors_;
+
+  /// Switch failover, failback and replication. Declared after every
+  /// collaborator it is wired to, so it is destroyed first.
+  std::unique_ptr<SwitchController> switches_;
 
   /// The pluggable execution strategy. Declared last: its ExecutionContext
   /// points at the members above.

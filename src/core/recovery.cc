@@ -208,19 +208,32 @@ StatusOr<WalReplayResult> ReplayWalSwitchState(
   return result;
 }
 
+Status ProvisionLayout(std::span<const PartitionManager::HotEntry> entries,
+                       const std::unordered_map<uint64_t, Value64>& state,
+                       sw::ControlPlane* cp) {
+  if (cp->allocated_slots() == 0) {
+    for (const PartitionManager::HotEntry& e : entries) {
+      StatusOr<sw::RegisterAddress> addr =
+          cp->AllocateSlot(e.addr.stage, e.addr.reg);
+      if (!addr.ok()) return addr.status();
+      if (!(*addr == e.addr)) {
+        return Status::Internal("layout reinstall diverged from original");
+      }
+    }
+  }
+  for (const PartitionManager::HotEntry& e : entries) {
+    Status st = cp->InstallValue(e.addr, state.at(PackAddr(e.addr)));
+    if (!st.ok()) return st;
+  }
+  return Status::Ok();
+}
+
 Status RecoverSwitchState(const PartitionManager& pm,
                           const std::vector<const db::Wal*>& logs,
                           sw::ControlPlane* control_plane) {
-  // Step 1: reinstall the layout. The control-plane allocator is
-  // deterministic, so allocating in the original registration order yields
-  // the original addresses.
+  // Step 1: the layout's values at offload time (or at the last failback).
   std::unordered_map<uint64_t, Value64> initial;
   for (const PartitionManager::HotEntry& e : pm.entries()) {
-    auto addr = control_plane->AllocateSlot(e.addr.stage, e.addr.reg);
-    if (!addr.ok()) return addr.status();
-    if (!(*addr == e.addr)) {
-      return Status::Internal("layout reinstall diverged from original");
-    }
     initial[PackAddr(e.addr)] = e.initial_value;
   }
 
@@ -231,12 +244,9 @@ Status RecoverSwitchState(const PartitionManager& pm,
       ReplayWalSwitchState(std::move(initial), logs, options);
   if (!replay.ok()) return replay.status();
 
-  // Step 4: materialize the final state into the data plane.
-  for (const PartitionManager::HotEntry& e : pm.entries()) {
-    Status st =
-        control_plane->InstallValue(e.addr, replay->state[PackAddr(e.addr)]);
-    if (!st.ok()) return st;
-  }
+  // Step 4: reinstall the layout and materialize the final state.
+  Status st = ProvisionLayout(pm.entries(), replay->state, control_plane);
+  if (!st.ok()) return st;
   // Restart the GID counter above everything recovered; never move it
   // backwards (an online failback may already have advanced it past the
   // post-watermark records replayed here).

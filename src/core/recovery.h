@@ -79,6 +79,14 @@ Status RecoverSwitchState(const PartitionManager& pm,
                           const std::vector<const db::Wal*>& logs,
                           sw::ControlPlane* control_plane);
 
+/// Provisions the hot-item layout on `cp`: a fresh plane first allocates
+/// every entry's slot in registration order (the allocator is
+/// deterministic, so this reproduces every original address), then each
+/// entry's register takes its value in `state` (keyed by PackAddr).
+Status ProvisionLayout(std::span<const PartitionManager::HotEntry> entries,
+                       const std::unordered_map<uint64_t, Value64>& state,
+                       sw::ControlPlane* cp);
+
 /// Pure replay of switch instructions against an address->value map with
 /// the data plane's exact semantics (exposed for tests).
 std::vector<Value64> ReplayInstructions(

@@ -1,0 +1,356 @@
+#include "core/switch_controller.h"
+
+#include <algorithm>
+#include <cassert>
+#include <cmath>
+#include <unordered_map>
+#include <utility>
+
+#include "core/recovery.h"
+
+namespace p4db::core {
+namespace {
+
+/// The hot items' values, read from each of `pm`'s entries by `value_of`.
+template <typename ValueOf>
+SwitchController::HotState Collect(const PartitionManager& pm,
+                                   ValueOf value_of) {
+  SwitchController::HotState state;
+  for (const PartitionManager::HotEntry& e : pm.entries()) {
+    state[PackAddr(e.addr)] = value_of(e);
+  }
+  return state;
+}
+
+}  // namespace
+
+SwitchController::SwitchController(Wiring wiring)
+    : w_(std::move(wiring)),
+      config_(*w_.config),
+      pipelines_(w_.pipelines),
+      switch_alive_(config_.num_switches, true),
+      degraded_inflight_(config_.num_nodes, 0),
+      crash_record_offset_(config_.num_nodes, 0) {
+  assert(pipelines_.size() == config_.num_switches);
+  for (sw::Pipeline* p : pipelines_) {
+    control_planes_.push_back(std::make_unique<sw::ControlPlane>(p));
+  }
+  if (config_.num_switches > 1) {
+    // Every pipeline streams into this sink (only the primary's ever fires:
+    // backups receive no packets). The "switch.rep_*" counters register
+    // here so the dumped key set is fixed per configuration.
+    replica_states_.resize(config_.num_switches);
+    for (auto& rs : replica_states_) rs.Reset(config_.num_nodes);
+    rep_link_busy_.assign(config_.num_switches, 0);
+    rep_target_ = 1;
+    for (uint16_t k = 0; k < config_.num_switches; ++k) {
+      MetricsRegistry& reg = *w_.switch_registries[k];
+      rep_sent_.push_back(&reg.counter("switch.rep_records_sent"));
+      rep_applied_.push_back(&reg.counter("switch.rep_records_applied"));
+      rep_stale_.push_back(&reg.counter("switch.rep_stale_drops"));
+      pipelines_[k]->set_replication_sink(this);
+    }
+  }
+}
+
+void SwitchController::InstallHotSet(const HotState& state) {
+  for (uint16_t k = 0; k < config_.num_switches; ++k) Provision(k, state);
+}
+
+void SwitchController::SimulateSwitchCrash() {
+  control_planes_[primary_switch_]->Reset();
+}
+
+Status SwitchController::RecoverSwitch() {
+  return RecoverSwitchState(*w_.pm, w_.wals,
+                            control_planes_[primary_switch_].get());
+}
+
+Value64& SwitchController::HostCell(
+    const PartitionManager::HotEntry& e) const {
+  return w_.catalog->table(e.item.tuple.table)
+      .GetOrCreate(e.item.tuple.key)[e.item.column];
+}
+
+void SwitchController::Provision(uint16_t sw, const HotState& state) {
+  const Status st =
+      ProvisionLayout(w_.pm->entries(), state, control_planes_[sw].get());
+  assert(st.ok() && "layout reinstall diverged");
+  (void)st;
+}
+
+void SwitchController::SeedHostRowsFromWal() {
+  // The switch's last committed state: recovery baseline plus every intent
+  // since the watermark. Hot/warm traffic runs on these rows (through the
+  // cold path) while the switch is dark.
+  WalReplayOptions opts;
+  opts.first_record = w_.pm->recovery_watermarks();
+  opts.best_effort = true;  // a live cluster cannot halt on an inference miss
+  StatusOr<WalReplayResult> replay = ReplayWalSwitchState(
+      Collect(*w_.pm, [](const auto& e) { return e.initial_value; }), w_.wals,
+      opts);
+  assert(replay.ok());
+  for (const PartitionManager::HotEntry& e : w_.pm->entries()) {
+    HostCell(e) = replay->state[PackAddr(e.addr)];
+  }
+}
+
+int SwitchController::NextAliveSwitch(uint16_t sw) const {
+  for (uint16_t step = 1; step < config_.num_switches; ++step) {
+    const uint16_t cand =
+        static_cast<uint16_t>((sw + step) % config_.num_switches);
+    if (switch_alive_[cand]) return cand;
+  }
+  return -1;
+}
+
+void SwitchController::OnSwitchDown(uint16_t sw) {
+  if (!switch_alive_[sw]) return;  // coalesce overlapping reboot events
+  switch_alive_[sw] = false;
+  // Power loss: registers and allocations are wiped, and the data plane
+  // drops every packet until it powers on again. The GID counter survives
+  // (the paper restarts it above everything recovered; keeping it monotonic
+  // models that without re-deriving it).
+  control_planes_[sw]->Reset();
+  pipelines_[sw]->Reboot();
+  if (sw != primary_switch_) {
+    // Invisible to transactions: the primary stops forwarding to it, and
+    // records in flight are dropped by the alive check at arrival.
+    RetargetReplication();
+    return;
+  }
+  switch_up_ = false;
+  // A dead primary stamps nothing; whoever gets promoted (or this switch
+  // itself at failback) turns stamping back on.
+  pipelines_[sw]->set_serving(false);
+  // Stragglers: a transaction past the switch-up check appends its intent
+  // after this capture; failback replays exactly those.
+  for (uint16_t n = 0; n < config_.num_nodes; ++n) {
+    crash_record_offset_[n] = w_.wals[n]->records().size();
+  }
+  const int backup = NextAliveSwitch(sw);
+  if (backup < 0) {
+    // No live replica: the classic dark period. Degraded traffic executes
+    // against WAL-seeded host rows until failback re-provisions the switch.
+    SeedHostRowsFromWal();
+    return;
+  }
+  // View change: a brief fenced pause instead of a dark period. Hot/warm
+  // transactions abort and retry while draining (no degraded host writes),
+  // then the backup promotes with WAL-reconciled state.
+  switch_draining_ = true;
+  w_.after(config_.timing.view_change_delay,
+           [this, np = static_cast<uint16_t>(backup)] { PromoteBackup(np); });
+}
+
+void SwitchController::OnSwitchUp(uint16_t sw) {
+  if (switch_alive_[sw]) return;  // double failback / never crashed: no-op
+  if (NextAliveSwitch(sw) < 0) {
+    // No live peer anywhere: classic WAL re-provisioning of this switch as
+    // the sole primary (with one switch this is the entire failback path).
+    primary_switch_ = sw;
+    switch_draining_ = true;
+    FinalizeFailback();
+    return;
+  }
+  if (!switch_up_) {
+    // A view change is still mid-pause (downtime < view_change_delay);
+    // rejoin once the promoted primary is serving.
+    w_.after(config_.timing.view_change_delay, [this, sw] { OnSwitchUp(sw); });
+    return;
+  }
+  // Rejoin as backup by snapshot. No epoch bump: it would fence the live
+  // primary's packets, and a backup only receives view-checked records.
+  pipelines_[sw]->PowerOn(static_cast<uint8_t>(switch_epoch_));
+  switch_alive_[sw] = true;
+  // Lazily created, so only runs that actually rejoin a switch publish it.
+  w_.registry->counter("engine.switch_rejoins").Increment();
+  RetargetReplication();
+}
+
+void SwitchController::FinalizeFailback() {
+  if (std::ranges::any_of(degraded_inflight_,
+                          [](uint32_t d) { return d > 0; })) {
+    // Degraded transactions still write the hot items' host rows; an
+    // install now would lose their writes. Draining keeps new ones out;
+    // poll (at a quiescent instant) until the last one commits.
+    w_.after(5 * kMicrosecond, [this] { FinalizeFailback(); });
+    return;
+  }
+  // Baseline = the host rows (crash-time seed + every degraded write),
+  // plus the stragglers: intents appended after the crash instant, whose
+  // packets the dark pipeline dropped.
+  WalReplayOptions opts;
+  opts.first_record = crash_record_offset_;
+  opts.best_effort = true;
+  StatusOr<WalReplayResult> replay = ReplayWalSwitchState(
+      Collect(*w_.pm, [this](const auto& e) { return HostCell(e); }), w_.wals,
+      opts);
+  assert(replay.ok());
+  const std::vector<PartitionManager::HotEntry>& entries = w_.pm->entries();
+  for (size_t i = 0; i < entries.size(); ++i) {
+    // Installed values become the new recovery baseline, and the host rows
+    // absorb the straggler effects so a second crash seeds consistently.
+    const Value64 value = replay->state[PackAddr(entries[i].addr)];
+    w_.pm->UpdateInitialValue(i, value);
+    HostCell(entries[i]) = value;
+  }
+  Provision(primary_switch_, replay->state);  // a fresh plane since the crash
+  // Watermark: later replays (offline recovery or a second crash) start
+  // from here — everything earlier is folded into the refreshed baseline.
+  std::vector<size_t> watermarks(config_.num_nodes);
+  for (uint16_t n = 0; n < config_.num_nodes; ++n) {
+    watermarks[n] = w_.wals[n]->records().size();
+  }
+  w_.pm->set_recovery_watermarks(std::move(watermarks));
+  // Replication bookkeeping restarts empty, consistent with the installed
+  // baseline (registers == baseline + empty seen-set).
+  for (auto& rs : replica_states_) rs.Reset(config_.num_nodes);
+  OpenAsPrimary(primary_switch_, replay->max_gid, replay->num_inflight,
+                /*apply_seq=*/0);
+}
+
+void SwitchController::OnRecord(uint16_t from,
+                                const sw::ReplicationRecord& rec) {
+  // Primary-side bookkeeping first: the primary's own ReplicaState mirrors
+  // everything its registers contain, so a snapshot (registers + seen-set)
+  // hands a new backup a consistent pair and a later promotion never
+  // re-applies a transaction whose effect rode in with the snapshot.
+  sw::ReplicaState& rs = replica_states_[from];
+  rs.MarkSeen(rec.origin_node, rec.client_seq);
+  rs.NoteGid(rec.gid);
+  for (const sw::SlotWrite& w : rec.writes) rs.AdvanceSlot(w.addr, w.apply_seq);
+  if (rep_target_ < 0) return;  // sole survivor: the WALs cover the gap
+  const uint16_t backup = static_cast<uint16_t>(rep_target_);
+  rep_sent_[from]->Increment();
+  // In-band forwarding: serialize onto the inter-switch egress behind
+  // earlier records, then one propagation delay. Not routed through the
+  // Network, so no injector draws: legacy and sharded runs stay identical.
+  const SimTime ser = static_cast<SimTime>(
+      std::llround(static_cast<double>(sw::ReplicationWireSize(rec)) *
+                   config_.network.ns_per_byte));
+  const SimTime depart =
+      std::max(pipelines_[from]->simulator().now() +
+                   config_.network.send_overhead,
+               rep_link_busy_[from]) +
+      ser;
+  rep_link_busy_[from] = depart;
+  // Shared ownership keeps the delivery closure small and copyable, and
+  // frees the record even if teardown discards the event.
+  w_.deliver(backup, depart + config_.network.switch_to_switch_one_way,
+             std::make_shared<const sw::ReplicationRecord>(rec));
+}
+
+void SwitchController::ApplyReplicationRecord(
+    uint16_t sw, const sw::ReplicationRecord& rec) {
+  // Fencing: the target died since the record departed, a deposed primary
+  // emitted it (older view), or it is a duplicate delivery.
+  sw::ReplicaState& rs = replica_states_[sw];
+  if (!switch_alive_[sw] || rec.view != rep_view_ ||
+      !rs.MarkSeen(rec.origin_node, rec.client_seq)) {
+    rep_stale_[sw]->Increment();
+    return;
+  }
+  rs.NoteGid(rec.gid);
+  sw::RegisterFile& regs = pipelines_[sw]->registers();
+  for (const sw::SlotWrite& w : rec.writes) {
+    // Absolute post-values ordered by apply_seq: stale writes (a snapshot
+    // already carried a newer value for the slot) are skipped.
+    if (rs.AdvanceSlot(w.addr, w.apply_seq)) regs.Write(w.addr, w.value);
+  }
+  rep_applied_[sw]->Increment();
+}
+
+void SwitchController::RetargetReplication() {
+  if (config_.num_switches < 2) return;
+  const int next = switch_up_ ? NextAliveSwitch(primary_switch_) : -1;
+  if (next == rep_target_) return;
+  rep_target_ = next;
+  if (next >= 0) SnapshotBackup(static_cast<uint16_t>(next));
+}
+
+void SwitchController::SnapshotBackup(uint16_t sw) {
+  // Everything comes from the live primary at one quiescent instant, so
+  // the (registers, seen-set) pair is consistent from the first record.
+  const uint16_t p = primary_switch_;
+  const sw::RegisterFile& pregs = pipelines_[p]->registers();
+  Provision(sw,
+            Collect(*w_.pm, [&](const auto& e) { return pregs.Read(e.addr); }));
+  replica_states_[sw] = replica_states_[p];
+  pipelines_[sw]->set_next_gid(pipelines_[p]->next_gid());
+}
+
+void SwitchController::PromoteBackup(uint16_t np) {
+  if (switch_up_) return;  // an earlier promotion retry already completed
+  if (!switch_alive_[np]) {
+    // The designated backup died during the pause: promote the next alive
+    // switch (reconciliation covers whatever its stream missed), or go
+    // dark like the unreplicated path if nobody is left.
+    const int next = NextAliveSwitch(primary_switch_);
+    if (next < 0) {
+      SeedHostRowsFromWal();
+      switch_draining_ = false;  // degraded host-row execution may proceed
+      return;
+    }
+    np = static_cast<uint16_t>(next);
+  }
+  // Reconcile against the WALs: an intent whose (node, client_seq) the
+  // stream never delivered (its packet died with the primary, or was
+  // fenced) is applied here, exactly once. Scans start at the watermark;
+  // earlier intents are in the baseline the replicas carry.
+  sw::ReplicaState& rs = replica_states_[np];
+  const sw::RegisterFile& regs = pipelines_[np]->registers();
+  HotState state =
+      Collect(*w_.pm, [&](const auto& e) { return regs.Read(e.addr); });
+  const std::vector<size_t>& marks = w_.pm->recovery_watermarks();
+  size_t reconciled = 0;
+  for (uint16_t n = 0; n < config_.num_nodes; ++n) {
+    const auto& recs = w_.wals[n]->records();
+    for (size_t i = marks.empty() ? 0 : marks[n]; i < recs.size(); ++i) {
+      const db::LogRecord& r = recs[i];
+      if (r.kind != db::LogKind::kSwitchIntent) continue;
+      if (!rs.MarkSeen(n, r.client_seq)) continue;  // stream delivered it
+      ReplayInstructions(r.instrs, &state);
+      if (r.has_result) rs.NoteGid(r.gid);
+      ++reconciled;
+    }
+  }
+  Provision(np, state);
+  w_.registry->counter("engine.view_changes").Increment();
+  // The new primary's writes extend the replication order.
+  OpenAsPrimary(np, rs.max_gid(), reconciled, rs.max_apply_seq());
+}
+
+void SwitchController::OpenAsPrimary(uint16_t np, Gid max_gid,
+                                     size_t replayed, uint64_t apply_seq) {
+  sw::Pipeline& pl = *pipelines_[np];
+  // GID counter restarts above everything the logs or the stream recorded,
+  // plus headroom for the replayed in-flight intents (Section 6.1).
+  pl.set_next_gid(std::max(pl.next_gid(), max_gid + 1) +
+                  static_cast<Gid>(replayed));
+  if (config_.num_switches > 1) {
+    // A view bump fences every straggler record from the previous stream
+    // (a deposed primary's, or the pre-provisioning one).
+    pl.set_apply_seq(apply_seq);
+    ++rep_view_;
+    pl.set_view(rep_view_);
+  }
+  // The epoch advances as the primary (re)opens: packets stamped before
+  // are fenced (their intents were replayed), packets stamped after run on
+  // the switch. Each intent thus has exactly one applier.
+  ++switch_epoch_;
+  pl.PowerOn(static_cast<uint8_t>(switch_epoch_));
+  primary_switch_ = np;
+  switch_alive_[np] = true;
+  switch_draining_ = false;
+  switch_up_ = true;
+  // Exactly one pipeline stamps INT postcards, and every collector restarts
+  // at the (possibly bumped) view so no pre-crash postcard folds in.
+  for (uint16_t k = 0; k < config_.num_switches; ++k) {
+    pipelines_[k]->set_serving(k == np);
+  }
+  for (IntCollector& ic : w_.int_collectors) ic.OnViewChange(rep_view_);
+  RetargetReplication();
+}
+
+}  // namespace p4db::core

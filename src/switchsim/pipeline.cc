@@ -317,7 +317,7 @@ void Pipeline::Arrive(InflightRef fl) {
     rec.client_seq = fl->txn.client_seq;
     rec.gid = fl->result.gid;
     rec.writes = fl->rep_writes;
-    rep_sink_->OnRecord(rec);
+    rep_sink_->OnRecord(switch_id_, rec);
   }
   if ((fl->result.telemetry.flags & IntMeta::kAdmitted) != 0) {
     IntMeta& m = fl->result.telemetry;

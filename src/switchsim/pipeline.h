@@ -121,6 +121,8 @@ class Pipeline {
 
   RegisterFile& registers() { return registers_; }
   const RegisterFile& registers() const { return registers_; }
+  /// The simulator this pipeline's events run on.
+  sim::Simulator& simulator() const { return *sim_; }
   const PipelineConfig& config() const { return config_; }
   const PipelineStats& stats() const { return stats_; }
   void ResetStats() { stats_ = PipelineStats(); }

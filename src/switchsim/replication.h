@@ -44,13 +44,13 @@ inline uint32_t ReplicationWireSize(const ReplicationRecord& rec) {
   return 18 + static_cast<uint32_t>(rec.writes.size()) * 24 + 42;
 }
 
-/// Consumer of a pipeline's replication stream. The engine installs one per
-/// primary-capable pipeline; the pipeline calls it synchronously at
-/// final-pass time, and the sink models the inter-switch link delay.
+/// Consumer of pipelines' replication streams (the switch controller). A
+/// pipeline calls it synchronously at final-pass time with its own switch
+/// id; the sink models the inter-switch link delay.
 class ReplicationSink {
  public:
   virtual ~ReplicationSink() = default;
-  virtual void OnRecord(const ReplicationRecord& rec) = 0;
+  virtual void OnRecord(uint16_t from_switch, const ReplicationRecord& rec) = 0;
 };
 
 /// Exactly-once filter over one node's client_seq stream: a contiguous

@@ -176,7 +176,7 @@ TEST(ChaosDeterminismTest, NullScheduleIsByteIdenticalToPlainEngine) {
     engine.SetWorkload(&ycsb);
     engine.Offload(5000, 40);
     engine.InstallFaultSchedule(net::FaultSchedule{});
-    EXPECT_FALSE(engine.chaos_armed());
+    EXPECT_FALSE(engine.switches().chaos_armed());
     engine.Run(kMillisecond, 3 * kMillisecond);
     with_null_schedule = engine.metrics_registry().ToJson();
   }

@@ -331,7 +331,7 @@ TEST(EngineGoldenRecoveryTest, OfflineRecoveryDigestIsPinned) {
   engine.InstallFaultSchedule(schedule);
   engine.EnableFullTrace();
   const Metrics m = engine.Run(kWarmup, kMeasure);
-  ASSERT_TRUE(engine.RecoverSwitch().ok());
+  ASSERT_TRUE(engine.switches().RecoverSwitch().ok());
   Digest d;
   d.Add(m.committed);
   d.Add(engine.metrics_registry().ToJson());

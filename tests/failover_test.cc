@@ -141,8 +141,8 @@ TEST(FailoverTest, SwitchRebootLosesNothingAndRecoversThroughput) {
 
   const Metrics m = engine.Run(/*warmup=*/0, horizon);
   ASSERT_GT(m.committed, 0u);
-  EXPECT_TRUE(engine.switch_up());
-  EXPECT_EQ(engine.switch_epoch(), 1u);
+  EXPECT_TRUE(engine.switches().switch_up());
+  EXPECT_EQ(engine.switches().switch_epoch(), 1u);
 
   // -- Fencing and degradation actually happened. --
   EXPECT_GT(
@@ -225,14 +225,14 @@ TEST(FailoverTest, MidRunCrashLeavesRecoverableWalTail) {
   engine.InstallFaultSchedule(schedule);
   const Metrics m = engine.Run(/*warmup=*/0, 4 * kMillisecond);
   ASSERT_GT(m.committed, 0u);
-  EXPECT_FALSE(engine.switch_up());
+  EXPECT_FALSE(engine.switches().switch_up());
 
   const WalCounts wal = CountWalRecords(engine);
   // Packets in flight at the crash instant were dropped by the dark data
   // plane; their intents can never receive a gid.
   EXPECT_GT(wal.open_intents, 0u);
 
-  ASSERT_TRUE(engine.RecoverSwitch().ok());
+  ASSERT_TRUE(engine.switches().RecoverSwitch().ok());
   // Full offline replay (no failback ran, so the watermark is still zero):
   // every logged intent — committed-with-gid and in-flight alike — lands
   // exactly once on the re-provisioned registers.
@@ -263,8 +263,8 @@ TEST(FailoverTest, DoubleFailbackIsIdempotent) {
 
   const Metrics m = engine.Run(/*warmup=*/0, 8 * kMillisecond);
   ASSERT_GT(m.committed, 0u);
-  EXPECT_TRUE(engine.switch_up());
-  EXPECT_EQ(engine.switch_epoch(), 1u);  // monotone, bumped exactly once
+  EXPECT_TRUE(engine.switches().switch_up());
+  EXPECT_EQ(engine.switches().switch_epoch(), 1u);  // monotone, bumped exactly once
   EXPECT_EQ(engine.control_plane().allocated_slots(), slots_before);
 
   const Value64 applied = SumHotValues(engine, wl);
@@ -309,8 +309,8 @@ TEST(FailoverTest, NodeCrashAndRestartMidRun) {
 
   // The crashed node's in-flight intents stayed gid-less, yet offline
   // switch recovery still reconstructs a complete state.
-  engine.SimulateSwitchCrash();
-  EXPECT_TRUE(engine.RecoverSwitch().ok());
+  engine.switches().SimulateSwitchCrash();
+  EXPECT_TRUE(engine.switches().RecoverSwitch().ok());
   DumpFlightRecorderIfFailed(engine, schedule);
 }
 

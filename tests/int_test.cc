@@ -341,7 +341,7 @@ TEST(IntReplicationTest, ViewChangeMovesStampingToNewPrimary) {
   engine.InstallFaultSchedule(schedule);
   const Metrics m = engine.Run(/*warmup=*/0, 6 * kMillisecond);
   ASSERT_GT(m.committed, 1000u);
-  ASSERT_EQ(engine.primary_switch(), 1u);
+  ASSERT_EQ(engine.switches().primary_switch(), 1u);
 
   // Both prefixes carry postcards — switch 0 before the crash, switch 1
   // after promotion — and together they account for every folded postcard.

@@ -219,7 +219,8 @@ TEST_P(PassPlanGoldenTest, PlanAndHeaderDigestIsPinned) {
 class WriteLog : public ReplicationSink {
  public:
   explicit WriteLog(Digest* d) : d_(d) {}
-  void OnRecord(const ReplicationRecord& rec) override {
+  void OnRecord(uint16_t /*from_switch*/,
+                const ReplicationRecord& rec) override {
     d_->Add(rec.gid);
     d_->Add(rec.client_seq);
     d_->Add(rec.writes.size());

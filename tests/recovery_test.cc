@@ -277,8 +277,8 @@ TEST(RecoveryEndToEndTest, SwitchStateSurvivesCrashAfterWorkload) {
     before[PackAddr(e.addr)] = *engine.control_plane().ReadValue(e.addr);
   }
   const std::set<uint64_t> fuzzy = InflightAddresses(engine);
-  engine.SimulateSwitchCrash();
-  ASSERT_TRUE(engine.RecoverSwitch().ok());
+  engine.switches().SimulateSwitchCrash();
+  ASSERT_TRUE(engine.switches().RecoverSwitch().ok());
   // Every register not touched by an in-flight transaction must be
   // restored bit-exactly; in-flight-touched ones land in SOME serializable
   // position (already validated inside RecoverSwitchState).
@@ -324,8 +324,8 @@ TEST(RecoveryEndToEndTest, NodeCrashLeavesInflightRecoverable) {
     before[PackAddr(e.addr)] = *engine.control_plane().ReadValue(e.addr);
   }
   const std::set<uint64_t> fuzzy = InflightAddresses(engine);
-  engine.SimulateSwitchCrash();
-  ASSERT_TRUE(engine.RecoverSwitch().ok());
+  engine.switches().SimulateSwitchCrash();
+  ASSERT_TRUE(engine.switches().RecoverSwitch().ok());
   for (const auto& e : engine.partition_manager().entries()) {
     if (fuzzy.contains(PackAddr(e.addr))) continue;
     EXPECT_EQ(*engine.control_plane().ReadValue(e.addr),

@@ -86,7 +86,7 @@ Value64 SumHotValues(Engine& engine, const HotAddWorkload& wl, uint16_t sw) {
       ADD_FAILURE() << "hot key " << k << " has no switch address";
       continue;
     }
-    total += *engine.control_plane(sw).ReadValue(*addr);
+    total += *engine.switches().control_plane(sw).ReadValue(*addr);
   }
   return total;
 }
@@ -138,7 +138,7 @@ TEST(ReplicationTest, PrimaryCrashPromotesBackupWithBoundedDip) {
   Engine engine(ReplicatedCluster(/*num_switches=*/2));
   engine.SetWorkload(&wl);
   ASSERT_EQ(engine.Offload(2000, kNumKeys).offloaded_hot_items, kNumKeys);
-  ASSERT_EQ(engine.replication_target(), 1);
+  ASSERT_EQ(engine.switches().replication_target(), 1);
 
   net::FaultSchedule schedule;
   schedule.events.push_back(
@@ -151,12 +151,12 @@ TEST(ReplicationTest, PrimaryCrashPromotesBackupWithBoundedDip) {
 
   // -- The view change happened, exactly once, and the old primary came
   // back as the backup of the new one. --
-  EXPECT_EQ(engine.primary_switch(), 1u);
-  EXPECT_TRUE(engine.switch_up());
-  EXPECT_TRUE(engine.switch_alive(0));
-  EXPECT_TRUE(engine.switch_alive(1));
-  EXPECT_EQ(engine.replication_target(), 0);
-  EXPECT_EQ(engine.switch_epoch(), 1u);  // bumped at promotion only
+  EXPECT_EQ(engine.switches().primary_switch(), 1u);
+  EXPECT_TRUE(engine.switches().switch_up());
+  EXPECT_TRUE(engine.switches().switch_alive(0));
+  EXPECT_TRUE(engine.switches().switch_alive(1));
+  EXPECT_EQ(engine.switches().replication_target(), 0);
+  EXPECT_EQ(engine.switches().switch_epoch(), 1u);  // bumped at promotion only
   EXPECT_EQ(
       engine.metrics_registry().counter("engine.view_changes").value(), 1u);
   EXPECT_EQ(
@@ -167,7 +167,7 @@ TEST(ReplicationTest, PrimaryCrashPromotesBackupWithBoundedDip) {
             0u);
 
   // -- Conservation: applied == promised, up to horizon stragglers. --
-  const Value64 applied = SumHotValues(engine, wl, engine.primary_switch());
+  const Value64 applied = SumHotValues(engine, wl, engine.switches().primary_switch());
   const WalCounts wal = CountWalRecords(engine);
   const uint64_t promised = wal.switch_intents + wal.host_commits;
   const uint64_t workers = static_cast<uint64_t>(engine.config().num_nodes) *
@@ -217,7 +217,7 @@ TEST(ReplicationTest, DarkWindowBaselineStaysDeep) {
   Engine engine(ReplicatedCluster(/*num_switches=*/1));
   engine.SetWorkload(&wl);
   ASSERT_EQ(engine.Offload(2000, kNumKeys).offloaded_hot_items, kNumKeys);
-  ASSERT_EQ(engine.replication_target(), -1);
+  ASSERT_EQ(engine.switches().replication_target(), -1);
 
   net::FaultSchedule schedule;
   schedule.events.push_back(net::FaultEvent::SwitchReboot(kFaultAt,
@@ -263,8 +263,8 @@ TEST(ReplicationTest, BackupCrashIsInvisibleToClients) {
   const Metrics m = engine.Run(/*warmup=*/0, kHorizon);
   ASSERT_GT(m.committed, 0u);
 
-  EXPECT_EQ(engine.primary_switch(), 0u);
-  EXPECT_EQ(engine.switch_epoch(), 0u);
+  EXPECT_EQ(engine.switches().primary_switch(), 0u);
+  EXPECT_EQ(engine.switches().switch_epoch(), 0u);
   EXPECT_EQ(
       engine.metrics_registry().counter("engine.view_changes").value(), 0u);
   EXPECT_EQ(engine.metrics_registry().counter("engine.failovers").value(),
@@ -273,7 +273,7 @@ TEST(ReplicationTest, BackupCrashIsInvisibleToClients) {
       engine.metrics_registry().counter("engine.txn_timeouts").value(), 0u);
   EXPECT_EQ(
       engine.metrics_registry().counter("engine.switch_rejoins").value(), 1u);
-  EXPECT_EQ(engine.replication_target(), 1);
+  EXPECT_EQ(engine.switches().replication_target(), 1);
 
   // No bucket anywhere in the run dips: the fault is invisible.
   const std::vector<int64_t>& rates = *sampler.Find("committed");
@@ -332,7 +332,7 @@ TEST(ReplicationTest, ShardedReplicatedRunMatchesAcrossThreadCounts) {
     trace::Sampler& sampler = engine.EnableTimeSeries(kBucket);
     const Metrics m = engine.Run(/*warmup=*/0, 5 * kMillisecond);
     EXPECT_GT(m.committed, 0u);
-    EXPECT_EQ(engine.primary_switch(), 1u);
+    EXPECT_EQ(engine.switches().primary_switch(), 1u);
     return engine.metrics_registry().ToJson() + "\n" + sampler.ToJson();
   };
   const std::string single = run(1);
