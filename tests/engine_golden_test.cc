@@ -4,11 +4,13 @@
 // loop — retry order, backoff draws, id allocation, span order, which
 // counters a commit or an abort touches — shows up as a digest change.
 // The cases cover every caller of the loop: closed-loop workers on both
-// runtimes and both CC protocols, open-loop sessions under both overflow
-// policies, sessions respawned by node recovery, and ExecuteOnce. The
-// switch-fault cases pin the control plane's state machine: a K = 1 dark
-// window with failback, a K = 2 promotion with the old primary rejoining as
-// backup, a K = 2 backup crash, and offline recovery from a mid-run crash.
+// runtimes and both CC protocols (OCC with and without the switch),
+// open-loop sessions under both overflow policies, sessions respawned by
+// node recovery, and ExecuteOnce under both protocols. The switch-fault
+// cases pin the control plane's state machine: a K = 1 dark window with
+// failback (under both protocols), a K = 2 promotion with the old primary
+// rejoining as backup, a K = 2 backup crash, and offline recovery from a
+// mid-run crash.
 
 #include <gtest/gtest.h>
 
@@ -112,6 +114,7 @@ enum class Case {
   kClosed2pl,
   kClosed2plNoSwitch,
   kClosedOcc,
+  kClosedOccP4db,
   kShardedSmallBank,
   kShardedOpenLoop,
   kOpenLoopShed,
@@ -124,6 +127,7 @@ enum class Case {
   kPrimaryCrashPromotion,
   kShardedPrimaryCrashPromotion,
   kBackupCrash,
+  kOccRebootFailback,
 };
 
 struct GoldenCase {
@@ -151,6 +155,11 @@ RunDigest RunCase(Case which) {
       return DigestRun(cfg, &ycsb, 40);
     case Case::kClosedOcc:
       cfg.mode = EngineMode::kNoSwitch;
+      cfg.cc_protocol = CcProtocol::kOcc;
+      return DigestRun(cfg, &ycsb, 40);
+    case Case::kClosedOccP4db:
+      // Mixed hot/warm/cold YCSB: OCC's warm path sends the switch
+      // sub-transaction between validation and the write phase.
       cfg.cc_protocol = CcProtocol::kOcc;
       return DigestRun(cfg, &ycsb, 40);
     case Case::kShardedSmallBank: {
@@ -228,6 +237,16 @@ RunDigest RunCase(Case which) {
           900 * kMicrosecond, 200 * kMicrosecond, /*switch_id=*/1));
       return DigestRun(cfg, &ycsb, 40, &schedule);
     }
+    case Case::kOccRebootFailback: {
+      // K = 1 under OCC: warm transactions parked at the switch time out,
+      // the dark window runs degraded OCC cold transactions, and failback
+      // re-provisions the registers.
+      cfg.cc_protocol = CcProtocol::kOcc;
+      net::FaultSchedule schedule;
+      schedule.events.push_back(net::FaultEvent::SwitchReboot(
+          900 * kMicrosecond, 200 * kMicrosecond));
+      return DigestRun(cfg, &ycsb, 40, &schedule);
+    }
   }
   return {};
 }
@@ -255,6 +274,8 @@ INSTANTIATE_TEST_SUITE_P(
                    0x9f90608e47c11206ULL},
         GoldenCase{Case::kClosedOcc, "closed_occ_noswitch", 124, 187,
                    0xc402841b7aa92b75ULL},
+        GoldenCase{Case::kClosedOccP4db, "closed_occ_p4db", 1542, 0,
+                   0x8992a5263d8a8f8aULL},
         GoldenCase{Case::kShardedSmallBank, "sharded_smallbank", 2685, 0,
                    0x3176e5383b1dcd83ULL},
         GoldenCase{Case::kShardedOpenLoop, "sharded_open_loop", 1455, 11,
@@ -282,17 +303,21 @@ INSTANTIATE_TEST_SUITE_P(
                    /*rejoins=*/1},
         GoldenCase{Case::kBackupCrash, "backup_crash", 1714, 0,
                    0x5d9df0e5e6e18788ULL, false, /*view_changes=*/0,
-                   /*rejoins=*/1}),
+                   /*rejoins=*/1},
+        GoldenCase{Case::kOccRebootFailback, "occ_reboot_failback", 1331, 104,
+                   0x391bc55584542f2fULL,
+                   /*degraded=*/true}),
     [](const ::testing::TestParamInfo<GoldenCase>& info) {
       return std::string(info.param.name);
     });
 
 // ExecuteOnce drives the same loop on an idle cluster: pin its results and
 // the registry it leaves behind (engine_test's warm-transaction case).
-TEST(EngineGoldenExecuteOnceTest, WarmTxnDigestIsPinned) {
+uint64_t WarmTxnDigest(CcProtocol protocol) {
   wl::Ycsb ycsb(SmallYcsb());
   SystemConfig cfg = SmallCluster();
   cfg.seed = 7;
+  cfg.cc_protocol = protocol;
   Engine engine(cfg);
   engine.SetWorkload(&ycsb);
   engine.Offload(5000, 40);
@@ -309,12 +334,23 @@ TEST(EngineGoldenExecuteOnceTest, WarmTxnDigestIsPinned) {
   Digest d;
   for (int i = 0; i < 3; ++i) {
     auto r = engine.ExecuteOnce(txn, static_cast<NodeId>(i));
-    ASSERT_TRUE(r.ok());
+    EXPECT_TRUE(r.ok());
+    if (!r.ok()) return 0;
     for (const Value64 v : *r) d.Add(static_cast<uint64_t>(v));
   }
   d.Add(engine.metrics_registry().ToJson());
   d.Add(engine.simulator().now());
-  EXPECT_EQ(d.value(), 0x8980030a80853cfcULL) << std::hex << "0x" << d.value();
+  return d.value();
+}
+
+TEST(EngineGoldenExecuteOnceTest, WarmTxnDigestIsPinned) {
+  const uint64_t d = WarmTxnDigest(CcProtocol::k2pl);
+  EXPECT_EQ(d, 0x8980030a80853cfcULL) << std::hex << "0x" << d;
+}
+
+TEST(EngineGoldenExecuteOnceTest, OccWarmTxnDigestIsPinned) {
+  const uint64_t d = WarmTxnDigest(CcProtocol::kOcc);
+  EXPECT_EQ(d, 0x3873d8625e2090dbULL) << std::hex << "0x" << d;
 }
 
 // Offline recovery from a mid-run crash: the reboot's dark period outlasts
