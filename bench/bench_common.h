@@ -66,15 +66,15 @@ int BenchThreads();
 double BenchOfferedLoad();
 
 /// Egress batch size from --batch=N (1 = batching off). RunWorkload applies
-/// it to every run the batcher supports (P4DB mode, 2PL, single switch) and
+/// it to every run the batcher supports (P4DB mode, single switch) and
 /// silently keeps the rest unbatched, so `--batch=8` is safe on any bench.
 uint32_t BenchBatchSize();
 
 /// INT telemetry from --int (postcard mode, zero modeled wire cost) and
 /// --int-wire-cost (implies --int; telemetry bytes charged to every
 /// request, recirculation and reply). RunWorkload arms INT on the runs that
-/// support it (P4DB mode, 2PL) and each armed run's BENCH entry gains a
-/// "critical_path" section.
+/// support it (P4DB mode, either CC protocol) and each armed run's BENCH
+/// entry gains a "critical_path" section.
 bool BenchIntEnabled();
 bool BenchIntWireCost();
 

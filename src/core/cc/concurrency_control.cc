@@ -22,11 +22,7 @@ sim::CoTask<bool> ConcurrencyControl::ExecuteAttempt(
       // failback drain no NEW degraded work may start (its host writes
       // would race the register re-install), so abort and let the worker's
       // backoff carry the transaction past the drain window.
-      if (ctx_.switches->switch_draining()) {
-        co_await sim::Delay(ctx_.Sim(), ctx_.timing().abort_cost);
-        timers->backoff += ctx_.timing().abort_cost;
-        co_return false;
-      }
+      if (ctx_.switches->switch_draining()) co_return co_await Abort(timers);
       failovers_[node]->Increment();
       ctx_.Trace().Instant(trace::Category::kDegraded, ts, node);
       ctx_.switches->EnterDegraded(node);
@@ -85,26 +81,73 @@ sim::CoTask<bool> ConcurrencyControl::ExecuteHot(
   // maintenance (Section 6.1) — the host-side cost of a switch txn.
   const SimTime host_cost =
       t.txn_setup + 2 * t.op_local * static_cast<SimTime>(txn.ops.size());
-  co_await sim::Delay(ctx_.Sim(), host_cost);
-  timers->local_work += host_cost;
+  co_await Spend(host_cost, &timers->local_work);
 
   auto compiled = CompileSwitchTxn(txn, *results, node);
   assert(compiled.ok() && "hot transaction must compile");
-
   // Log the intent BEFORE sending.
-  const SimTime wal_begin = ctx_.Now();
-  co_await sim::Delay(ctx_.Sim(), t.wal_append);
-  timers->local_work += t.wal_append;
-  const db::Lsn lsn = LogSwitchIntent(node, compiled->txn);
-  ctx_.Trace().CompleteSpan(wal_begin, ctx_.Now(),
-                            trace::Category::kWalAppend, ts, node);
-  if (auto* ic = ctx_.Int(node)) ic->RecordWal(ctx_.Now() - wal_begin);
+  const db::Lsn lsn = co_await LogSwitchIntent(node, compiled->txn, ts, timers);
+  co_await SwitchRoundTrip(node, /*txn_id=*/0, ts, *compiled, lsn, NodeSet{},
+                           results, timers);
+  co_return co_await CommitLocal(node, ts, timers);
+}
 
+ConcurrencyControl::WarmSplit ConcurrencyControl::SplitWarmOps(
+    const db::Transaction& txn) const {
+  WarmSplit split{SmallVector<uint8_t, 64>(txn.ops.size(), 0),
+                  SmallVector<uint8_t, 64>(txn.ops.size(), 0)};
+  auto& is_hot_op = split.is_hot_op;
+  auto& deferred = split.deferred;
+  for (size_t i = 0; i < txn.ops.size(); ++i) {
+    const db::Op& op = txn.ops[i];
+    if (op.type != db::OpType::kInsert && !op.key_from_src &&
+        ctx_.pm->IsHot(HotItem{op.tuple, op.column})) {
+      is_hot_op[i] = true;
+      continue;
+    }
+    const auto depends_deferred = [&](int16_t src) {
+      return src >= 0 && (is_hot_op[src] || deferred[src]);
+    };
+    deferred[i] = op.type == db::OpType::kInsert ||
+                  depends_deferred(op.operand_src) ||
+                  depends_deferred(op.operand_src2);
+    // Same-tuple program order: once an op on a tuple is deferred, every
+    // later cold op on that tuple must defer too.
+    for (size_t k = 0; !deferred[i] && k < i; ++k) {
+      deferred[i] = deferred[k] && !is_hot_op[k] &&
+                    txn.ops[k].type != db::OpType::kInsert &&
+                    txn.ops[k].tuple == op.tuple &&
+                    txn.ops[k].column == op.column;
+    }
+  }
+  return split;
+}
+
+sim::CoTask<db::Lsn> ConcurrencyControl::LogSwitchIntent(NodeId node,
+                                                         sw::SwitchTxn& txn,
+                                                         uint64_t ts,
+                                                         TxnTimers* timers) {
+  const SimTime begin = ctx_.Now();
+  co_await Spend(ctx_.timing().wal_append, &timers->local_work);
+  txn.epoch = static_cast<uint8_t>(ctx_.switches->switch_epoch());
+  const db::Lsn lsn =
+      ctx_.wal(node).AppendSwitchIntent(txn.client_seq, txn.instrs);
+  ctx_.Trace().CompleteSpan(begin, ctx_.Now(), trace::Category::kWalAppend,
+                            ts, node);
+  if (auto* ic = ctx_.Int(node)) ic->RecordWal(ctx_.Now() - begin);
+  co_return lsn;
+}
+
+sim::CoTask<bool> ConcurrencyControl::SwitchRoundTrip(
+    NodeId node, uint64_t txn_id, uint64_t ts,
+    PartitionManager::Compiled& compiled, db::Lsn lsn,
+    const NodeSet& participants, std::vector<std::optional<Value64>>* results,
+    TxnTimers* timers) {
   const net::Endpoint self = net::Endpoint::Node(node);
-  const size_t wire = sw::PacketCodec::WireSize(compiled->txn);
-  const size_t resp = sw::PacketCodec::ResponseWireSize(
-      compiled->txn.instrs.size(), compiled->txn.int_wire_cost());
-  const auto& op_index = compiled->op_index;
+  const auto wire =
+      static_cast<uint32_t>(sw::PacketCodec::WireSize(compiled.txn));
+  const auto resp = static_cast<uint32_t>(sw::PacketCodec::ResponseWireSize(
+      compiled.txn.instrs.size(), compiled.txn.int_wire_cost()));
 
   const SimTime t0 = ctx_.Now();
   // INT egress-batch term: when batching is on, the flush instant lands
@@ -113,43 +156,40 @@ sim::CoTask<bool> ConcurrencyControl::ExecuteHot(
   SimTime flushed = t0;
   if (ctx_.batcher != nullptr) {
     co_await ctx_.batcher->JoinRequest(
-        node,
-        static_cast<uint32_t>(wire - sw::PacketCodec::kFrameOverheadBytes),
-        ts, &flushed);
+        node, wire - sw::PacketCodec::kFrameOverheadBytes, ts, &flushed);
   } else {
-    co_await ctx_.SendMsg(self, ctx_.SwitchEp(), static_cast<uint32_t>(wire),
-                          ts);
+    co_await ctx_.SendMsg(self, ctx_.SwitchEp(), wire, ts);
   }
   std::optional<sw::SwitchResult> res =
-      co_await SubmitToSwitch(std::move(compiled->txn));
+      co_await SubmitToSwitch(std::move(compiled.txn));
   if (!res.has_value()) {
     // Deadline fired (switch rebooted mid-flight). The intent is logged, so
-    // this transaction IS committed — the packet either executed before the
+    // the switch part IS committed — the packet either executed before the
     // crash (response lost with the reboot) or recovery replays the intent
-    // exactly once. No result values land in `results`; downstream
-    // consumers see nullopt, exactly like a reader on a crashed node.
+    // exactly once. No multicast will arrive, so the coordinator itself
+    // tells the participants to commit & release, one node-to-node hop
+    // away. No result values land in `results`; downstream consumers see
+    // nullopt, exactly like a reader on a crashed node.
     txn_timeouts_->Increment();
     timers->switch_access += ctx_.Now() - t0;
     ctx_.Trace().CompleteSpan(t0, ctx_.Now(),
                               trace::Category::kSwitchAccess, ts, node);
+    const SimTime one_way_node = 2 * config().network.node_to_switch_one_way;
+    participants.ForEachReverse([&](NodeId p) {
+      ctx_.ScheduleRelease(p, one_way_node, txn_id);
+    });
     // The deadline observer lives on the home node; hop back there (no-op
-    // in legacy mode) before running the host-side local commit.
+    // in legacy mode) before the host-side phases that follow.
     co_await ctx_.ReturnHome(node);
-    const SimTime c0 = ctx_.Now();
-    co_await sim::Delay(ctx_.Sim(), t.commit_local);
-    timers->commit += t.commit_local;
-    ctx_.Trace().CompleteSpan(c0, ctx_.Now(), trace::Category::kCommit,
-                              ts, node);
-    co_return true;
+    co_return false;
   }
-  if (ctx_.batcher != nullptr) {
+  if (!participants.empty()) {
+    co_await ctx_.CommitMulticast(node, resp, txn_id, participants);
+  } else if (ctx_.batcher != nullptr) {
     co_await ctx_.batcher->JoinResponse(
-        node,
-        static_cast<uint32_t>(resp - sw::PacketCodec::kFrameOverheadBytes),
-        ts);
+        node, resp - sw::PacketCodec::kFrameOverheadBytes, ts);
   } else {
-    co_await ctx_.SendMsg(ctx_.SwitchEp(), self, static_cast<uint32_t>(resp),
-                          ts);
+    co_await ctx_.SendMsg(ctx_.SwitchEp(), self, resp, ts);
   }
   timers->switch_access += ctx_.Now() - t0;
   ctx_.Trace().CompleteSpan(t0, ctx_.Now(),
@@ -163,17 +203,41 @@ sim::CoTask<bool> ConcurrencyControl::ExecuteHot(
   if (!(*ctx_.node_crashed)[node]) {
     ctx_.wal(node).FillSwitchResult(lsn, res->gid, res->values);
   }
-  for (size_t i = 0; i < op_index.size(); ++i) {
-    (*results)[op_index[i]] = res->values[i];
+  for (size_t i = 0; i < compiled.op_index.size(); ++i) {
+    (*results)[compiled.op_index[i]] = res->values[i];
   }
-
-  const SimTime c0 = ctx_.Now();
-  co_await sim::Delay(ctx_.Sim(), t.commit_local);
-  timers->commit += t.commit_local;
-  ctx_.Trace().CompleteSpan(c0, ctx_.Now(), trace::Category::kCommit, ts,
-                            node);
-  if (auto* ic = ctx_.Int(node)) ic->RecordCommit(ctx_.Now() - c0);
   co_return true;
+}
+
+sim::CoTask<bool> ConcurrencyControl::LogHostCommit(NodeId node,
+                                                    const WriteLog& writes,
+                                                    uint64_t ts,
+                                                    TxnTimers* timers) {
+  const SimTime begin = ctx_.Now();
+  co_await Spend(ctx_.timing().wal_append, &timers->local_work);
+  SmallVector<db::HostLogOp, 8> log_ops;
+  for (const LoggedWrite& w : writes) {
+    log_ops.push_back(db::HostLogOp{w.tuple, w.column, *w.cell});
+  }
+  ctx_.wal(node).AppendHostCommit(log_ops);
+  ctx_.Trace().CompleteSpan(begin, ctx_.Now(), trace::Category::kWalAppend,
+                            ts, node);
+  co_return true;
+}
+
+sim::CoTask<bool> ConcurrencyControl::CommitLocal(NodeId node, uint64_t ts,
+                                                  TxnTimers* timers) {
+  const SimTime begin = ctx_.Now();
+  co_await Spend(ctx_.timing().commit_local, &timers->commit);
+  ctx_.Trace().CompleteSpan(begin, ctx_.Now(), trace::Category::kCommit, ts,
+                            node);
+  if (auto* ic = ctx_.Int(node)) ic->RecordCommit(ctx_.Now() - begin);
+  co_return true;
+}
+
+sim::CoTask<bool> ConcurrencyControl::Abort(TxnTimers* timers) {
+  co_await Spend(ctx_.timing().abort_cost, &timers->backoff);
+  co_return false;
 }
 
 Value64 ConcurrencyControl::ApplyHostOp(

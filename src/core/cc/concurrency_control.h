@@ -8,6 +8,7 @@
 
 #include "common/small_vector.h"
 #include "core/cc/execution_context.h"
+#include "core/cc/node_set.h"
 #include "core/metrics.h"
 #include "db/txn.h"
 #include "sim/co_task.h"
@@ -104,21 +105,46 @@ class ConcurrencyControl {
                                std::vector<std::optional<Value64>>* results,
                                TxnTimers* timers);
 
+  /// A warm transaction's ops split three ways (Figure 8): hot ops run in
+  /// the switch sub-transaction; deferred cold ops (inserts and cold ops
+  /// consuming hot or deferred results) run after it, under locks or
+  /// validation the cold part already holds; every other cold op runs
+  /// before it.
+  struct WarmSplit {
+    SmallVector<uint8_t, 64> is_hot_op;
+    SmallVector<uint8_t, 64> deferred;
+  };
+  WarmSplit SplitWarmOps(const db::Transaction& txn) const;
+
   /// Compiles `txn`'s hot part into a switch packet under `node`'s next
   /// client sequence number, INT-armed when telemetry is on.
   StatusOr<PartitionManager::Compiled> CompileSwitchTxn(
       const db::Transaction& txn,
       std::span<const std::optional<Value64>> resolved, NodeId node);
 
-  /// Stamps `txn` with the current switch epoch (mod 256, the packet
-  /// field's width) and logs its intent in one synchronous block: the epoch
-  /// fence relies on packet epoch == epoch-at-append, so the failback
-  /// replay and the pipeline agree on exactly one applier for every intent.
-  /// From here on the switch transaction counts as committed (Section 6.1).
-  db::Lsn LogSwitchIntent(NodeId node, sw::SwitchTxn& txn) {
-    txn.epoch = static_cast<uint8_t>(ctx_.switches->switch_epoch());
-    return ctx_.wal(node).AppendSwitchIntent(txn.client_seq, txn.instrs);
-  }
+  /// Charges the WAL append, then stamps `txn` with the current switch
+  /// epoch (mod 256, the packet field's width) and logs its intent in one
+  /// synchronous block: the epoch fence relies on packet epoch ==
+  /// epoch-at-append, so the failback replay and the pipeline agree on
+  /// exactly one applier for every intent. From here on the switch
+  /// transaction counts as committed (Section 6.1).
+  sim::CoTask<db::Lsn> LogSwitchIntent(NodeId node, sw::SwitchTxn& txn,
+                                       uint64_t ts, TxnTimers* timers);
+
+  /// The switch sub-transaction's round trip, shared by every class and CC
+  /// protocol: sends `compiled` (through the egress batcher when one is
+  /// armed), awaits the switch and brings the answer home. With
+  /// `participants`, the switch's commit multicast doubles as their commit
+  /// message and releases `txn_id` there (Figure 10). Answered, the intent
+  /// at `lsn` gets its gid and values, and the hot results land in
+  /// `results`; returns true. Timed out, the coordinator releases the
+  /// participants itself, the hot results stay nullopt and it returns
+  /// false (the transaction is still committed: see SubmitToSwitch).
+  sim::CoTask<bool> SwitchRoundTrip(
+      NodeId node, uint64_t txn_id, uint64_t ts,
+      PartitionManager::Compiled& compiled, db::Lsn lsn,
+      const NodeSet& participants,
+      std::vector<std::optional<Value64>>* results, TxnTimers* timers);
 
   /// Sends one compiled switch transaction whose intent LogSwitchIntent
   /// logged. With no chaos harness armed this is exactly the historical
@@ -130,6 +156,26 @@ class ConcurrencyControl {
   /// (at-most-once on the wire).
   sim::CoTask<std::optional<sw::SwitchResult>> SubmitToSwitch(
       sw::SwitchTxn txn);
+
+  /// Charges `writes` (their cells' values as of the append) to `node`'s
+  /// WAL as one host commit record, after the wal_append delay.
+  sim::CoTask<bool> LogHostCommit(NodeId node, const WriteLog& writes,
+                                  uint64_t ts, TxnTimers* timers);
+
+  /// Local commit of a transaction whose switch part is decided: the
+  /// commit_local charge and its span. Returns true.
+  sim::CoTask<bool> CommitLocal(NodeId node, uint64_t ts, TxnTimers* timers);
+
+  /// Pays the abort cost as backoff. Returns false, the aborted attempt's
+  /// result.
+  sim::CoTask<bool> Abort(TxnTimers* timers);
+
+  /// Awaitable host-side delay of `d` on the current shard, charged to
+  /// `*timer`.
+  sim::DelayAwaiter Spend(SimTime d, int64_t* timer) const {
+    *timer += d;
+    return sim::Delay(ctx_.Sim(), d);
+  }
 
   /// Applies one op to host storage. `writes` collects every applied write
   /// (inserts excepted) — used to build the WAL commit record. There is no

@@ -7,6 +7,7 @@
 #include "common/metrics_registry.h"
 #include "common/trace.h"
 #include "common/types.h"
+#include "core/cc/node_set.h"
 #include "core/config.h"
 #include "core/int_collector.h"
 #include "core/partition_manager.h"
@@ -179,29 +180,49 @@ struct ExecutionContext {
     }
   }
 
-  /// Awaitable sharded-mode switch multicast: releases `txn_id` on every
-  /// participant at that node's arrival time and resumes the caller on
-  /// `self`'s shard at its own arrival. Caller must be on the switch shard
-  /// and must only use this when router != nullptr (the legacy path keeps
-  /// the original MulticastFromSwitch + ScheduleAt sequence).
+  /// Awaitable switch multicast of the commit decision (Figure 10):
+  /// releases `txn_id` on every participant at that node's arrival and
+  /// resumes the caller at `self`'s own arrival. Legacy mode schedules the
+  /// releases in the set's reverse insertion order; sharded mode reserves
+  /// the downlinks on the switch shard (where the caller must be) and
+  /// resumes the caller on `self`'s shard.
   struct MulticastAwaiter {
     const ExecutionContext* ctx;
     NodeId self;
     uint32_t bytes;
     uint64_t txn_id;
-    uint64_t participant_mask;
+    const NodeSet* participants;
+    SimTime legacy_delay = 0;
 
-    bool await_ready() const noexcept { return false; }
+    bool await_ready() {
+      if (ctx->router != nullptr) return false;
+      const auto arrivals = ctx->net->MulticastFromSwitch(
+          bytes, ctx->switches->primary_switch());
+      participants->ForEachReverse([&](NodeId p) {
+        db::LockManager* lm = &ctx->lock_manager(p);
+        ctx->sim->ScheduleAt(arrivals[p],
+                             [lm, id = txn_id] { lm->ReleaseAll(id); });
+      });
+      legacy_delay = arrivals[self] - ctx->sim->now();
+      return legacy_delay <= 0;
+    }
     void await_suspend(std::coroutine_handle<> h) const {
-      ctx->router->MulticastCommit(self, bytes, txn_id, participant_mask,
+      if (ctx->router == nullptr) {
+        ctx->sim->ScheduleResume(legacy_delay, h);
+        return;
+      }
+      uint64_t mask = 0;
+      participants->ForEachReverse(
+          [&mask](NodeId p) { mask |= uint64_t{1} << p; });
+      ctx->router->MulticastCommit(self, bytes, txn_id, mask,
                                    *ctx->lock_managers, h);
     }
     void await_resume() const noexcept {}
   };
   MulticastAwaiter CommitMulticast(NodeId self, uint32_t bytes,
                                    uint64_t txn_id,
-                                   uint64_t participant_mask) const {
-    return MulticastAwaiter{this, self, bytes, txn_id, participant_mask};
+                                   const NodeSet& participants) const {
+    return MulticastAwaiter{this, self, bytes, txn_id, &participants};
   }
 };
 

@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "core/cc/node_set.h"
-#include "switchsim/packet.h"
-
 namespace p4db::core::cc {
 
 uint64_t OptimisticCC::VersionOf(const TupleId& tuple) const {
@@ -57,6 +54,7 @@ Value64 OptimisticCC::OccApplyOp(
 
   const auto buffer_write = [&](Value64 v) {
     if (!ctx->write_buffer.contains(cell)) {
+      ctx->written.push_back(cell);
       bool known = false;
       for (const TupleId& t : ctx->write_set) known |= (t == effective);
       if (!known && !op.key_from_src) ctx->write_set.push_back(effective);
@@ -91,57 +89,53 @@ Value64 OptimisticCC::OccApplyOp(
   return 0;
 }
 
-sim::CoTask<bool> OptimisticCC::ExecuteCold(
-    NodeId node, db::Transaction& txn, uint64_t txn_id, uint64_t ts,
-    std::vector<std::optional<Value64>>* results, TxnTimers* timers) {
-  sim::Simulator& sim = *ctx_.sim;
-  const TimingConfig& t = config().timing;
-  co_await sim::Delay(sim, t.txn_setup);
-  timers->local_work += t.txn_setup;
-
-  // ---- READ PHASE ----
-  OccContext occ;
-  const net::Endpoint self = net::Endpoint::Node(node);
-  for (size_t i = 0; i < txn.ops.size(); ++i) {
-    const db::Op& op = txn.ops[i];
-    const NodeId owner = ctx_.catalog->OwnerOf(op.tuple);
-    if (op.type != db::OpType::kInsert &&
-        !ctx_.catalog->IsReplicated(op.tuple.table) && owner != node &&
-        !occ.fetched.contains(op.tuple)) {
-      // Remote snapshot read: one data round trip per distinct tuple.
-      const SimTime t0 = sim.now();
-      co_await ctx_.net->Send(self, net::Endpoint::Node(owner),
-                              kDataRequestBytes, ts);
-      co_await ctx_.net->Send(net::Endpoint::Node(owner), self,
-                              kDataRequestBytes, ts);
-      timers->remote_access += sim.now() - t0;
-      occ.fetched.insert(op.tuple);
-    }
-    (*results)[i] = OccApplyOp(op, *results, &occ);
+sim::CoTask<bool> OptimisticCC::ReadOp(
+    NodeId node, const db::Transaction& txn, size_t i,
+    std::vector<std::optional<Value64>>* results, OccContext* occ,
+    uint64_t ts, TxnTimers* timers) {
+  const db::Op& op = txn.ops[i];
+  const NodeId owner = ctx_.catalog->OwnerOf(op.tuple);
+  if (op.type != db::OpType::kInsert &&
+      !ctx_.catalog->IsReplicated(op.tuple.table) && owner != node &&
+      !occ->fetched.contains(op.tuple)) {
+    // Remote snapshot read: one data round trip per distinct tuple.
+    const net::Endpoint self = net::Endpoint::Node(node);
+    const SimTime t0 = ctx_.Now();
+    co_await ctx_.SendMsg(self, net::Endpoint::Node(owner), kDataRequestBytes,
+                          ts);
+    co_await ctx_.SendMsg(net::Endpoint::Node(owner), self, kDataRequestBytes,
+                          ts);
+    timers->remote_access += ctx_.Now() - t0;
+    occ->fetched.insert(op.tuple);
   }
-  const SimTime exec_cost = t.op_local * static_cast<SimTime>(txn.ops.size());
-  co_await sim::Delay(sim, exec_cost);
-  timers->local_work += exec_cost;
+  (*results)[i] = OccApplyOp(op, *results, occ);
+  co_return true;
+}
 
-  // ---- VALIDATION PHASE ----
-  const SimTime validate_begin = sim.now();
+sim::CoTask<bool> OptimisticCC::Validate(
+    NodeId node, const SmallVector<TupleId, 8>& to_lock,
+    const OccContext& occ, uint64_t txn_id, uint64_t ts, TxnTimers* timers,
+    NodeSet* participants) {
+  const net::Endpoint self = net::Endpoint::Node(node);
+  const SimTime validate_begin = ctx_.Now();
   bool valid = true;
-  for (const TupleId& tuple : occ.write_set) {
+  for (const TupleId& tuple : to_lock) {
     const NodeId owner = ctx_.catalog->OwnerOf(tuple);
-    const SimTime t0 = sim.now();
+    if (owner != node) participants->insert(owner);
+    const SimTime t0 = ctx_.Now();
     if (owner != node) {
-      co_await ctx_.net->Send(self, net::Endpoint::Node(owner),
-                              kDataRequestBytes, ts);
+      co_await ctx_.SendMsg(self, net::Endpoint::Node(owner),
+                            kDataRequestBytes, ts);
     }
-    co_await sim::Delay(sim, t.lock_op);
+    co_await sim::Delay(ctx_.Sim(), ctx_.timing().lock_op);
     Status st = co_await ctx_.lock_manager(owner).Acquire(
         txn_id, ts, tuple, db::LockMode::kExclusive);
     if (owner != node) {
-      co_await ctx_.net->Send(net::Endpoint::Node(owner), self,
-                              kDataRequestBytes, ts);
+      co_await ctx_.SendMsg(net::Endpoint::Node(owner), self,
+                            kDataRequestBytes, ts);
     }
-    timers->lock_wait += sim.now() - t0;
-    ctx_.tracer->CompleteSpan(t0, sim.now(), trace::Category::kLockWait, ts,
+    timers->lock_wait += ctx_.Now() - t0;
+    ctx_.Trace().CompleteSpan(t0, ctx_.Now(), trace::Category::kLockWait, ts,
                               node);
     if (!st.ok()) {
       valid = false;
@@ -156,20 +150,18 @@ sim::CoTask<bool> OptimisticCC::ExecuteCold(
       }
     }
   }
-  ctx_.tracer->CompleteSpan(validate_begin, sim.now(),
+  ctx_.Trace().CompleteSpan(validate_begin, ctx_.Now(),
                             trace::Category::kValidate, ts, node,
                             /*attempt=*/0, /*pass=*/0,
                             /*aux=*/valid ? 1u : 0u);
-  if (!valid) {
-    for (NodeId n = 0; n < ctx_.num_nodes(); ++n) {
-      ctx_.lock_manager(n).ReleaseAll(txn_id);
-    }
-    co_await sim::Delay(sim, t.abort_cost);
-    timers->backoff += t.abort_cost;
-    co_return false;
+  if (valid) co_return true;
+  for (NodeId n = 0; n < ctx_.num_nodes(); ++n) {
+    ctx_.lock_manager(n).ReleaseAll(txn_id);
   }
+  co_return co_await Abort(timers);
+}
 
-  // ---- WRITE PHASE ----
+void OptimisticCC::WriteBack(const OccContext& occ) {
   for (const auto& [cell, value] : occ.write_buffer) {
     ctx_.catalog->table(cell.tuple.table).GetOrCreate(cell.tuple.key)
         [cell.column] = value;
@@ -178,32 +170,46 @@ sim::CoTask<bool> OptimisticCC::ExecuteCold(
     ctx_.catalog->table(cell.tuple.table).GetOrCreate(cell.tuple.key)
         [cell.column] = value;
   }
-  SmallVector<db::HostLogOp, 8> writes;
-  for (const TupleId& tuple : occ.write_set) {
-    ++versions_[tuple];
-    writes.push_back(db::HostLogOp{tuple, 0, 0});
-  }
-  const SimTime wal_begin = sim.now();
-  co_await sim::Delay(sim, t.wal_append);
-  timers->local_work += t.wal_append;
-  ctx_.wal(node).AppendHostCommit(writes);
-  ctx_.tracer->CompleteSpan(wal_begin, sim.now(),
-                            trace::Category::kWalAppend, ts, node);
+  for (const TupleId& tuple : occ.write_set) ++versions_[tuple];
+}
 
-  bool has_remote = false;
-  for (const TupleId& tuple : occ.write_set) {
-    has_remote |= (ctx_.catalog->OwnerOf(tuple) != node);
+sim::CoTask<bool> OptimisticCC::ExecuteCold(
+    NodeId node, db::Transaction& txn, uint64_t txn_id, uint64_t ts,
+    std::vector<std::optional<Value64>>* results, TxnTimers* timers) {
+  const TimingConfig& t = config().timing;
+  co_await Spend(t.txn_setup, &timers->local_work);
+
+  OccContext occ;
+  for (size_t i = 0; i < txn.ops.size(); ++i) {
+    co_await ReadOp(node, txn, i, results, &occ, ts, timers);
   }
-  const SimTime commit_begin = sim.now();
-  if (has_remote) {
+  co_await Spend(t.op_local * static_cast<SimTime>(txn.ops.size()),
+                 &timers->local_work);
+
+  NodeSet participants;
+  if (!co_await Validate(node, occ.write_set, occ, txn_id, ts, timers,
+                         &participants)) {
+    co_return false;
+  }
+
+  WriteBack(occ);
+  // The commit record carries every written cell once, with its final
+  // value, in first-write order (inserts excepted, as under 2PL).
+  WriteLog writes;
+  for (const HotItem& cell : occ.written) {
+    writes.push_back(LoggedWrite{cell.tuple, cell.column,
+                                 occ.write_buffer.find(cell)});
+  }
+  co_await LogHostCommit(node, writes, ts, timers);
+
+  const SimTime commit_begin = ctx_.Now();
+  if (!participants.empty()) {
     const SimTime rtt = ctx_.NodeRttEstimate();
-    co_await sim::Delay(sim, 2 * rtt + t.wal_append);  // 2PC rounds
-    timers->commit += 2 * rtt + t.wal_append;
+    co_await Spend(2 * rtt + t.wal_append, &timers->commit);  // 2PC rounds
   } else {
-    co_await sim::Delay(sim, t.commit_local);
-    timers->commit += t.commit_local;
+    co_await Spend(t.commit_local, &timers->commit);
   }
-  ctx_.tracer->CompleteSpan(commit_begin, sim.now(),
+  ctx_.Trace().CompleteSpan(commit_begin, ctx_.Now(),
                             trace::Category::kCommit, ts, node);
   for (NodeId n = 0; n < ctx_.num_nodes(); ++n) {
     ctx_.lock_manager(n).ReleaseAll(txn_id);
@@ -214,206 +220,57 @@ sim::CoTask<bool> OptimisticCC::ExecuteCold(
 sim::CoTask<bool> OptimisticCC::ExecuteWarm(
     NodeId node, db::Transaction& txn, uint64_t txn_id, uint64_t ts,
     std::vector<std::optional<Value64>>* results, TxnTimers* timers) {
-  sim::Simulator& sim = *ctx_.sim;
   const TimingConfig& t = config().timing;
-  co_await sim::Delay(sim, t.txn_setup);
-  timers->local_work += t.txn_setup;
+  co_await Spend(t.txn_setup, &timers->local_work);
 
-  // Partition ops as in the 2PL warm path: hot (switch), deferred cold
-  // (after the switch sub-txn), immediate cold (read phase now).
-  SmallVector<uint8_t, 64> is_hot_op(txn.ops.size(), 0);
-  SmallVector<uint8_t, 64> deferred(txn.ops.size(), 0);
-  for (size_t i = 0; i < txn.ops.size(); ++i) {
-    const db::Op& op = txn.ops[i];
-    if (op.type != db::OpType::kInsert && !op.key_from_src &&
-        ctx_.pm->IsHot(HotItem{op.tuple, op.column})) {
-      is_hot_op[i] = true;
-      continue;
-    }
-    const auto dep = [&](int16_t src) {
-      return src >= 0 && (is_hot_op[src] || deferred[src]);
-    };
-    deferred[i] = op.type == db::OpType::kInsert || dep(op.operand_src) ||
-                  dep(op.operand_src2);
-    for (size_t k = 0; !deferred[i] && k < i; ++k) {
-      deferred[i] = deferred[k] && !is_hot_op[k] &&
-                    txn.ops[k].type != db::OpType::kInsert &&
-                    txn.ops[k].tuple == op.tuple &&
-                    txn.ops[k].column == op.column;
-    }
-  }
-
-  // ---- READ PHASE (immediate cold ops) ----
+  // ---- READ PHASE (immediate cold ops; see SplitWarmOps) ----
+  const WarmSplit split = SplitWarmOps(txn);
   OccContext occ;
-  const net::Endpoint self = net::Endpoint::Node(node);
   size_t cold_ops = 0;
   for (size_t i = 0; i < txn.ops.size(); ++i) {
-    if (is_hot_op[i] || deferred[i]) continue;
-    const db::Op& op = txn.ops[i];
-    const NodeId owner = ctx_.catalog->OwnerOf(op.tuple);
-    if (!ctx_.catalog->IsReplicated(op.tuple.table) && owner != node &&
-        !occ.fetched.contains(op.tuple)) {
-      const SimTime t0 = sim.now();
-      co_await ctx_.net->Send(self, net::Endpoint::Node(owner),
-                              kDataRequestBytes, ts);
-      co_await ctx_.net->Send(net::Endpoint::Node(owner), self,
-                              kDataRequestBytes, ts);
-      timers->remote_access += sim.now() - t0;
-      occ.fetched.insert(op.tuple);
-    }
-    (*results)[i] = OccApplyOp(op, *results, &occ);
+    if (split.is_hot_op[i] || split.deferred[i]) continue;
+    co_await ReadOp(node, txn, i, results, &occ, ts, timers);
     ++cold_ops;
   }
-  if (cold_ops > 0) {
-    const SimTime exec_cost = t.op_local * static_cast<SimTime>(cold_ops);
-    co_await sim::Delay(sim, exec_cost);
-    timers->local_work += exec_cost;
-  }
+  co_await Spend(t.op_local * static_cast<SimTime>(cold_ops),
+                 &timers->local_work);
 
   // ---- VALIDATION PHASE ----
   // Deferred cold ops run after the switch sub-transaction, so their
   // tuples must be locked now (they are not yet in the write buffer).
   SmallVector<TupleId, 8> to_lock = occ.write_set;
   for (size_t i = 0; i < txn.ops.size(); ++i) {
-    if (!deferred[i] || txn.ops[i].type == db::OpType::kInsert) continue;
+    if (!split.deferred[i] || txn.ops[i].type == db::OpType::kInsert) continue;
     bool known = false;
     for (const TupleId& t2 : to_lock) known |= (t2 == txn.ops[i].tuple);
     if (!known) to_lock.push_back(txn.ops[i].tuple);
   }
-  const SimTime validate_begin = sim.now();
-  bool valid = true;
   NodeSet participants;
-  for (const TupleId& tuple : to_lock) {
-    const NodeId owner = ctx_.catalog->OwnerOf(tuple);
-    if (owner != node) participants.insert(owner);
-    const SimTime t0 = sim.now();
-    if (owner != node) {
-      co_await ctx_.net->Send(self, net::Endpoint::Node(owner),
-                              kDataRequestBytes, ts);
-    }
-    co_await sim::Delay(sim, t.lock_op);
-    Status st = co_await ctx_.lock_manager(owner).Acquire(
-        txn_id, ts, tuple, db::LockMode::kExclusive);
-    if (owner != node) {
-      co_await ctx_.net->Send(net::Endpoint::Node(owner), self,
-                              kDataRequestBytes, ts);
-    }
-    timers->lock_wait += sim.now() - t0;
-    ctx_.tracer->CompleteSpan(t0, sim.now(), trace::Category::kLockWait, ts,
-                              node);
-    if (!st.ok()) {
-      valid = false;
-      break;
-    }
-  }
-  if (valid) {
-    for (const auto& [tuple, version] : occ.read_versions) {
-      if (VersionOf(tuple) != version) {
-        valid = false;
-        break;
-      }
-    }
-  }
-  ctx_.tracer->CompleteSpan(validate_begin, sim.now(),
-                            trace::Category::kValidate, ts, node,
-                            /*attempt=*/0, /*pass=*/0,
-                            /*aux=*/valid ? 1u : 0u);
-  if (!valid) {
-    for (NodeId n = 0; n < ctx_.num_nodes(); ++n) {
-      ctx_.lock_manager(n).ReleaseAll(txn_id);
-    }
-    co_await sim::Delay(sim, t.abort_cost);
-    timers->backoff += t.abort_cost;
+  if (!co_await Validate(node, to_lock, occ, txn_id, ts, timers,
+                         &participants)) {
     co_return false;
   }
 
   // ---- SWITCH SUB-TRANSACTION (validated: can no longer abort) ----
+  // The switch's commit multicast releases the remote validation locks.
   auto compiled = CompileSwitchTxn(txn, *results, node);
   assert(compiled.ok() && "warm transaction's hot part must compile");
-  const SimTime wal_begin = sim.now();
-  co_await sim::Delay(sim, t.wal_append);
-  timers->local_work += t.wal_append;
-  const db::Lsn lsn = LogSwitchIntent(node, compiled->txn);
-  ctx_.tracer->CompleteSpan(wal_begin, sim.now(),
-                            trace::Category::kWalAppend, ts, node);
+  const db::Lsn lsn = co_await LogSwitchIntent(node, compiled->txn, ts, timers);
+  co_await SwitchRoundTrip(node, txn_id, ts, *compiled, lsn, participants,
+                           results, timers);
 
-  const size_t wire = sw::PacketCodec::WireSize(compiled->txn);
-  const size_t resp_bytes =
-      sw::PacketCodec::ResponseWireSize(compiled->txn.instrs.size());
-  const auto& op_index = compiled->op_index;
-
-  const SimTime t0 = sim.now();
-  co_await ctx_.net->Send(self, net::Endpoint::Switch(),
-                          static_cast<uint32_t>(wire), ts);
-  std::optional<sw::SwitchResult> res =
-      co_await SubmitToSwitch(std::move(compiled->txn));
-  if (!res.has_value()) {
-    // Deadline fired: the logged intent makes the switch part committed
-    // (recovery applies it exactly once); no multicast will arrive, so the
-    // coordinator itself releases the remote validation locks. Hot results
-    // stay nullopt.
-    txn_timeouts_->Increment();
-    timers->switch_access += sim.now() - t0;
-    ctx_.tracer->CompleteSpan(t0, sim.now(),
-                              trace::Category::kSwitchAccess, ts, node);
-    const SimTime one_way_node = 2 * config().network.node_to_switch_one_way;
-    participants.ForEachReverse([&](NodeId p) {
-      db::LockManager* lm = &ctx_.lock_manager(p);
-      ctx_.sim->Schedule(one_way_node,
-                         [lm, txn_id] { lm->ReleaseAll(txn_id); });
-    });
-  } else {
-    if (!participants.empty()) {
-      const auto arrivals =
-          ctx_.net->MulticastFromSwitch(static_cast<uint32_t>(resp_bytes));
-      participants.ForEachReverse([&](NodeId p) {
-        db::LockManager* lm = &ctx_.lock_manager(p);
-        ctx_.sim->ScheduleAt(arrivals[p],
-                             [lm, txn_id] { lm->ReleaseAll(txn_id); });
-      });
-      co_await sim::Delay(sim, arrivals[node] - sim.now());
-    } else {
-      co_await ctx_.net->Send(net::Endpoint::Switch(), self,
-                              static_cast<uint32_t>(resp_bytes), ts);
-    }
-    timers->switch_access += sim.now() - t0;
-    ctx_.tracer->CompleteSpan(t0, sim.now(),
-                              trace::Category::kSwitchAccess, ts, node);
-    if (!(*ctx_.node_crashed)[node]) {
-      ctx_.wal(node).FillSwitchResult(lsn, res->gid, res->values);
-    }
-    for (size_t i = 0; i < op_index.size(); ++i) {
-      (*results)[op_index[i]] = res->values[i];
-    }
-  }
-
-  // ---- WRITE PHASE (buffer + deferred ops) ----
+  // ---- WRITE PHASE (deferred ops + buffer) ----
   size_t deferred_ops = 0;
   for (size_t i = 0; i < txn.ops.size(); ++i) {
-    if (!deferred[i]) continue;
+    if (!split.deferred[i]) continue;
     (*results)[i] = OccApplyOp(txn.ops[i], *results, &occ);
     ++deferred_ops;
   }
-  if (deferred_ops > 0) {
-    const SimTime def_cost = t.op_local * static_cast<SimTime>(deferred_ops);
-    co_await sim::Delay(sim, def_cost);
-    timers->local_work += def_cost;
-  }
-  for (const auto& [cell, value] : occ.write_buffer) {
-    ctx_.catalog->table(cell.tuple.table).GetOrCreate(cell.tuple.key)
-        [cell.column] = value;
-  }
-  for (const auto& [cell, value] : occ.inserts) {
-    ctx_.catalog->table(cell.tuple.table).GetOrCreate(cell.tuple.key)
-        [cell.column] = value;
-  }
-  for (const TupleId& tuple : occ.write_set) ++versions_[tuple];
+  co_await Spend(t.op_local * static_cast<SimTime>(deferred_ops),
+                 &timers->local_work);
+  WriteBack(occ);
 
-  const SimTime commit_begin = sim.now();
-  co_await sim::Delay(sim, t.commit_local);
-  timers->commit += t.commit_local;
-  ctx_.tracer->CompleteSpan(commit_begin, sim.now(),
-                            trace::Category::kCommit, ts, node);
+  co_await CommitLocal(node, ts, timers);
   ctx_.lock_manager(node).ReleaseAll(txn_id);
   co_return true;
 }

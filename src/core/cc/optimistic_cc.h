@@ -62,6 +62,8 @@ class OptimisticCC : public ConcurrencyControl {
     FlatMap<TupleId, uint64_t, 16> read_versions;
     /// Tuples with buffered writes, in first-write order (lock order).
     SmallVector<TupleId, 8> write_set;
+    /// Buffered cells in first-write order (the WAL commit record's order).
+    SmallVector<HotItem, 8> written;
     /// Remote tuples already fetched this attempt (one RTT each).
     FlatSet<TupleId, 16> fetched;
     /// Insert rows created during the write phase: (tuple+column, value).
@@ -72,6 +74,27 @@ class OptimisticCC : public ConcurrencyControl {
   Value64 OccApplyOp(const db::Op& op,
                      const std::vector<std::optional<Value64>>& results,
                      OccContext* ctx);
+
+  /// READ PHASE for op `i`: the first touch of a remote tuple costs one
+  /// data round trip, then the op runs against the write buffer. Returns
+  /// true.
+  sim::CoTask<bool> ReadOp(NodeId node, const db::Transaction& txn, size_t i,
+                           std::vector<std::optional<Value64>>* results,
+                           OccContext* occ, uint64_t ts, TxnTimers* timers);
+
+  /// VALIDATION PHASE: locks `to_lock` (a remote owner costs a round trip
+  /// and joins `participants`), re-checks every read version and emits the
+  /// kValidate span. On failure releases every node's locks and pays the
+  /// abort cost; returns whether the attempt may commit.
+  sim::CoTask<bool> Validate(NodeId node,
+                             const SmallVector<TupleId, 8>& to_lock,
+                             const OccContext& occ, uint64_t txn_id,
+                             uint64_t ts, TxnTimers* timers,
+                             NodeSet* participants);
+
+  /// WRITE PHASE: installs the buffered writes and inserts, and bumps the
+  /// version of every tuple in the write set.
+  void WriteBack(const OccContext& occ);
 
   /// Per-tuple commit counters for OCC validation (Appendix A.4). Flat so
   /// the bump per committed write is one probe, no node allocation; bench

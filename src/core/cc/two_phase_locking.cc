@@ -2,11 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <tuple>
-
-#include "core/cc/node_set.h"
-#include "core/egress_batcher.h"
-#include "switchsim/packet.h"
 
 // Sharded-mode note: a co_await on ctx_.SendMsg migrates the coroutine to
 // the destination's shard, so this file never caches a Simulator& across
@@ -138,8 +133,7 @@ sim::CoTask<bool> TwoPhaseLocking::ExecuteCold(
     NodeId node, db::Transaction& txn, uint64_t txn_id, uint64_t ts,
     std::vector<std::optional<Value64>>* results, TxnTimers* timers) {
   const TimingConfig& t = config().timing;
-  co_await sim::Delay(ctx_.Sim(), t.txn_setup);
-  timers->local_work += t.txn_setup;
+  co_await Spend(t.txn_setup, &timers->local_work);
 
   const LockPlan plan = BuildLockPlan(txn, /*only_cold_ops=*/false);
 
@@ -172,9 +166,7 @@ sim::CoTask<bool> TwoPhaseLocking::ExecuteCold(
                                 ts, node);
       if (!all_ok) {
         ReleaseLocks(node, txn_id, plan);
-        co_await sim::Delay(ctx_.Sim(), t.abort_cost);
-        timers->backoff += t.abort_cost;
-        co_return false;
+        co_return co_await Abort(timers);
       }
     }
   }
@@ -184,9 +176,7 @@ sim::CoTask<bool> TwoPhaseLocking::ExecuteCold(
     const bool ok = co_await AcquireLock(node, entry, txn_id, ts, timers);
     if (!ok) {
       ReleaseLocks(node, txn_id, plan);
-      co_await sim::Delay(ctx_.Sim(), t.abort_cost);
-      timers->backoff += t.abort_cost;
-      co_return false;
+      co_return co_await Abort(timers);
     }
   }
 
@@ -210,20 +200,9 @@ sim::CoTask<bool> TwoPhaseLocking::ExecuteCold(
     }
     (*results)[i] = ApplyHostOp(op, *results, &writes);
   }
-  const SimTime exec_cost = t.op_local * static_cast<SimTime>(txn.ops.size());
-  co_await sim::Delay(ctx_.Sim(), exec_cost);
-  timers->local_work += exec_cost;
-
-  const SimTime wal_begin = ctx_.Now();
-  co_await sim::Delay(ctx_.Sim(), t.wal_append);
-  timers->local_work += t.wal_append;
-  SmallVector<db::HostLogOp, 8> log_ops;
-  for (const LoggedWrite& w : writes) {
-    log_ops.push_back(db::HostLogOp{w.tuple, w.column, *w.cell});
-  }
-  ctx_.wal(node).AppendHostCommit(log_ops);
-  ctx_.Trace().CompleteSpan(wal_begin, ctx_.Now(),
-                            trace::Category::kWalAppend, ts, node);
+  co_await Spend(t.op_local * static_cast<SimTime>(txn.ops.size()),
+                 &timers->local_work);
+  co_await LogHostCommit(node, writes, ts, timers);
 
   if (config().mode == EngineMode::kChiller) {
     // Early release of the contended inner region (Figure 18b).
@@ -249,12 +228,10 @@ sim::CoTask<bool> TwoPhaseLocking::ExecuteCold(
   const SimTime commit_begin = ctx_.Now();
   if (has_remote) {
     const SimTime rtt = ctx_.NodeRttEstimate();
-    co_await sim::Delay(ctx_.Sim(), rtt + t.wal_append);  // PREPARE + votes
-    co_await sim::Delay(ctx_.Sim(), rtt);                 // COMMIT + acks
-    timers->commit += 2 * rtt + t.wal_append;
+    co_await Spend(rtt + t.wal_append, &timers->commit);  // PREPARE + votes
+    co_await Spend(rtt, &timers->commit);                 // COMMIT + acks
   } else {
-    co_await sim::Delay(ctx_.Sim(), t.commit_local);
-    timers->commit += t.commit_local;
+    co_await Spend(t.commit_local, &timers->commit);
   }
   ctx_.Trace().CompleteSpan(commit_begin, ctx_.Now(),
                             trace::Category::kCommit, ts, node);
@@ -267,8 +244,7 @@ sim::CoTask<bool> TwoPhaseLocking::ExecuteWarm(
     NodeId node, db::Transaction& txn, uint64_t txn_id, uint64_t ts,
     std::vector<std::optional<Value64>>* results, TxnTimers* timers) {
   const TimingConfig& t = config().timing;
-  co_await sim::Delay(ctx_.Sim(), t.txn_setup);
-  timers->local_work += t.txn_setup;
+  co_await Spend(t.txn_setup, &timers->local_work);
 
   // Phase 1: cold sub-transaction — acquire all cold locks and execute the
   // cold ops so they can no longer abort (Figure 8).
@@ -277,69 +253,29 @@ sim::CoTask<bool> TwoPhaseLocking::ExecuteWarm(
     const bool ok = co_await AcquireLock(node, entry, txn_id, ts, timers);
     if (!ok) {
       ReleaseLocks(node, txn_id, plan);
-      co_await sim::Delay(ctx_.Sim(), t.abort_cost);
-      timers->backoff += t.abort_cost;
-      co_return false;
+      co_return co_await Abort(timers);
     }
   }
 
-  // Partition ops into: hot (phase 2, switch), deferred cold (phase 3:
-  // inserts and cold ops that consume hot/deferred results — they cannot
-  // abort since every lock is already held, mirroring the paper's
-  // "offload dependent cold tuples" rule), and immediate cold (now).
+  // Immediate cold ops run now; the hot ops go to the switch in phase 2
+  // and the deferred ones run in phase 3 (see SplitWarmOps). Deferred ops
+  // cannot abort since every lock is already held, mirroring the paper's
+  // "offload dependent cold tuples" rule.
   WriteLog writes;  // the warm path logs no host commit record
-  SmallVector<uint8_t, 64> is_hot_op(txn.ops.size(), 0);
-  SmallVector<uint8_t, 64> deferred(txn.ops.size(), 0);
-  for (size_t i = 0; i < txn.ops.size(); ++i) {
-    const db::Op& op = txn.ops[i];
-    if (op.type != db::OpType::kInsert && !op.key_from_src &&
-        ctx_.pm->IsHot(HotItem{op.tuple, op.column})) {
-      is_hot_op[i] = true;
-      continue;
-    }
-    const auto depends_deferred = [&](int16_t src) {
-      return src >= 0 && (is_hot_op[src] || deferred[src]);
-    };
-    deferred[i] = op.type == db::OpType::kInsert ||
-                  depends_deferred(op.operand_src) ||
-                  depends_deferred(op.operand_src2);
-    // Same-tuple program order: once an op on a tuple is deferred, every
-    // later cold op on that tuple must defer too.
-    for (size_t k = 0; !deferred[i] && k < i; ++k) {
-      deferred[i] = deferred[k] && !is_hot_op[k] &&
-                    txn.ops[k].type != db::OpType::kInsert &&
-                    txn.ops[k].tuple == op.tuple &&
-                    txn.ops[k].column == op.column;
-    }
-  }
+  const WarmSplit split = SplitWarmOps(txn);
   size_t cold_ops = 0;
-  size_t deferred_ops = 0;
   for (size_t i = 0; i < txn.ops.size(); ++i) {
-    if (is_hot_op[i]) continue;
-    if (deferred[i]) {
-      ++deferred_ops;
-      continue;
-    }
+    if (split.is_hot_op[i] || split.deferred[i]) continue;
     (*results)[i] = ApplyHostOp(txn.ops[i], *results, &writes);
     ++cold_ops;
   }
-  const SimTime exec_cost = t.op_local * static_cast<SimTime>(cold_ops);
-  if (exec_cost > 0) {
-    co_await sim::Delay(ctx_.Sim(), exec_cost);
-    timers->local_work += exec_cost;
-  }
+  co_await Spend(t.op_local * static_cast<SimTime>(cold_ops),
+                 &timers->local_work);
 
   // Compile the switch sub-transaction with cold results resolved.
   auto compiled = CompileSwitchTxn(txn, *results, node);
   assert(compiled.ok() && "warm transaction's hot part must compile");
-
-  const SimTime wal_begin = ctx_.Now();
-  co_await sim::Delay(ctx_.Sim(), t.wal_append);
-  timers->local_work += t.wal_append;
-  const db::Lsn lsn = LogSwitchIntent(node, compiled->txn);
-  ctx_.Trace().CompleteSpan(wal_begin, ctx_.Now(),
-                            trace::Category::kWalAppend, ts, node);
-  if (auto* ic = ctx_.Int(node)) ic->RecordWal(ctx_.Now() - wal_begin);
+  const db::Lsn lsn = co_await LogSwitchIntent(node, compiled->txn, ts, timers);
 
   // Voting phase of the extended 2PC (Figure 10) — only if the cold part is
   // distributed.
@@ -349,125 +285,27 @@ sim::CoTask<bool> TwoPhaseLocking::ExecuteWarm(
   }
   if (!participants.empty()) {
     const SimTime rtt = ctx_.NodeRttEstimate();
-    co_await sim::Delay(ctx_.Sim(), rtt + t.wal_append);  // PREPARE + votes
-    timers->commit += rtt + t.wal_append;
+    co_await Spend(rtt + t.wal_append, &timers->commit);  // PREPARE + votes
   }
 
   // Phase 2: the switch sub-transaction. It commits on execution; the
   // switch multicasts the decision to all nodes, which replaces the 2PC
   // commit round (Figure 10).
-  const net::Endpoint self = net::Endpoint::Node(node);
-  const size_t wire = sw::PacketCodec::WireSize(compiled->txn);
-  const size_t resp_bytes = sw::PacketCodec::ResponseWireSize(
-      compiled->txn.instrs.size(), compiled->txn.int_wire_cost());
-  const auto& op_index = compiled->op_index;
-
-  const SimTime t0 = ctx_.Now();
-  SimTime flushed = t0;  // INT egress-batch term (see ExecuteHot)
-  if (ctx_.batcher != nullptr) {
-    co_await ctx_.batcher->JoinRequest(
-        node,
-        static_cast<uint32_t>(wire - sw::PacketCodec::kFrameOverheadBytes),
-        ts, &flushed);
-  } else {
-    co_await ctx_.SendMsg(self, ctx_.SwitchEp(),
-                          static_cast<uint32_t>(wire), ts);
-  }
-  std::optional<sw::SwitchResult> res =
-      co_await SubmitToSwitch(std::move(compiled->txn));
-
-  if (!res.has_value()) {
-    // Deadline fired: the logged intent makes the switch part committed
-    // (recovery applies it exactly once); no multicast will arrive, so the
-    // coordinator itself tells remote participants to commit & release —
-    // one node-to-node hop away. Hot results stay nullopt.
-    txn_timeouts_->Increment();
-    timers->switch_access += ctx_.Now() - t0;
-    ctx_.Trace().CompleteSpan(t0, ctx_.Now(),
-                              trace::Category::kSwitchAccess, ts, node);
-    const SimTime one_way_node = 2 * config().network.node_to_switch_one_way;
-    participants.ForEachReverse([&](NodeId p) {
-      ctx_.ScheduleRelease(p, one_way_node, txn_id);
-    });
-    // The deadline observer lives on the home node; hop back (no-op in
-    // legacy mode) before the host-side phases below.
-    co_await ctx_.ReturnHome(node);
-  } else {
-    if (!participants.empty()) {
-      if (ctx_.router != nullptr) {
-        // Sharded: the router reserves the per-node downlinks on the switch
-        // shard, releases each participant at its own arrival, and resumes
-        // this coroutine on the home shard at node's arrival — the same
-        // protocol as the legacy block below, computed where each piece of
-        // state lives.
-        uint64_t mask = 0;
-        participants.ForEachReverse(
-            [&](NodeId p) { mask |= uint64_t{1} << p; });
-        co_await ctx_.CommitMulticast(node,
-                                      static_cast<uint32_t>(resp_bytes),
-                                      txn_id, mask);
-      } else {
-        const auto arrivals =
-            ctx_.net->MulticastFromSwitch(static_cast<uint32_t>(resp_bytes),
-                                          ctx_.switches->primary_switch());
-        // Remote participants commit & release when the multicast reaches
-        // them.
-        participants.ForEachReverse([&](NodeId p) {
-          db::LockManager* lm = &ctx_.lock_manager(p);
-          ctx_.sim->ScheduleAt(arrivals[p],
-                               [lm, txn_id] { lm->ReleaseAll(txn_id); });
-        });
-        co_await sim::Delay(*ctx_.sim, arrivals[node] - ctx_.sim->now());
-      }
-    } else if (ctx_.batcher != nullptr) {
-      co_await ctx_.batcher->JoinResponse(
-          node,
-          static_cast<uint32_t>(resp_bytes -
-                                sw::PacketCodec::kFrameOverheadBytes),
-          ts);
-    } else {
-      co_await ctx_.SendMsg(ctx_.SwitchEp(), self,
-                            static_cast<uint32_t>(resp_bytes), ts);
-    }
-    timers->switch_access += ctx_.Now() - t0;
-    ctx_.Trace().CompleteSpan(t0, ctx_.Now(),
-                              trace::Category::kSwitchAccess, ts, node);
-    if (auto* ic = ctx_.Int(node);
-        ic != nullptr && res->telemetry.valid()) {
-      ic->FoldPostcard(*res, t0, flushed, ctx_.Now());
-      ctx_.Trace().Instant(trace::Category::kIntPostcard, ts, node,
-                           res->telemetry.switch_id);
-    }
-
-    if (!(*ctx_.node_crashed)[node]) {
-      ctx_.wal(node).FillSwitchResult(lsn, res->gid, res->values);
-    }
-    for (size_t i = 0; i < op_index.size(); ++i) {
-      (*results)[op_index[i]] = res->values[i];
-    }
-  }
+  co_await SwitchRoundTrip(node, txn_id, ts, *compiled, lsn, participants,
+                           results, timers);
 
   // Phase 3: deferred cold ops (inserts and hot-result consumers). They
   // cannot abort; locks from phase 1 still cover them.
-  if (deferred_ops > 0) {
-    for (size_t i = 0; i < txn.ops.size(); ++i) {
-      if (!deferred[i]) continue;
-      (*results)[i] = ApplyHostOp(txn.ops[i], *results, &writes);
-    }
-    const SimTime def_cost =
-        t.op_local * static_cast<SimTime>(deferred_ops);
-    co_await sim::Delay(ctx_.Sim(), def_cost);
-    timers->local_work += def_cost;
+  size_t deferred_ops = 0;
+  for (size_t i = 0; i < txn.ops.size(); ++i) {
+    if (!split.deferred[i]) continue;
+    (*results)[i] = ApplyHostOp(txn.ops[i], *results, &writes);
+    ++deferred_ops;
   }
+  co_await Spend(t.op_local * static_cast<SimTime>(deferred_ops),
+                 &timers->local_work);
 
-  const SimTime commit_begin = ctx_.Now();
-  co_await sim::Delay(ctx_.Sim(), t.commit_local);
-  timers->commit += t.commit_local;
-  ctx_.Trace().CompleteSpan(commit_begin, ctx_.Now(),
-                            trace::Category::kCommit, ts, node);
-  if (auto* ic = ctx_.Int(node)) {
-    ic->RecordCommit(ctx_.Now() - commit_begin);
-  }
+  co_await CommitLocal(node, ts, timers);
   // Local (coordinator-side) locks release now; remote ones were released
   // by the multicast above.
   ctx_.lock_manager(node).ReleaseAll(txn_id);

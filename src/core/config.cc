@@ -75,11 +75,6 @@ Status ValidateConfig(const SystemConfig& config) {
           EngineModeName(config.mode) +
           " has no in-switch hot-tuple state to replicate");
     }
-    if (config.cc_protocol != CcProtocol::k2pl) {
-      return Status::Unsupported(
-          "replication (num_switches >= 2) supports the 2PL protocol only; "
-          "OCC's validation-phase switch access is not replication-aware");
-    }
     if (config.timing.view_change_delay <= 0) {
       return Status::InvalidArgument(
           "view_change_delay must be positive when replication is enabled");
@@ -107,11 +102,6 @@ Status ValidateConfig(const SystemConfig& config) {
                       "switch-bound transactions and requires the P4DB "
                       "mode; ") +
           EngineModeName(config.mode) + " sends none");
-    }
-    if (config.cc_protocol != CcProtocol::k2pl) {
-      return Status::Unsupported(
-          "egress batching (batch.size >= 2) supports the 2PL protocol "
-          "only; OCC's validation-phase switch access is not batcher-aware");
     }
     if (config.num_switches > 1) {
       return Status::Unsupported(
@@ -147,18 +137,11 @@ Status ValidateConfig(const SystemConfig& config) {
         "int_telemetry.wire_cost requires int_telemetry.enabled: there is "
         "no telemetry block to charge to the wire");
   }
-  if (config.int_telemetry.enabled) {
-    if (config.mode != EngineMode::kP4db) {
-      return Status::Unsupported(
-          std::string("in-band telemetry stamps switch-bound transactions "
-                      "and requires the P4DB mode; ") +
-          EngineModeName(config.mode) + " sends none through the pipeline");
-    }
-    if (config.cc_protocol != CcProtocol::k2pl) {
-      return Status::Unsupported(
-          "in-band telemetry supports the 2PL protocol only; OCC's "
-          "validation-phase switch access is not postcard-aware");
-    }
+  if (config.int_telemetry.enabled && config.mode != EngineMode::kP4db) {
+    return Status::Unsupported(
+        std::string("in-band telemetry stamps switch-bound transactions and "
+                    "requires the P4DB mode; ") +
+        EngineModeName(config.mode) + " sends none through the pipeline");
   }
   if (config.network.num_switches != 1 &&
       config.network.num_switches != config.num_switches) {

@@ -62,10 +62,12 @@ TEST(ConfigValidationTest, BatchingRequiresSwitchMode) {
   EXPECT_FALSE(ValidateConfig(cfg).ok());
 }
 
-TEST(ConfigValidationTest, BatchingRequiresTwoPhaseLocking) {
+TEST(ConfigValidationTest, BatchingAcceptsOcc) {
+  // Every CC protocol sends its switch sub-transactions through the same
+  // round trip, batcher included.
   SystemConfig cfg = BatchedCluster();
   cfg.cc_protocol = CcProtocol::kOcc;
-  EXPECT_FALSE(ValidateConfig(cfg).ok());
+  EXPECT_TRUE(ValidateConfig(cfg).ok());
 }
 
 TEST(ConfigValidationTest, BatchingIsSingleSwitchOnly) {

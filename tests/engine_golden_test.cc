@@ -8,9 +8,9 @@
 // open-loop sessions under both overflow policies, sessions respawned by
 // node recovery, and ExecuteOnce under both protocols. The switch-fault
 // cases pin the control plane's state machine: a K = 1 dark window with
-// failback (under both protocols), a K = 2 promotion with the old primary
-// rejoining as backup, a K = 2 backup crash, and offline recovery from a
-// mid-run crash.
+// failback and a K = 2 promotion with the old primary rejoining as backup
+// (each under both protocols), a K = 2 backup crash, and offline recovery
+// from a mid-run crash.
 
 #include <gtest/gtest.h>
 
@@ -128,6 +128,7 @@ enum class Case {
   kShardedPrimaryCrashPromotion,
   kBackupCrash,
   kOccRebootFailback,
+  kOccPrimaryCrashPromotion,
 };
 
 struct GoldenCase {
@@ -237,6 +238,16 @@ RunDigest RunCase(Case which) {
           900 * kMicrosecond, 200 * kMicrosecond, /*switch_id=*/1));
       return DigestRun(cfg, &ycsb, 40, &schedule);
     }
+    case Case::kOccPrimaryCrashPromotion: {
+      // K = 2 under OCC: warm transactions' validation locks are released
+      // by whichever primary answers (or by the coordinator on a timeout).
+      cfg.cc_protocol = CcProtocol::kOcc;
+      cfg.num_switches = 2;
+      net::FaultSchedule schedule;
+      schedule.events.push_back(net::FaultEvent::SwitchReboot(
+          900 * kMicrosecond, 200 * kMicrosecond, /*switch_id=*/0));
+      return DigestRun(cfg, &ycsb, 40, &schedule);
+    }
     case Case::kOccRebootFailback: {
       // K = 1 under OCC: warm transactions parked at the switch time out,
       // the dark window runs degraded OCC cold transactions, and failback
@@ -306,7 +317,11 @@ INSTANTIATE_TEST_SUITE_P(
                    /*rejoins=*/1},
         GoldenCase{Case::kOccRebootFailback, "occ_reboot_failback", 1331, 104,
                    0x391bc55584542f2fULL,
-                   /*degraded=*/true}),
+                   /*degraded=*/true},
+        GoldenCase{Case::kOccPrimaryCrashPromotion,
+                   "occ_primary_crash_promotion", 1505, 40,
+                   0xb2ec26807e866e40ULL, false,
+                   /*view_changes=*/1, /*rejoins=*/1}),
     [](const ::testing::TestParamInfo<GoldenCase>& info) {
       return std::string(info.param.name);
     });

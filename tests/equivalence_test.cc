@@ -83,19 +83,31 @@ db::Transaction RandomTxn(Rng& rng, TableId table, size_t hot_keys) {
   return txn;
 }
 
+/// Cluster shapes the strategy parity suite runs: No-Switch, and P4DB
+/// plain, replicated (K = 2), egress-batched and INT-armed.
+enum class Shape { kNoSwitch, kP4db, kReplicated, kBatched, kInt };
+
 class Harness {
  public:
   Harness(EngineMode mode, size_t hot_keys,
           CcProtocol protocol = CcProtocol::k2pl)
+      : Harness(mode == EngineMode::kP4db ? Shape::kP4db : Shape::kNoSwitch,
+                hot_keys, protocol) {}
+
+  Harness(Shape shape, size_t hot_keys, CcProtocol protocol)
       : workload_(hot_keys) {
     SystemConfig cfg;
-    cfg.mode = mode;
+    cfg.mode = shape == Shape::kNoSwitch ? EngineMode::kNoSwitch
+                                         : EngineMode::kP4db;
     cfg.cc_protocol = protocol;
     cfg.num_nodes = 2;
     cfg.workers_per_node = 1;
     cfg.pipeline.num_stages = 8;
     cfg.pipeline.regs_per_stage = 2;
     cfg.pipeline.sram_bytes_per_stage = 1024;
+    if (shape == Shape::kReplicated) cfg.num_switches = 2;
+    if (shape == Shape::kBatched) cfg.batch.size = 4;
+    cfg.int_telemetry.enabled = shape == Shape::kInt;
     engine_ = std::make_unique<Engine>(cfg);
     engine_->SetWorkload(&workload_);
     engine_->Offload(/*sample_size=*/64, /*max_hot_items=*/hot_keys);
@@ -188,17 +200,18 @@ INSTANTIATE_TEST_SUITE_P(
 
 // Strategy-layer parity: the same seeded workload driven through BOTH
 // pluggable ConcurrencyControl implementations (TwoPhaseLocking and
-// OptimisticCC) over the same engine mode must commit to the same final
-// database state. This exercises the cc::ConcurrencyControl interface
-// directly: each Harness's Engine owns a different strategy object and
-// everything else (network, pipeline, catalog) is identical.
+// OptimisticCC) over the same cluster shape must return the same results
+// and commit to the same final database state. This exercises the
+// cc::ConcurrencyControl interface directly: each Harness's Engine owns a
+// different strategy object and everything else (network, pipeline,
+// catalog, replication, batcher, INT) is identical.
 class CcStrategyParityTest : public ::testing::TestWithParam<
-                                 std::tuple<uint64_t, EngineMode, size_t>> {};
+                                 std::tuple<uint64_t, Shape, size_t>> {};
 
 TEST_P(CcStrategyParityTest, TwoPhaseLockingAndOccCommitIdenticalState) {
-  const auto [seed, mode, hot_keys] = GetParam();
-  Harness tpl(mode, hot_keys, CcProtocol::k2pl);
-  Harness occ(mode, hot_keys, CcProtocol::kOcc);
+  const auto [seed, shape, hot_keys] = GetParam();
+  Harness tpl(shape, hot_keys, CcProtocol::k2pl);
+  Harness occ(shape, hot_keys, CcProtocol::kOcc);
   ASSERT_STREQ(tpl.cc_name(), "2PL");
   ASSERT_STREQ(occ.cc_name(), "OCC");
 
@@ -217,8 +230,9 @@ TEST_P(CcStrategyParityTest, TwoPhaseLockingAndOccCommitIdenticalState) {
 INSTANTIATE_TEST_SUITE_P(
     SeedsModesHotness, CcStrategyParityTest,
     ::testing::Combine(::testing::Values(21, 22, 23),
-                       ::testing::Values(EngineMode::kP4db,
-                                         EngineMode::kNoSwitch),
+                       ::testing::Values(Shape::kP4db, Shape::kNoSwitch,
+                                         Shape::kReplicated, Shape::kBatched,
+                                         Shape::kInt),
                        ::testing::Values(size_t{0}, size_t{6})));
 
 TEST(EquivalenceSmokeTest, HotTxnClassMatchesPlacement) {

@@ -2,9 +2,10 @@
 // contract has four load-bearing clauses, each pinned here:
 //   1. INT off: the metric surface is byte-identical to a pre-INT run — no
 //      "int." keys, no critical-path section, bit-exact determinism.
-//   2. Postcard mode is passive: arming telemetry changes nothing about
-//      the run it observes (commit counts, per-class splits, switch
-//      completions), it only adds the int.* fold-side series.
+//   2. Postcard mode is passive under either CC protocol: arming
+//      telemetry changes nothing about the run it observes (commit counts,
+//      per-class splits, switch completions), it only adds the int.*
+//      fold-side series.
 //   3. The stamped data is exact: on a hand-built 3-transaction scenario
 //      the per-slot access counts, postcard counters and view fencing are
 //      predictable to the last unit.
@@ -104,25 +105,32 @@ TEST(IntOffTest, PublishesNoIntMetricsAndStaysDeterministic) {
 // --------------------------------------------- 2. postcard passivity ----
 
 TEST(IntPostcardTest, ArmingChangesNothingItObserves) {
-  const RunResult off = RunCluster(Cluster(/*int_enabled=*/false));
-  const RunResult on = RunCluster(Cluster(/*int_enabled=*/true));
-  // The observed system is unperturbed: postcard telemetry rides for free,
-  // so the event schedule — and with it every commit — is identical.
-  EXPECT_EQ(on.metrics.committed, off.metrics.committed);
-  for (size_t c = 0; c < std::size(off.metrics.committed_by_class); ++c) {
-    EXPECT_EQ(on.metrics.committed_by_class[c],
-              off.metrics.committed_by_class[c])
-        << "class " << c;
+  for (const CcProtocol cc : {CcProtocol::k2pl, CcProtocol::kOcc}) {
+    SCOPED_TRACE(CcProtocolName(cc));
+    SystemConfig off_cfg = Cluster(/*int_enabled=*/false);
+    SystemConfig on_cfg = Cluster(/*int_enabled=*/true);
+    off_cfg.cc_protocol = on_cfg.cc_protocol = cc;
+    const RunResult off = RunCluster(off_cfg);
+    const RunResult on = RunCluster(on_cfg);
+    // The observed system is unperturbed: postcard telemetry rides for
+    // free, so the event schedule — and with it every commit — is
+    // identical.
+    EXPECT_EQ(on.metrics.committed, off.metrics.committed);
+    for (size_t c = 0; c < std::size(off.metrics.committed_by_class); ++c) {
+      EXPECT_EQ(on.metrics.committed_by_class[c],
+                off.metrics.committed_by_class[c])
+          << "class " << c;
+    }
+    EXPECT_EQ(on.switch_completions, off.switch_completions);
+    // ... while the fold side actually observed it.
+    EXPECT_GT(on.postcards, 0u);
+    EXPECT_FALSE(on.critical_path.empty());
+    EXPECT_NE(on.critical_path.find("\"dominant\""), std::string::npos);
+    // Every folded postcard came from a switch transaction that completed;
+    // the difference is only what was still on the wire at the horizon.
+    EXPECT_LE(on.postcards, on.switch_completions);
+    EXPECT_LT(on.switch_completions - on.postcards, 64u);
   }
-  EXPECT_EQ(on.switch_completions, off.switch_completions);
-  // ... while the fold side actually observed it.
-  EXPECT_GT(on.postcards, 0u);
-  EXPECT_FALSE(on.critical_path.empty());
-  EXPECT_NE(on.critical_path.find("\"dominant\""), std::string::npos);
-  // Every folded postcard came from a switch transaction that completed;
-  // the difference is only what was still on the wire at the horizon.
-  EXPECT_LE(on.postcards, on.switch_completions);
-  EXPECT_LT(on.switch_completions - on.postcards, 64u);
 }
 
 TEST(IntPostcardTest, ArtifactsAreIdenticalAcrossThreadCounts) {

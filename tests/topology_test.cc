@@ -80,13 +80,13 @@ TEST(ConfigValidationTest, RejectsInconsistentTopologies) {
   cfg.num_switches = 9;
   EXPECT_FALSE(core::ValidateConfig(cfg).ok());
 
-  // Replication needs in-switch state (P4DB mode) and the 2PL protocol.
+  // Replication needs in-switch state (P4DB mode), under either protocol.
   cfg.num_switches = 2;
   cfg.mode = core::EngineMode::kNoSwitch;
   EXPECT_FALSE(core::ValidateConfig(cfg).ok());
   cfg.mode = core::EngineMode::kP4db;
   cfg.cc_protocol = core::CcProtocol::kOcc;
-  EXPECT_FALSE(core::ValidateConfig(cfg).ok());
+  EXPECT_TRUE(core::ValidateConfig(cfg).ok());
   cfg.cc_protocol = core::CcProtocol::k2pl;
   EXPECT_TRUE(core::ValidateConfig(cfg).ok());
 

@@ -171,5 +171,43 @@ TEST(WalEngineTest, KeyFromSourceWriteLogsTheRowItWrote) {
   EXPECT_EQ(rec.host_writes[0].new_value, 9);
 }
 
+/// OCC's commit record carries every written cell once — its column and
+/// its final value — in first-write order; reads log nothing.
+TEST(WalEngineTest, OccCommitLogsEachWrittenCellOnceWithFinalValue) {
+  wl::Ycsb ycsb(SmallYcsb());
+  core::SystemConfig cfg = NoSwitchCluster();
+  cfg.cc_protocol = core::CcProtocol::kOcc;
+  core::Engine engine(cfg);
+  engine.SetWorkload(&ycsb);
+  engine.Offload(5000, 40);
+  const TableId wide =
+      engine.catalog().CreateTable("wide", 2, PartitionSpec{}, {0, 0});
+
+  const auto op = [wide](OpType type, Key key, uint16_t column,
+                         Value64 operand) {
+    Op o = MakeOp(type, key, operand);
+    o.tuple.table = wide;
+    o.column = column;
+    return o;
+  };
+  Transaction txn;
+  txn.ops = {op(OpType::kPut, 8, 1, 5), op(OpType::kAdd, 9, 0, 3),
+             op(OpType::kAdd, 8, 1, 4), op(OpType::kGet, 8, 0, 0)};
+  auto r = engine.ExecuteOnce(txn, 0);
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(*r, (std::vector<Value64>{5, 3, 9, 0}));
+
+  const LogRecord& rec = engine.wal(0).records().back();
+  ASSERT_EQ(rec.kind, LogKind::kHostCommit);
+  const std::vector<HostLogOp> expect = {{TupleId{wide, 8}, 1, 9},
+                                         {TupleId{wide, 9}, 0, 3}};
+  ASSERT_EQ(rec.host_writes.size(), expect.size());
+  for (size_t i = 0; i < expect.size(); ++i) {
+    EXPECT_EQ(rec.host_writes[i].tuple, expect[i].tuple) << i;
+    EXPECT_EQ(rec.host_writes[i].column, expect[i].column) << i;
+    EXPECT_EQ(rec.host_writes[i].new_value, expect[i].new_value) << i;
+  }
+}
+
 }  // namespace
 }  // namespace p4db::db
