@@ -23,10 +23,12 @@ RunOutput Run(core::EngineMode mode, core::CcProtocol protocol,
 }  // namespace
 }  // namespace p4db::bench
 
-int main() {
+int main(int argc, char** argv) {
   using namespace p4db::bench;
   using p4db::core::CcProtocol;
   using p4db::core::EngineMode;
+  // --batch=N and --int arm the batcher and INT on both P4DB rows.
+  ParseBenchArgs(argc, argv);
   const BenchTime time = BenchTime::FromEnv();
   PrintBanner("Appendix A.4",
               "host concurrency-control classes with and without the switch "
