@@ -106,6 +106,12 @@ class Wal {
                                               results.size()));
   }
 
+  /// LSN range of the retained records: [begin_lsn(), end_lsn()).
+  Lsn begin_lsn() const { return 0; }
+  Lsn end_lsn() const { return records_.size(); }
+  /// The retained record at `lsn` (begin_lsn() <= lsn < end_lsn()).
+  const LogRecord& at(Lsn lsn) const { return records_[lsn]; }
+
   const std::vector<LogRecord>& records() const { return records_; }
   size_t size() const { return records_.size(); }
 

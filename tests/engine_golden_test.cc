@@ -10,7 +10,8 @@
 // cases pin the control plane's state machine: a K = 1 dark window with
 // failback and a K = 2 promotion with the old primary rejoining as backup
 // (each under both protocols), a K = 2 backup crash, and offline recovery
-// from a mid-run crash.
+// from a mid-run crash. Four long cases put the K = 1 reboot and the K = 2
+// primary crash at 8 ms on both runtimes, after many checkpoint intervals.
 
 #include <gtest/gtest.h>
 
@@ -80,19 +81,27 @@ struct RunDigest {
   uint64_t rejoins = 0;
 };
 
+/// A run long enough to cross many checkpoint intervals before its fault.
+struct LongRun {
+  SimTime measure = 0;  // replaces kMeasure
+};
+
 /// One full run with a full trace; digests counts, registry dump and trace
-/// (and, when armed, the sampler's time series).
+/// (and, when armed, the sampler's time series). A long run skips the trace
+/// and digests every switch's hot registers instead.
 RunDigest DigestRun(const SystemConfig& cfg, wl::Workload* workload,
                     size_t hot_items,
                     const net::FaultSchedule* schedule = nullptr,
-                    bool time_series = false) {
+                    bool time_series = false,
+                    const LongRun* long_run = nullptr) {
   Engine engine(cfg);
   engine.SetWorkload(workload);
   engine.Offload(5000, hot_items);
   if (schedule != nullptr) engine.InstallFaultSchedule(*schedule);
   if (time_series) engine.EnableTimeSeries(100 * kMicrosecond);
-  engine.EnableFullTrace();
-  const Metrics m = engine.Run(kWarmup, kMeasure);
+  if (long_run == nullptr) engine.EnableFullTrace();
+  const Metrics m = engine.Run(
+      kWarmup, long_run != nullptr ? long_run->measure : kMeasure);
   const MetricsRegistry& reg = engine.metrics_registry();
   RunDigest out;
   out.committed = m.committed;
@@ -104,7 +113,17 @@ RunDigest DigestRun(const SystemConfig& cfg, wl::Workload* workload,
   d.Add(out.committed);
   d.Add(out.aborted);
   d.Add(reg.ToJson());
-  d.Add(engine.TraceJson());
+  if (long_run == nullptr) {
+    d.Add(engine.TraceJson());
+  } else {
+    for (uint16_t k = 0; k < cfg.num_switches; ++k) {
+      for (const PartitionManager::HotEntry& e :
+           engine.partition_manager().entries()) {
+        d.Add(static_cast<uint64_t>(
+            *engine.switches().control_plane(k).ReadValue(e.addr)));
+      }
+    }
+  }
   if (time_series) d.Add(engine.sampler()->ToJson());
   out.digest = d.value();
   return out;
@@ -129,6 +148,10 @@ enum class Case {
   kBackupCrash,
   kOccRebootFailback,
   kOccPrimaryCrashPromotion,
+  kLongRebootFailback,
+  kShardedLongRebootFailback,
+  kLongPrimaryCrashPromotion,
+  kShardedLongPrimaryCrashPromotion,
 };
 
 struct GoldenCase {
@@ -258,6 +281,25 @@ RunDigest RunCase(Case which) {
           900 * kMicrosecond, 200 * kMicrosecond));
       return DigestRun(cfg, &ycsb, 40, &schedule);
     }
+    case Case::kLongRebootFailback:
+    case Case::kShardedLongRebootFailback:
+    case Case::kLongPrimaryCrashPromotion:
+    case Case::kShardedLongPrimaryCrashPromotion: {
+      // The fault lands at 8 ms, after many checkpoint intervals: failback
+      // and promotion replay from a checkpointed baseline.
+      cfg.threads = which == Case::kShardedLongRebootFailback ||
+                            which == Case::kShardedLongPrimaryCrashPromotion
+                        ? 1
+                        : 0;
+      const bool k2 = which == Case::kLongPrimaryCrashPromotion ||
+                      which == Case::kShardedLongPrimaryCrashPromotion;
+      cfg.num_switches = k2 ? 2 : 1;
+      net::FaultSchedule schedule;
+      schedule.events.push_back(net::FaultEvent::SwitchReboot(
+          8 * kMillisecond, 200 * kMicrosecond, /*switch_id=*/0));
+      const LongRun long_run{9500 * kMicrosecond};
+      return DigestRun(cfg, &ycsb, 40, &schedule, false, &long_run);
+    }
   }
   return {};
 }
@@ -321,6 +363,20 @@ INSTANTIATE_TEST_SUITE_P(
         GoldenCase{Case::kOccPrimaryCrashPromotion,
                    "occ_primary_crash_promotion", 1505, 40,
                    0xb2ec26807e866e40ULL, false,
+                   /*view_changes=*/1, /*rejoins=*/1},
+        GoldenCase{Case::kLongRebootFailback, "long_reboot_failback", 10576,
+                   121, 0x02cda88c90f37a44ULL, /*degraded=*/true},
+        GoldenCase{Case::kShardedLongRebootFailback,
+                   "sharded_long_reboot_failback", 10898, 110,
+                   0xea0de2875d416fedULL,
+                   /*degraded=*/true},
+        GoldenCase{Case::kLongPrimaryCrashPromotion,
+                   "long_primary_crash_promotion", 10742, 49,
+                   0x1c48aefb5922e6d6ULL, false,
+                   /*view_changes=*/1, /*rejoins=*/1},
+        GoldenCase{Case::kShardedLongPrimaryCrashPromotion,
+                   "sharded_long_primary_crash_promotion", 11056, 35,
+                   0x2bddacb89f38cf67ULL, false,
                    /*view_changes=*/1, /*rejoins=*/1}),
     [](const ::testing::TestParamInfo<GoldenCase>& info) {
       return std::string(info.param.name);
