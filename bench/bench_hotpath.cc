@@ -40,8 +40,8 @@ struct HotpathRun {
 /// Steady-state preparation for the strict zero-allocation scenarios: every
 /// row of a bounded working set is materialized up front (GetOrCreate in
 /// the measured window then only looks up) and the growable bookkeeping —
-/// WAL record index + payload arena, the OCC version table — is pre-sized
-/// past the run's high-water mark. 0 = skip (unbounded workloads such as
+/// WAL segments and their payload arenas, the OCC version table — is
+/// pre-sized past the run's high-water mark. 0 = skip (unbounded workloads such as
 /// the figure-11 cluster keep their lazily-materialized 10^9-key table).
 struct SteadyStatePrep {
   uint64_t materialize_keys = 0;
@@ -163,8 +163,10 @@ void RunAll(const BenchTime& time) {
   // is a new per-txn allocation on the hot path.
   SteadyStatePrep prep;
   prep.materialize_keys = 100000;
-  prep.wal_records_per_node = 1 << 18;
-  prep.wal_payload_bytes_per_node = 16 << 20;
+  // Checkpoints recycle WAL segments: reserve the few checkpoint intervals
+  // a node retains, not the run.
+  prep.wal_records_per_node = 4096;
+  prep.wal_payload_bytes_per_node = 2 << 20;
   {
     wl::YcsbConfig wcfg;
     wcfg.variant = 'A';

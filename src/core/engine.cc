@@ -580,7 +580,7 @@ Metrics Engine::Run(SimTime warmup, SimTime duration) {
   running_ = true;
   for (uint16_t n = 0; n < config_.num_nodes; ++n) SpawnNode(n, 0);
   if (!sharded_) {
-    sim_.RunUntil(warmup);
+    RunLegacyUntil(warmup);
     ResetWindow();
     if (sampler_ != nullptr) {
       // Baselines snapshot after the reset so the first window starts at
@@ -588,7 +588,7 @@ Metrics Engine::Run(SimTime warmup, SimTime duration) {
       sampler_->Begin(warmup, warmup + duration, sampler_tick_);
     }
     measuring_ = true;
-    sim_.RunUntil(warmup + duration);
+    RunLegacyUntil(warmup + duration);
   } else {
     // Coordinator-phase globals. Scheduling order fixes the sequence
     // numbers, which break same-time ties: at t == warmup the reset runs
@@ -613,6 +613,10 @@ Metrics Engine::Run(SimTime warmup, SimTime duration) {
       measuring_ = false;
       ssim_->RequestStop();
     });
+    // Checkpoints ride window starts; they schedule nothing, so the
+    // window sequence is the same as without them.
+    ssim_->SetQuiescentHook(SwitchController::kCheckpointInterval,
+                            [this] { switches_->Checkpoint(); });
     ssim_->Run(config_.threads);
   }
   measuring_ = false;
@@ -630,6 +634,16 @@ Metrics Engine::Run(SimTime warmup, SimTime duration) {
     for (auto& es : eshards_) registry_.MergeFrom(es->registry);
   }
   return metrics_;
+}
+
+void Engine::RunLegacyUntil(SimTime until) {
+  // Between two slices no event is in progress: a quiescent instant.
+  for (; next_checkpoint_ <= until;
+       next_checkpoint_ += SwitchController::kCheckpointInterval) {
+    sim_.RunUntil(next_checkpoint_);
+    switches_->Checkpoint();
+  }
+  sim_.RunUntil(until);
 }
 
 trace::Sampler& Engine::EnableTimeSeries(SimTime tick) {

@@ -125,11 +125,13 @@ class Engine {
   void InstallFaultSchedule(const net::FaultSchedule& schedule);
 
   /// Pre-sizes per-tuple/per-record bookkeeping (CC version tables, WAL
-  /// record indexes and payload arenas) for a bounded run so the measured
+  /// segments and their payload arenas) for a bounded run so the measured
   /// window executes without growing any of them — the allocation-free
-  /// steady state the hot-path benchmarks assert. In sharded mode every
-  /// shard simulator, the cross-shard mailboxes and the global-event heap
-  /// are pre-sized too.
+  /// steady state the hot-path benchmarks assert. Checkpoints recycle WAL
+  /// segments, so `wal_records_per_node` and `wal_payload_bytes_per_node`
+  /// need only cover what a node retains: a few checkpoint intervals'
+  /// worth, not the run. In sharded mode every shard simulator, the
+  /// cross-shard mailboxes and the global-event heap are pre-sized too.
   void ReserveSteadyState(size_t tuples_per_node, size_t wal_records_per_node,
                           size_t wal_payload_bytes_per_node) {
     cc_->ReserveTupleCapacity(tuples_per_node * config_.num_nodes);
@@ -313,6 +315,9 @@ class Engine {
   /// loop: workers_per_node workers; open loop: generator + session pool),
   /// under the home shard's context when sharded.
   void SpawnNode(NodeId node, uint64_t seed_salt);
+  /// Legacy runtime: runs the simulator through `until`, stopping at every
+  /// checkpoint boundary on the way to call SwitchController::Checkpoint.
+  void RunLegacyUntil(SimTime until);
   /// Destroys every worker frame after dropping all pending events, then
   /// leaves the simulators idle and resumable.
   void TearDownWorkers();
@@ -393,6 +398,8 @@ class Engine {
   std::vector<sim::Task> workers_;
   bool ran_ = false;
   bool measuring_ = false;
+  /// Legacy runtime: the next checkpoint boundary RunLegacyUntil stops at.
+  SimTime next_checkpoint_ = SwitchController::kCheckpointInterval;
   /// True while Run's workers are live — RecoverNode only respawns then.
   bool running_ = false;
 

@@ -43,19 +43,25 @@ class PartitionManager {
                        Value64 initial_value);
 
   /// Refreshes the recovery baseline of one hot item (by registration
-  /// order). An online failback calls this after re-provisioning the data
-  /// plane: the installed value becomes the new "value at offload time", so
-  /// a later offline recovery replays only post-failback WAL records.
+  /// order). An online failback or a checkpoint calls this: the value
+  /// becomes the new "value at offload time", so a later recovery replays
+  /// only the WAL records the refreshed baseline does not cover.
   void UpdateInitialValue(size_t entry_index, Value64 value);
 
-  /// Per-WAL record-index watermarks paired with the baseline above:
-  /// offline recovery replays only records at or after these offsets.
-  /// Empty (the default) means replay everything.
-  const std::vector<size_t>& recovery_watermarks() const {
+  /// The rest of the recovery baseline paired with the values above:
+  /// per-WAL LSN watermarks (recovery replays only records at or after
+  /// them; empty, the default, means replay everything) and a GID floor
+  /// (resolved intents with a GID below it are already in the baseline).
+  const std::vector<uint64_t>& recovery_watermarks() const {
     return recovery_watermarks_;
   }
-  void set_recovery_watermarks(std::vector<size_t> watermarks) {
-    recovery_watermarks_ = std::move(watermarks);
+  Gid recovery_gid_floor() const { return recovery_gid_floor_; }
+  /// Copies `watermarks` into the retained buffer (no allocation once it
+  /// has num_nodes capacity).
+  void set_recovery_baseline(std::span<const uint64_t> watermarks,
+                             Gid gid_floor) {
+    recovery_watermarks_.assign(watermarks.begin(), watermarks.end());
+    recovery_gid_floor_ = gid_floor;
   }
 
 
@@ -105,7 +111,8 @@ class PartitionManager {
   /// the one that counts.
   FlatMap<HotItem, sw::RegisterAddress> index_;
   std::vector<HotEntry> entries_;
-  std::vector<size_t> recovery_watermarks_;
+  std::vector<uint64_t> recovery_watermarks_;
+  Gid recovery_gid_floor_ = 0;
 };
 
 }  // namespace p4db::core

@@ -91,13 +91,14 @@ StatusOr<WalReplayResult> ReplayWalSwitchState(
   std::vector<const db::LogRecord*> committed;
   std::vector<Pending> inflight;
   for (size_t i = 0; i < logs.size(); ++i) {
-    const size_t first =
-        i < options.first_record.size() ? options.first_record[i] : 0;
-    const std::vector<db::LogRecord>& records = logs[i]->records();
+    const db::Lsn first =
+        i < options.first_lsn.size() ? options.first_lsn[i] : 0;
+    assert(first >= logs[i]->begin_lsn() || options.first_lsn.empty());
     const db::LogRecord* last_committed = nullptr;
-    for (size_t r = first; r < records.size(); ++r) {
-      const db::LogRecord* rec = &records[r];
+    for (const db::LogRecord& r : logs[i]->Scan(first)) {
+      const db::LogRecord* rec = &r;
       if (rec->kind != db::LogKind::kSwitchIntent) continue;
+      if (rec->has_result && rec->gid < options.gid_floor) continue;
       if (rec->has_result) {
         committed.push_back(rec);
         last_committed = rec;
@@ -239,7 +240,8 @@ Status RecoverSwitchState(const PartitionManager& pm,
 
   // Steps 2-3: replay committed intents and place in-flight ones.
   WalReplayOptions options;
-  options.first_record = pm.recovery_watermarks();
+  options.first_lsn = pm.recovery_watermarks();
+  options.gid_floor = pm.recovery_gid_floor();
   StatusOr<WalReplayResult> replay =
       ReplayWalSwitchState(std::move(initial), logs, options);
   if (!replay.ok()) return replay.status();

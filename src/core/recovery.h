@@ -23,11 +23,14 @@ struct WalReplayResult {
 };
 
 struct WalReplayOptions {
-  /// Per-log record-index offsets: records before `first_record[i]` of
-  /// `logs[i]` are assumed already folded into the initial state (set after
-  /// an online failback refreshed the recovery baseline). Empty = replay
-  /// everything.
-  std::vector<size_t> first_record;
+  /// Per-log LSN watermarks: records before `first_lsn[i]` of `logs[i]`
+  /// are assumed already folded into the initial state (set when a
+  /// checkpoint or an online failback refreshed the recovery baseline).
+  /// Empty = replay every retained record.
+  std::vector<db::Lsn> first_lsn;
+  /// Resolved intents with a GID below this floor executed before the
+  /// initial state was captured (a checkpoint's cut) and are skipped.
+  Gid gid_floor = 0;
   /// Offline recovery demands that some serial order reproduces every
   /// recorded result and fails otherwise. Online failback cannot halt a
   /// live cluster on an inference miss, so it accepts the

@@ -30,8 +30,12 @@ SwitchController::SwitchController(Wiring wiring)
       pipelines_(w_.pipelines),
       switch_alive_(config_.num_switches, true),
       degraded_inflight_(config_.num_nodes, 0),
-      crash_record_offset_(config_.num_nodes, 0) {
+      logs_(w_.wals.begin(), w_.wals.end()),
+      crash_lsn_(config_.num_nodes, 0) {
   assert(pipelines_.size() == config_.num_switches);
+  ckpt_.marks.resize(config_.num_nodes);
+  ckpt_.resolved.resize(config_.num_nodes);
+  ckpt_.watermarks.resize(config_.num_nodes);
   for (sw::Pipeline* p : pipelines_) {
     control_planes_.push_back(std::make_unique<sw::ControlPlane>(p));
   }
@@ -62,7 +66,7 @@ void SwitchController::SimulateSwitchCrash() {
 }
 
 Status SwitchController::RecoverSwitch() {
-  return RecoverSwitchState(*w_.pm, w_.wals,
+  return RecoverSwitchState(*w_.pm, logs_,
                             control_planes_[primary_switch_].get());
 }
 
@@ -84,10 +88,11 @@ void SwitchController::SeedHostRowsFromWal() {
   // since the watermark. Hot/warm traffic runs on these rows (through the
   // cold path) while the switch is dark.
   WalReplayOptions opts;
-  opts.first_record = w_.pm->recovery_watermarks();
+  opts.first_lsn = w_.pm->recovery_watermarks();
+  opts.gid_floor = w_.pm->recovery_gid_floor();
   opts.best_effort = true;  // a live cluster cannot halt on an inference miss
   StatusOr<WalReplayResult> replay = ReplayWalSwitchState(
-      Collect(*w_.pm, [](const auto& e) { return e.initial_value; }), w_.wals,
+      Collect(*w_.pm, [](const auto& e) { return e.initial_value; }), logs_,
       opts);
   assert(replay.ok());
   for (const PartitionManager::HotEntry& e : w_.pm->entries()) {
@@ -107,6 +112,9 @@ int SwitchController::NextAliveSwitch(uint16_t sw) const {
 void SwitchController::OnSwitchDown(uint16_t sw) {
   if (!switch_alive_[sw]) return;  // coalesce overlapping reboot events
   switch_alive_[sw] = false;
+  // A pending checkpoint's cut may hold writes this switch's crash loses
+  // (or a backup this crash removes); the next quiescent hook re-arms.
+  ckpt_.pending = false;
   // Power loss: registers and allocations are wiped, and the data plane
   // drops every packet until it powers on again. The GID counter survives
   // (the paper restarts it above everything recovered; keeping it monotonic
@@ -126,7 +134,7 @@ void SwitchController::OnSwitchDown(uint16_t sw) {
   // Stragglers: a transaction past the switch-up check appends its intent
   // after this capture; failback replays exactly those.
   for (uint16_t n = 0; n < config_.num_nodes; ++n) {
-    crash_record_offset_[n] = w_.wals[n]->records().size();
+    crash_lsn_[n] = w_.wals[n]->end_lsn();
   }
   const int backup = NextAliveSwitch(sw);
   if (backup < 0) {
@@ -181,10 +189,11 @@ void SwitchController::FinalizeFailback() {
   // plus the stragglers: intents appended after the crash instant, whose
   // packets the dark pipeline dropped.
   WalReplayOptions opts;
-  opts.first_record = crash_record_offset_;
+  opts.first_lsn = crash_lsn_;
+  opts.gid_floor = w_.pm->recovery_gid_floor();
   opts.best_effort = true;
   StatusOr<WalReplayResult> replay = ReplayWalSwitchState(
-      Collect(*w_.pm, [this](const auto& e) { return HostCell(e); }), w_.wals,
+      Collect(*w_.pm, [this](const auto& e) { return HostCell(e); }), logs_,
       opts);
   assert(replay.ok());
   const std::vector<PartitionManager::HotEntry>& entries = w_.pm->entries();
@@ -197,17 +206,85 @@ void SwitchController::FinalizeFailback() {
   }
   Provision(primary_switch_, replay->state);  // a fresh plane since the crash
   // Watermark: later replays (offline recovery or a second crash) start
-  // from here — everything earlier is folded into the refreshed baseline.
-  std::vector<size_t> watermarks(config_.num_nodes);
+  // from here — everything earlier is folded into the refreshed baseline,
+  // so the GID floor resets. Intents below it that never got a result no
+  // longer block checkpoints.
   for (uint16_t n = 0; n < config_.num_nodes; ++n) {
-    watermarks[n] = w_.wals[n]->records().size();
+    ckpt_.watermarks[n] = w_.wals[n]->end_lsn();
   }
-  w_.pm->set_recovery_watermarks(std::move(watermarks));
+  w_.pm->set_recovery_baseline(ckpt_.watermarks, /*gid_floor=*/0);
   // Replication bookkeeping restarts empty, consistent with the installed
   // baseline (registers == baseline + empty seen-set).
   for (auto& rs : replica_states_) rs.Reset(config_.num_nodes);
   OpenAsPrimary(primary_switch_, replay->max_gid, replay->num_inflight,
                 /*apply_seq=*/0);
+}
+
+void SwitchController::Checkpoint() {
+  if (ckpt_.pending && TryCommitCheckpoint()) ckpt_.pending = false;
+  if (!ckpt_.pending) ArmCheckpoint();
+}
+
+void SwitchController::ArmCheckpoint() {
+  const sw::Pipeline& pl = primary_pipeline();
+  // A multi-pass transaction between passes already has its GID, but only
+  // part of its effects are in the registers: no consistent cut exists.
+  if (!switch_up_ || switch_draining_ || pl.held_locks() != 0) return;
+  const std::vector<PartitionManager::HotEntry>& entries = w_.pm->entries();
+  ckpt_.values.resize(entries.size());
+  for (size_t i = 0; i < entries.size(); ++i) {
+    ckpt_.values[i] = pl.registers().Read(entries[i].addr);
+  }
+  // Every transaction with a GID below the cut's has applied all of its
+  // writes, and none at or above it has applied any.
+  ckpt_.gid = pl.next_gid();
+  ckpt_.apply_seq = pl.apply_seq();
+  const std::vector<uint64_t>& watermarks = w_.pm->recovery_watermarks();
+  for (uint16_t n = 0; n < config_.num_nodes; ++n) {
+    ckpt_.marks[n] = w_.wals[n]->end_lsn();
+    ckpt_.resolved[n] =
+        watermarks.empty() ? w_.wals[n]->begin_lsn() : watermarks[n];
+  }
+  ckpt_.pending = true;
+}
+
+bool SwitchController::TryCommitCheckpoint() {
+  // An intent appended before the cut may still execute after it; until
+  // its result records a GID, nothing tells which side of the cut it is on.
+  for (uint16_t n = 0; n < config_.num_nodes; ++n) {
+    const db::Wal& wal = *w_.wals[n];
+    for (db::Lsn& lsn = ckpt_.resolved[n]; lsn < ckpt_.marks[n]; ++lsn) {
+      const db::LogRecord& r = wal.at(lsn);
+      if (r.kind == db::LogKind::kSwitchIntent && !r.has_result) return false;
+    }
+  }
+  // A promotion reconciles only intents at or above the floor, so every
+  // live backup must already hold every write below the cut.
+  for (uint16_t k = 0; k < config_.num_switches; ++k) {
+    if (k != primary_switch_ && switch_alive_[k] &&
+        replica_states_[k].max_apply_seq() < ckpt_.apply_seq) {
+      return false;
+    }
+  }
+  for (size_t i = 0; i < ckpt_.values.size(); ++i) {
+    w_.pm->UpdateInitialValue(i, ckpt_.values[i]);
+  }
+  // Each watermark advances to the first intent the cut does not cover.
+  const std::vector<uint64_t>& old = w_.pm->recovery_watermarks();
+  for (uint16_t n = 0; n < config_.num_nodes; ++n) {
+    const db::Wal& wal = *w_.wals[n];
+    db::Lsn wm = old.empty() ? wal.begin_lsn() : old[n];
+    for (; wm < ckpt_.marks[n]; ++wm) {
+      const db::LogRecord& r = wal.at(wm);
+      if (r.kind == db::LogKind::kSwitchIntent && r.gid >= ckpt_.gid) break;
+    }
+    ckpt_.watermarks[n] = wm;
+  }
+  w_.pm->set_recovery_baseline(ckpt_.watermarks, ckpt_.gid);
+  for (uint16_t n = 0; n < config_.num_nodes; ++n) {
+    w_.wals[n]->TruncateBefore(ckpt_.watermarks[n]);
+  }
+  return true;
 }
 
 void SwitchController::OnRecord(uint16_t from,
@@ -296,19 +373,22 @@ void SwitchController::PromoteBackup(uint16_t np) {
   }
   // Reconcile against the WALs: an intent whose (node, client_seq) the
   // stream never delivered (its packet died with the primary, or was
-  // fenced) is applied here, exactly once. Scans start at the watermark;
-  // earlier intents are in the baseline the replicas carry.
+  // fenced) is applied here, exactly once. Scans start at the watermark,
+  // and skip resolved intents below the GID floor: a checkpoint commits
+  // only once every live backup applied the stream through its cut, so
+  // both are in the baseline the replicas carry.
   sw::ReplicaState& rs = replica_states_[np];
   const sw::RegisterFile& regs = pipelines_[np]->registers();
   HotState state =
       Collect(*w_.pm, [&](const auto& e) { return regs.Read(e.addr); });
-  const std::vector<size_t>& marks = w_.pm->recovery_watermarks();
+  const std::vector<uint64_t>& marks = w_.pm->recovery_watermarks();
+  const Gid floor = w_.pm->recovery_gid_floor();
   size_t reconciled = 0;
   for (uint16_t n = 0; n < config_.num_nodes; ++n) {
-    const auto& recs = w_.wals[n]->records();
-    for (size_t i = marks.empty() ? 0 : marks[n]; i < recs.size(); ++i) {
-      const db::LogRecord& r = recs[i];
+    for (const db::LogRecord& r : w_.wals[n]->Scan(marks.empty() ? 0
+                                                                : marks[n])) {
       if (r.kind != db::LogKind::kSwitchIntent) continue;
+      if (r.has_result && r.gid < floor) continue;
       if (!rs.MarkSeen(n, r.client_seq)) continue;  // stream delivered it
       ReplayInstructions(r.instrs, &state);
       if (r.has_result) rs.NoteGid(r.gid);

@@ -28,9 +28,11 @@ namespace p4db::core {
 /// pipelines. Its state changes only through a narrow event API:
 /// OnSwitchDown / OnSwitchUp (a reboot's crash and failback instants),
 /// ApplyReplicationRecord (a record reaching a backup; every pipeline's
-/// replication sink forwards here), and the offline SimulateSwitchCrash /
-/// RecoverSwitch pair. It owns the control planes; everything else comes
-/// in through Wiring, so a test can drive it with no Engine.
+/// replication sink forwards here), the offline SimulateSwitchCrash /
+/// RecoverSwitch pair, and Checkpoint, the runtime's quiescent-instant hook
+/// that keeps the recovery baseline recent and the WALs bounded. It owns
+/// the control planes; everything else comes in through Wiring, so a test
+/// can drive it with no Engine.
 class SwitchController final : public sw::ReplicationSink {
  public:
   using RecordPtr = std::shared_ptr<const sw::ReplicationRecord>;
@@ -41,7 +43,7 @@ class SwitchController final : public sw::ReplicationSink {
     /// One per switch (index == switch id); slot 0 is the boot primary.
     std::vector<sw::Pipeline*> pipelines;
     PartitionManager* pm = nullptr;
-    std::vector<const db::Wal*> wals;  // index == node id
+    std::vector<db::Wal*> wals;  // index == node id
     db::Catalog* catalog = nullptr;    // hot items' host rows
     std::span<IntCollector> int_collectors;  // empty when INT is off
     /// Receives the lazily created engine.view_changes / switch_rejoins.
@@ -59,6 +61,10 @@ class SwitchController final : public sw::ReplicationSink {
 
   /// Hot-item values keyed by PackAddr.
   using HotState = std::unordered_map<uint64_t, Value64>;
+
+  /// Simulated time between two Checkpoint calls. Checkpoints cost no
+  /// simulated time; the interval bounds how much WAL each node retains.
+  static constexpr SimTime kCheckpointInterval = 250 * kMicrosecond;
 
   explicit SwitchController(Wiring wiring);
 
@@ -86,6 +92,18 @@ class SwitchController final : public sw::ReplicationSink {
   void SimulateSwitchCrash();
   /// Rebuilds the primary's state from all WALs (RecoverSwitchState).
   Status RecoverSwitch();
+
+  /// The quiescent-instant hook (every kCheckpointInterval, with no event
+  /// in progress). First commits the pending checkpoint if every intent
+  /// below its marks has a result and every live backup has applied the
+  /// replication stream through its cut: the snapshot becomes the recovery
+  /// baseline, the GID floor its cut, each watermark advances and each WAL
+  /// truncates below it. Then arms a new checkpoint if the primary is
+  /// serving, nothing drains and no multi-pass transaction holds a pipeline
+  /// lock: snapshots the hot registers, next_gid, apply_seq and every WAL's
+  /// end as its marks.
+  void Checkpoint();
+  bool checkpoint_pending() const { return ckpt_.pending; }
 
   /// Offload's install of the just-registered hot set on every switch:
   /// replicas allocate the layout switch 0 holds, so backups start exact.
@@ -126,6 +144,8 @@ class SwitchController final : public sw::ReplicationSink {
   sw::ControlPlane& control_plane(uint16_t sw) { return *control_planes_[sw]; }
 
  private:
+  bool TryCommitCheckpoint();
+  void ArmCheckpoint();
   void FinalizeFailback();
   void PromoteBackup(uint16_t np);
   /// The tail shared by failback and promotion: restart `np`'s GID counter
@@ -156,9 +176,26 @@ class SwitchController final : public sw::ReplicationSink {
   uint16_t primary_switch_ = 0;
   std::vector<bool> switch_alive_;
   std::vector<uint32_t> degraded_inflight_;
-  /// Per-node WAL length at the primary's crash: later records are
+  /// The recovery-side view of w_.wals.
+  std::vector<const db::Wal*> logs_;
+  /// Per-node WAL end LSN at the primary's crash: later records are
   /// stragglers, replayed onto the host-row baseline at failback.
-  std::vector<size_t> crash_record_offset_;
+  std::vector<db::Lsn> crash_lsn_;
+
+  /// The armed checkpoint: the cut's register snapshot (indexed like
+  /// pm->entries()), GID and apply_seq, and each WAL's end at the cut.
+  /// `resolved[n]` is how far node n's intents are known to have results.
+  /// Every buffer is sized once and reused in place.
+  struct PendingCheckpoint {
+    bool pending = false;
+    std::vector<Value64> values;
+    Gid gid = 0;
+    uint64_t apply_seq = 0;
+    std::vector<db::Lsn> marks;
+    std::vector<db::Lsn> resolved;
+    std::vector<db::Lsn> watermarks;  // scratch for the commit
+  };
+  PendingCheckpoint ckpt_;
 
   // Replication (K >= 2); empty or zero with one switch.
   int rep_target_ = -1;

@@ -4,48 +4,89 @@
 
 namespace p4db::db {
 
+void Wal::Reserve(size_t records, size_t payload_bytes) {
+  const size_t segments =
+      std::max<size_t>(1, (records + kSegmentRecords - 1) / kSegmentRecords);
+  const size_t per_segment = payload_bytes / segments;
+  while (free_.size() < segments) {
+    owned_.push_back(std::make_unique<Segment>());
+    owned_.back()->payload.Reserve(per_segment);
+    free_.push_back(owned_.back().get());
+  }
+}
+
+Wal::Segment* Wal::AcquireSegment() {
+  if (free_.empty()) {
+    owned_.push_back(std::make_unique<Segment>());
+    return owned_.back().get();
+  }
+  Segment* seg = free_.back();
+  free_.pop_back();
+  seg->payload.Reset();
+  return seg;
+}
+
+LogRecord& Wal::NextSlot() {
+  if (end_ == (first_segment_ + live_.size()) * kSegmentRecords) {
+    live_.push_back(AcquireSegment());
+  }
+  LogRecord& rec = live_.back()->records[end_ % kSegmentRecords];
+  rec = LogRecord();
+  rec.lsn = end_++;
+  return rec;
+}
+
 Lsn Wal::AppendHostCommit(std::span<const HostLogOp> writes) {
-  LogRecord rec;
-  rec.lsn = records_.size();
+  LogRecord& rec = NextSlot();
   rec.kind = LogKind::kHostCommit;
   rec.host_writes = Persist(writes);
   if (host_commits_ != nullptr) {
     host_commits_->Increment();
     logged_writes_->Increment(rec.host_writes.size());
   }
-  records_.push_back(rec);
   return rec.lsn;
 }
 
 Lsn Wal::AppendSwitchIntent(uint32_t client_seq,
                             std::span<const sw::Instruction> instrs) {
-  LogRecord rec;
-  rec.lsn = records_.size();
+  LogRecord& rec = NextSlot();
   rec.kind = LogKind::kSwitchIntent;
   rec.client_seq = client_seq;
   rec.instrs = Persist(instrs);
+  // The result slots are reserved now, so the response fills them in place
+  // without allocating.
+  if (!instrs.empty()) {
+    rec.results = {live_.back()->payload.AllocateArray<Value64>(instrs.size()),
+                   instrs.size()};
+  }
   if (switch_intents_ != nullptr) switch_intents_->Increment();
-  records_.push_back(rec);
   return rec.lsn;
 }
 
 void Wal::FillSwitchResult(Lsn lsn, Gid gid,
                            std::span<const Value64> results) {
-  assert(lsn < records_.size());
-  LogRecord& rec = records_[lsn];
+  assert(lsn < end_);
+  if (lsn < begin_lsn()) return;
+  LogRecord& rec = live_[lsn / kSegmentRecords - first_segment_]
+                       ->records[lsn % kSegmentRecords];
   assert(rec.kind == LogKind::kSwitchIntent);
   assert(!rec.has_result);
+  assert(results.size() <= rec.results.size());
+  // The slots are this log's own arena memory; only the view is const.
+  Value64* slots = const_cast<Value64*>(rec.results.data());
+  std::copy(results.begin(), results.end(), slots);
+  rec.results = {slots, results.size()};
   rec.gid = gid;
-  rec.results = Persist(results);
   rec.has_result = true;
 }
 
-std::vector<const LogRecord*> Wal::SwitchIntents() const {
-  std::vector<const LogRecord*> out;
-  for (const LogRecord& rec : records_) {
-    if (rec.kind == LogKind::kSwitchIntent) out.push_back(&rec);
-  }
-  return out;
+void Wal::TruncateBefore(Lsn lsn) {
+  lsn = std::min(lsn, end_);
+  if (lsn / kSegmentRecords <= first_segment_) return;
+  const size_t drop = lsn / kSegmentRecords - first_segment_;
+  free_.insert(free_.end(), live_.begin(), live_.begin() + drop);
+  live_.erase(live_.begin(), live_.begin() + drop);
+  first_segment_ += drop;
 }
 
 }  // namespace p4db::db

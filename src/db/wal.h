@@ -1,8 +1,13 @@
 #ifndef P4DB_DB_WAL_H_
 #define P4DB_DB_WAL_H_
 
+#include <algorithm>
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <initializer_list>
+#include <iterator>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -13,6 +18,8 @@
 
 namespace p4db::db {
 
+/// Absolute log sequence number: the record's index in the log's whole
+/// history. Truncation never renumbers.
 using Lsn = uint64_t;
 
 /// One logged host-side write (cold tuples).
@@ -34,38 +41,49 @@ enum class LogKind : uint8_t {
   kSwitchIntent,
 };
 
-/// A log record's payload lives in the owning Wal's arena (appended data is
+/// A log record's payload lives in its segment's arena (appended data is
 /// immutable, exactly like bytes on disk); the record itself only carries
-/// spans. This turns the old three-vectors-per-record layout into one bump
-/// append, so logging a commit costs zero allocations in steady state.
+/// spans. Logging a commit is one bump append and costs zero allocations
+/// in steady state.
 struct LogRecord {
   Lsn lsn = 0;
-  LogKind kind = LogKind::kHostCommit;
 
   // kHostCommit payload.
   std::span<const HostLogOp> host_writes;
 
   // kSwitchIntent payload: the exact instructions sent to the switch.
-  uint32_t client_seq = 0;
   std::span<const sw::Instruction> instrs;
+  /// Result values of the read/write operations, recorded with the gid.
+  /// One slot per instruction is reserved at append time; the values are
+  /// meaningful only once has_result is set.
+  std::span<const Value64> results;
   /// Filled in when the switch response arrives. A record with
   /// gid == kInvalidGid after a crash is an in-flight switch transaction:
   /// executed-but-unacknowledged (or never admitted) — recovery must place
   /// it using read/write-set dependencies (Appendix A.3, Scenario 1).
   Gid gid = kInvalidGid;
-  /// Result values of the read/write operations, recorded with the gid.
-  std::span<const Value64> results;
+  uint32_t client_seq = 0;
+  LogKind kind = LogKind::kHostCommit;
   bool has_result = false;
 };
 
 /// Per-node write-ahead log. In-memory but modeled as durable: a simulated
 /// node crash loses no appended record, only the chance to ever fill in
 /// gids of in-flight switch transactions.
+///
+/// Records live in fixed-size segments of kSegmentRecords records, each
+/// with its own payload arena. The log retains the LSN range
+/// [begin_lsn(), end_lsn()); TruncateBefore drops whole segments below a
+/// recovery watermark onto a free list that later appends reuse, so memory
+/// follows the checkpoint interval rather than the run length.
 class Wal {
  public:
+  static constexpr size_t kSegmentRecords = 256;
+
   /// `metrics` (optional) is the cluster registry; appends are published as
   /// "wal.host_commits" / "wal.switch_intents" / "wal.logged_writes"
-  /// counters, aggregated across all node WALs of the cluster.
+  /// counters, aggregated across all node WALs of the cluster. They count
+  /// every append, truncated or not.
   explicit Wal(MetricsRegistry* metrics = nullptr) {
     if (metrics != nullptr) {
       host_commits_ = &metrics->counter("wal.host_commits");
@@ -76,12 +94,10 @@ class Wal {
   Wal(const Wal&) = delete;
   Wal& operator=(const Wal&) = delete;
 
-  /// Pre-sizes the record index and the payload arena so a bounded
-  /// benchmark window appends without touching the allocator.
-  void Reserve(size_t records, size_t payload_bytes) {
-    records_.reserve(records);
-    payload_.Reserve(payload_bytes);
-  }
+  /// Pre-allocates free segments for `records` retained records carrying
+  /// `payload_bytes` of payload in total, so a bounded retention window
+  /// appends without touching the allocator.
+  void Reserve(size_t records, size_t payload_bytes);
 
   Lsn AppendHostCommit(std::span<const HostLogOp> writes);
   Lsn AppendHostCommit(std::initializer_list<HostLogOp> writes) {
@@ -97,7 +113,8 @@ class Wal {
         std::span<const sw::Instruction>(instrs.begin(), instrs.size()));
   }
   /// Records the switch response (gid + read/write results) for the intent
-  /// at `lsn`.
+  /// at `lsn`, into the slots reserved at append time. A response for an
+  /// already-truncated intent is dropped: a recovery baseline covers it.
   void FillSwitchResult(Lsn lsn, Gid gid, std::span<const Value64> results);
   void FillSwitchResult(Lsn lsn, Gid gid,
                         std::initializer_list<Value64> results) {
@@ -106,30 +123,96 @@ class Wal {
                                               results.size()));
   }
 
+  /// Drops every whole segment below `lsn` (clamped to end_lsn()). The
+  /// segment holding `lsn` stays, so begin_lsn() may remain below it.
+  void TruncateBefore(Lsn lsn);
+
   /// LSN range of the retained records: [begin_lsn(), end_lsn()).
-  Lsn begin_lsn() const { return 0; }
-  Lsn end_lsn() const { return records_.size(); }
+  Lsn begin_lsn() const {
+    return std::min(first_segment_ * kSegmentRecords, end_);
+  }
+  Lsn end_lsn() const { return end_; }
   /// The retained record at `lsn` (begin_lsn() <= lsn < end_lsn()).
-  const LogRecord& at(Lsn lsn) const { return records_[lsn]; }
+  const LogRecord& at(Lsn lsn) const {
+    return live_[lsn / kSegmentRecords - first_segment_]
+        ->records[lsn % kSegmentRecords];
+  }
 
-  const std::vector<LogRecord>& records() const { return records_; }
-  size_t size() const { return records_.size(); }
+  /// Forward iteration over a retained LSN range.
+  class Iterator {
+   public:
+    using iterator_category = std::forward_iterator_tag;
+    using value_type = LogRecord;
+    using difference_type = std::ptrdiff_t;
+    using pointer = const LogRecord*;
+    using reference = const LogRecord&;
 
-  /// All switch-intent records, in append order (recovery input).
-  std::vector<const LogRecord*> SwitchIntents() const;
+    Iterator() = default;
+    Iterator(const Wal* wal, Lsn lsn) : wal_(wal), lsn_(lsn) {}
+    reference operator*() const { return wal_->at(lsn_); }
+    pointer operator->() const { return &wal_->at(lsn_); }
+    Iterator& operator++() {
+      ++lsn_;
+      return *this;
+    }
+    Iterator operator++(int) {
+      Iterator old = *this;
+      ++lsn_;
+      return old;
+    }
+    friend bool operator==(const Iterator& a, const Iterator& b) {
+      return a.lsn_ == b.lsn_;
+    }
+
+   private:
+    const Wal* wal_ = nullptr;
+    Lsn lsn_ = 0;
+  };
+  struct Range {
+    Iterator first;
+    Iterator last;
+    Iterator begin() const { return first; }
+    Iterator end() const { return last; }
+  };
+  /// The retained records from `from` (clamped to begin_lsn()) to the end.
+  Range Scan(Lsn from = 0) const {
+    return {Iterator(this, std::max(from, begin_lsn())),
+            Iterator(this, end_)};
+  }
+
+  /// Segments currently holding retained records, and all segments ever
+  /// allocated (retained + free list).
+  size_t retained_segments() const { return live_.size(); }
+  size_t allocated_segments() const { return owned_.size(); }
 
  private:
-  /// Copies a payload into the arena and returns a view of the stable copy.
+  static constexpr size_t kSegmentChunkBytes = 16 * 1024;
+  struct Segment {
+    std::array<LogRecord, kSegmentRecords> records;
+    Arena payload{kSegmentChunkBytes};
+  };
+
+  /// The record slot for the next append (opens a segment when needed).
+  LogRecord& NextSlot();
+  Segment* AcquireSegment();
+
+  /// Copies a payload into the open segment's arena and returns a view of
+  /// the stable copy.
   template <typename T>
   std::span<const T> Persist(std::span<const T> src) {
     if (src.empty()) return {};
-    T* dst = payload_.AllocateArray<T>(src.size());
+    T* dst = live_.back()->payload.AllocateArray<T>(src.size());
     std::copy(src.begin(), src.end(), dst);
     return {dst, src.size()};
   }
 
-  std::vector<LogRecord> records_;
-  Arena payload_;
+  std::vector<std::unique_ptr<Segment>> owned_;
+  /// Retained segments in LSN order: live_[i] holds segment number
+  /// first_segment_ + i, i.e. LSNs from (first_segment_ + i) * S.
+  std::vector<Segment*> live_;
+  std::vector<Segment*> free_;
+  Lsn first_segment_ = 0;
+  Lsn end_ = 0;
   MetricsRegistry::Counter* host_commits_ = nullptr;
   MetricsRegistry::Counter* switch_intents_ = nullptr;
   MetricsRegistry::Counter* logged_writes_ = nullptr;

@@ -185,6 +185,17 @@ class ShardedSimulator {
     merge_scratch_.reserve(mailbox_records_per_pair * num_shards());
   }
 
+  /// Calls `hook` on the coordinator, with every shard quiescent, at the
+  /// first window start at or after each multiple of `interval`. The hook
+  /// must schedule nothing: it never cuts a window, so the window sequence
+  /// (and every merge) is the same as without it.
+  void SetQuiescentHook(SimTime interval, std::function<void()> hook) {
+    assert(interval > 0);
+    hook_interval_ = interval;
+    next_hook_ = interval;
+    hook_ = std::move(hook);
+  }
+
   /// The simulated time of the global event currently executing. Only
   /// meaningful inside a global handler.
   SimTime global_now() const { return global_now_; }
@@ -299,6 +310,10 @@ class ShardedSimulator {
         ev.fn();
         continue;  // re-evaluate: the handler may stop, schedule, or jump
       }
+      if (hook_ && w >= next_hook_) {
+        hook_();
+        next_hook_ = (w / hook_interval_ + 1) * hook_interval_;
+      }
       // next_gl > w here, so the window is non-empty even when the
       // lookahead would be cut by a pending global event.
       window_end_ = std::min(w + lookahead_, next_gl);
@@ -370,6 +385,9 @@ class ShardedSimulator {
   std::vector<GlobalEvent> globals_;  // heap ordered by GlobalAfter
   std::vector<MergeKey> merge_scratch_;
   uint64_t next_global_seq_ = 0;
+  std::function<void()> hook_;
+  SimTime hook_interval_ = 0;
+  SimTime next_hook_ = 0;
   SimTime window_end_ = 0;
   SimTime global_now_ = 0;
   bool stop_requested_ = false;

@@ -61,8 +61,10 @@ uint64_t MeasuredWindowAllocs(core::CcProtocol cc, bool trace_full = false,
       table.GetOrCreate(static_cast<Key>(k));
     }
   }
-  engine.ReserveSteadyState(kKeys, /*wal_records_per_node=*/1 << 18,
-                            /*wal_payload_bytes_per_node=*/16 << 20);
+  // Checkpoints recycle WAL segments, so the reservation covers the few
+  // checkpoint intervals a node retains, not the run.
+  engine.ReserveSteadyState(kKeys, /*wal_records_per_node=*/4096,
+                            /*wal_payload_bytes_per_node=*/2 << 20);
 
   // Snapshots bracket the measured window; both events are scheduled before
   // Run, so they fire before any same-instant transaction work. The begin

@@ -239,23 +239,6 @@ TEST(RecoveryScriptedTest, MultiInstructionIntentReplaysAtomically) {
 
 // ------------------------------------------------ end-to-end recovery ----
 
-/// Addresses touched by switch intents that never received a gid (their
-/// recovered serial position is only constrained, not pinned: "if no such
-/// dependency is detected, any order of switch transaction can be used",
-/// Section 6.1).
-std::set<uint64_t> InflightAddresses(Engine& engine) {
-  std::set<uint64_t> touched;
-  for (NodeId n = 0; n < engine.config().num_nodes; ++n) {
-    for (const auto* rec : engine.wal(n).SwitchIntents()) {
-      if (rec->has_result) continue;
-      for (const sw::Instruction& in : rec->instrs) {
-        touched.insert(PackAddr(in.addr));
-      }
-    }
-  }
-  return touched;
-}
-
 /// Addresses touched by the retained switch intents that never received a
 /// gid. Such intents are never truncated, so the retained range covers all.
 std::set<uint64_t> UnresolvedAddresses(Engine& engine) {
@@ -357,7 +340,7 @@ TEST(RecoveryEndToEndTest, SwitchStateSurvivesCrashAfterWorkload) {
   for (const auto& e : engine.partition_manager().entries()) {
     before[PackAddr(e.addr)] = *engine.control_plane().ReadValue(e.addr);
   }
-  const std::set<uint64_t> fuzzy = InflightAddresses(engine);
+  const std::set<uint64_t> fuzzy = UnresolvedAddresses(engine);
   engine.switches().SimulateSwitchCrash();
   ASSERT_TRUE(engine.switches().RecoverSwitch().ok());
   // Every register not touched by an in-flight transaction must be
@@ -395,8 +378,8 @@ TEST(RecoveryEndToEndTest, NodeCrashLeavesInflightRecoverable) {
   engine.Run(200 * kMicrosecond, 800 * kMicrosecond);
 
   size_t inflight = 0;
-  for (const auto* rec : engine.wal(2).SwitchIntents()) {
-    inflight += !rec->has_result;
+  for (const db::LogRecord& rec : engine.wal(2).Scan()) {
+    inflight += rec.kind == db::LogKind::kSwitchIntent && !rec.has_result;
   }
   EXPECT_GT(inflight, 0u);
 
@@ -404,7 +387,7 @@ TEST(RecoveryEndToEndTest, NodeCrashLeavesInflightRecoverable) {
   for (const auto& e : engine.partition_manager().entries()) {
     before[PackAddr(e.addr)] = *engine.control_plane().ReadValue(e.addr);
   }
-  const std::set<uint64_t> fuzzy = InflightAddresses(engine);
+  const std::set<uint64_t> fuzzy = UnresolvedAddresses(engine);
   engine.switches().SimulateSwitchCrash();
   ASSERT_TRUE(engine.switches().RecoverSwitch().ok());
   for (const auto& e : engine.partition_manager().entries()) {

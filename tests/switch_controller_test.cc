@@ -335,8 +335,9 @@ TEST(SwitchControllerTest, SingleSwitchDarkPeriodSeedsHostRowsFromWal) {
   EXPECT_EQ(rig.HostRow(3), kInitial + 1);  // host rows absorb stragglers
   EXPECT_EQ(rig.pm().entries()[3].initial_value, kInitial + 1);
   EXPECT_EQ(rig.pm().recovery_watermarks(),
-            (std::vector<size_t>{rig.wal(0).records().size(),
-                                 rig.wal(1).records().size()}));
+            (std::vector<uint64_t>{rig.wal(0).end_lsn(),
+                                   rig.wal(1).end_lsn()}));
+  EXPECT_EQ(rig.pm().recovery_gid_floor(), 0u);
 }
 
 }  // namespace

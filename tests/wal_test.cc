@@ -22,13 +22,14 @@ TEST(WalTest, AppendsAssignSequentialLsns) {
   EXPECT_EQ(wal.AppendHostCommit({}), 0u);
   EXPECT_EQ(wal.AppendSwitchIntent(1, {Instr(0, 1)}), 1u);
   EXPECT_EQ(wal.AppendHostCommit({}), 2u);
-  EXPECT_EQ(wal.size(), 3u);
+  EXPECT_EQ(wal.begin_lsn(), 0u);
+  EXPECT_EQ(wal.end_lsn(), 3u);
 }
 
 TEST(WalTest, HostCommitStoresWrites) {
   Wal wal;
   wal.AppendHostCommit({HostLogOp{TupleId{1, 2}, 0, 99}});
-  const LogRecord& rec = wal.records()[0];
+  const LogRecord& rec = wal.at(0);
   EXPECT_EQ(rec.kind, LogKind::kHostCommit);
   ASSERT_EQ(rec.host_writes.size(), 1u);
   EXPECT_EQ(rec.host_writes[0].new_value, 99);
@@ -37,7 +38,7 @@ TEST(WalTest, HostCommitStoresWrites) {
 TEST(WalTest, SwitchIntentStartsWithoutResult) {
   Wal wal;
   const Lsn lsn = wal.AppendSwitchIntent(7, {Instr(0, 5)});
-  const LogRecord& rec = wal.records()[lsn];
+  const LogRecord& rec = wal.at(lsn);
   EXPECT_EQ(rec.kind, LogKind::kSwitchIntent);
   EXPECT_EQ(rec.client_seq, 7u);
   EXPECT_FALSE(rec.has_result);
@@ -48,34 +49,105 @@ TEST(WalTest, FillSwitchResultRecordsGidAndValues) {
   Wal wal;
   const Lsn lsn = wal.AppendSwitchIntent(7, {Instr(0, 5)});
   wal.FillSwitchResult(lsn, 42, {12});
-  const LogRecord& rec = wal.records()[lsn];
+  const LogRecord& rec = wal.at(lsn);
   EXPECT_TRUE(rec.has_result);
   EXPECT_EQ(rec.gid, 42u);
   ASSERT_EQ(rec.results.size(), 1u);
   EXPECT_EQ(rec.results[0], 12);
 }
 
-TEST(WalTest, SwitchIntentsFiltersHostRecords) {
+TEST(WalTest, ScanVisitsRecordsInLsnOrder) {
   Wal wal;
   wal.AppendHostCommit({});
   wal.AppendSwitchIntent(1, {Instr(0, 1)});
   wal.AppendHostCommit({});
   wal.AppendSwitchIntent(2, {Instr(1, 2)});
-  const auto intents = wal.SwitchIntents();
+  std::vector<const LogRecord*> intents;
+  Lsn next = 0;
+  for (const LogRecord& rec : wal.Scan()) {
+    EXPECT_EQ(rec.lsn, next++);
+    if (rec.kind == LogKind::kSwitchIntent) intents.push_back(&rec);
+  }
+  EXPECT_EQ(next, 4u);
   ASSERT_EQ(intents.size(), 2u);
   EXPECT_EQ(intents[0]->client_seq, 1u);
   EXPECT_EQ(intents[1]->client_seq, 2u);
+  // A scan from an LSN starts there.
+  EXPECT_EQ(wal.Scan(3).begin()->client_seq, 2u);
 }
 
 TEST(WalTest, IntentKeepsExactInstructions) {
   Wal wal;
   const Lsn lsn = wal.AppendSwitchIntent(3, {Instr(2, 10), Instr(4, -3)});
-  const LogRecord& rec = wal.records()[lsn];
+  const LogRecord& rec = wal.at(lsn);
   ASSERT_EQ(rec.instrs.size(), 2u);
   EXPECT_EQ(rec.instrs[0].addr.stage, 2);
   EXPECT_EQ(rec.instrs[1].operand, -3);
 }
 
+
+TEST(WalTest, TruncateBeforeDropsWholeSegmentsAndKeepsLsns) {
+  constexpr Lsn kSeg = Wal::kSegmentRecords;
+  Wal wal;
+  for (Lsn i = 0; i < 3 * kSeg; ++i) {
+    wal.AppendSwitchIntent(static_cast<uint32_t>(i + 1), {Instr(0, 1)});
+  }
+  EXPECT_EQ(wal.retained_segments(), 3u);
+  // The segment holding the cut stays.
+  wal.TruncateBefore(kSeg + 5);
+  EXPECT_EQ(wal.begin_lsn(), kSeg);
+  EXPECT_EQ(wal.end_lsn(), 3 * kSeg);
+  EXPECT_EQ(wal.retained_segments(), 2u);
+  EXPECT_EQ(wal.at(kSeg + 5).lsn, kSeg + 5);
+  EXPECT_EQ(wal.at(kSeg + 5).client_seq, kSeg + 6);
+  EXPECT_EQ(wal.Scan().begin()->lsn, kSeg);
+  // Moving backwards is a no-op; a cut past the end clamps to it.
+  wal.TruncateBefore(1);
+  EXPECT_EQ(wal.begin_lsn(), kSeg);
+  wal.TruncateBefore(10 * kSeg);
+  EXPECT_EQ(wal.begin_lsn(), 3 * kSeg);
+  EXPECT_EQ(wal.retained_segments(), 0u);
+  // LSNs keep counting across truncation.
+  EXPECT_EQ(wal.AppendHostCommit({}), 3 * kSeg);
+  EXPECT_EQ(wal.at(3 * kSeg).kind, LogKind::kHostCommit);
+}
+
+TEST(WalTest, RecycledSegmentsServeLaterAppends) {
+  constexpr Lsn kSeg = Wal::kSegmentRecords;
+  Wal wal;
+  // Steady state: retain about two segments, truncating behind the head.
+  for (Lsn i = 0; i < 20 * kSeg; ++i) {
+    const Lsn lsn = wal.AppendSwitchIntent(1, {Instr(0, 1), Instr(1, 2)});
+    wal.FillSwitchResult(lsn, i + 1, {1, 2});
+    if (lsn >= 2 * kSeg) wal.TruncateBefore(lsn - 2 * kSeg);
+  }
+  EXPECT_LE(wal.retained_segments(), 3u);
+  EXPECT_LE(wal.allocated_segments(), 4u);
+  const LogRecord& rec = wal.at(wal.end_lsn() - 1);
+  EXPECT_EQ(rec.gid, 20 * kSeg);
+  ASSERT_EQ(rec.results.size(), 2u);
+  EXPECT_EQ(rec.results[1], 2);
+  EXPECT_EQ(rec.instrs[1].operand, 2);
+}
+
+TEST(WalTest, ReservePreallocatesFreeSegments) {
+  Wal wal;
+  wal.Reserve(3 * Wal::kSegmentRecords, 64 * 1024);
+  EXPECT_EQ(wal.allocated_segments(), 3u);
+  EXPECT_EQ(wal.retained_segments(), 0u);
+  for (Lsn i = 0; i < 3 * Wal::kSegmentRecords; ++i) wal.AppendHostCommit({});
+  EXPECT_EQ(wal.allocated_segments(), 3u);
+  EXPECT_EQ(wal.retained_segments(), 3u);
+}
+
+TEST(WalTest, ResultForTruncatedIntentIsDropped) {
+  Wal wal;
+  const Lsn lsn = wal.AppendSwitchIntent(1, {Instr(0, 1)});
+  for (Lsn i = 0; i < Wal::kSegmentRecords; ++i) wal.AppendHostCommit({});
+  wal.TruncateBefore(Wal::kSegmentRecords);
+  wal.FillSwitchResult(lsn, 9, {1});  // must not touch recycled memory
+  EXPECT_EQ(wal.begin_lsn(), Wal::kSegmentRecords);
+}
 
 wl::YcsbConfig SmallYcsb() {
   wl::YcsbConfig ycsb;
@@ -121,14 +193,14 @@ TEST(WalEngineTest, ColdCommitLogsEachAppliedWriteWithFinalValue) {
              MakeOp(OpType::kCondAddGeZero, 5001, -1),
              MakeOp(OpType::kMax, 5002, 7),
              MakeOp(OpType::kSwap, 5003, 9)};
-  const size_t before = engine.wal(0).size();
+  const Lsn before = engine.wal(0).end_lsn();
   auto r = engine.ExecuteOnce(txn, 0);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(*r, (std::vector<Value64>{42, 50, 50, 2, 1, 7, 0}));
 
   const Wal& wal = engine.wal(0);
-  ASSERT_EQ(wal.size(), before + 1);
-  const LogRecord& rec = wal.records().back();
+  ASSERT_EQ(wal.end_lsn(), before + 1);
+  const LogRecord& rec = wal.at(before);
   ASSERT_EQ(rec.kind, LogKind::kHostCommit);
   const std::vector<HostLogOp> expect = {{TupleId{0, 5000}, 0, 50},
                                          {TupleId{0, 5000}, 0, 50},
@@ -164,7 +236,7 @@ TEST(WalEngineTest, KeyFromSourceWriteLogsTheRowItWrote) {
   EXPECT_EQ(table.GetOrCreate(7003)[0], 9);
   EXPECT_EQ(table.materialized_rows(), rows_before + 1);
 
-  const LogRecord& rec = engine.wal(0).records().back();
+  const LogRecord& rec = engine.wal(0).at(engine.wal(0).end_lsn() - 1);
   ASSERT_EQ(rec.kind, LogKind::kHostCommit);
   ASSERT_EQ(rec.host_writes.size(), 1u);
   EXPECT_EQ(rec.host_writes[0].tuple, (TupleId{0, 7003}));
@@ -197,7 +269,7 @@ TEST(WalEngineTest, OccCommitLogsEachWrittenCellOnceWithFinalValue) {
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(*r, (std::vector<Value64>{5, 3, 9, 0}));
 
-  const LogRecord& rec = engine.wal(0).records().back();
+  const LogRecord& rec = engine.wal(0).at(engine.wal(0).end_lsn() - 1);
   ASSERT_EQ(rec.kind, LogKind::kHostCommit);
   const std::vector<HostLogOp> expect = {{TupleId{wide, 8}, 1, 9},
                                          {TupleId{wide, 9}, 0, 3}};
