@@ -2,8 +2,8 @@
 // Simulator, a handful of hot entries and WALs with hand-written intents.
 // Each case fires the controller's events directly and checks the
 // cluster state they leave behind: promotion after a primary crash, rejoin
-// as backup, record fencing, backup crashes, idempotent failback, and the
-// single-switch dark period.
+// as backup, record fencing, backup crashes, idempotent failback, the
+// single-switch dark period, and each condition a checkpoint waits for.
 
 #include <gtest/gtest.h>
 
@@ -129,6 +129,24 @@ class Rig {
     sim_.Run();
     ASSERT_TRUE(result.has_value());
   }
+  /// Submits `instrs` from `node` to switch `sw`'s data plane without
+  /// running the simulator: the transaction advances with sim(), and its
+  /// result lands in `*out` when it leaves the pipeline.
+  void Start(uint16_t sw, NodeId node, uint32_t client_seq,
+             std::vector<sw::Instruction> instrs,
+             std::optional<sw::SwitchResult>* out) {
+    sw::SwitchTxn txn;
+    txn.instrs.assign(instrs.begin(), instrs.end());
+    txn.origin_node = node;
+    txn.client_seq = client_seq;
+    txn.epoch = static_cast<uint8_t>(ctl_->switch_epoch());
+    const sw::PassSummary plan = sw::SummarizePasses(cfg_.pipeline,
+                                                     txn.instrs);
+    txn.is_multipass = plan.passes > 1;
+    txn.lock_mask = plan.lock_mask;
+    txn.touch_mask = plan.touch_mask;
+    started_.push_back(Submit(*pipelines_[sw], std::move(txn), out));
+  }
   uint64_t SwitchCounter(uint16_t sw, std::string_view name) const {
     return CounterValue(*switch_regs_[sw], name);
   }
@@ -156,6 +174,7 @@ class Rig {
   TableId table_ = 0;
   std::vector<std::unique_ptr<db::Wal>> wals_;
   std::vector<std::unique_ptr<sw::Pipeline>> pipelines_;
+  std::vector<sim::Task> started_;
   std::unique_ptr<SwitchController> ctl_;  // declared last: destroyed first
 };
 
@@ -338,6 +357,129 @@ TEST(SwitchControllerTest, SingleSwitchDarkPeriodSeedsHostRowsFromWal) {
             (std::vector<uint64_t>{rig.wal(0).end_lsn(),
                                    rig.wal(1).end_lsn()}));
   EXPECT_EQ(rig.pm().recovery_gid_floor(), 0u);
+}
+
+// -- Checkpoints ---------------------------------------------------------
+
+// A multi-pass transaction between passes has its GID but only part of its
+// effects in the registers: no cut exists until it finishes.
+TEST(SwitchControllerTest, CheckpointDoesNotArmWhilePipelineLockIsHeld) {
+  Rig rig(1);
+  // Keys 0 and 1 share one register array: two passes under a lock.
+  std::optional<sw::SwitchResult> result;
+  rig.Start(0, 0, 1, {rig.Add(0, 1), rig.Add(1, 1)}, &result);
+  rig.sim().RunUntil(rig.sim().now());
+  ASSERT_NE(rig.pipeline(0).held_locks(), 0u);
+  ASSERT_FALSE(result.has_value());
+  rig.ctl().Checkpoint();
+  EXPECT_FALSE(rig.ctl().checkpoint_pending());
+  rig.sim().Run();
+  ASSERT_TRUE(result.has_value());
+  EXPECT_EQ(rig.pipeline(0).held_locks(), 0u);
+  rig.ctl().Checkpoint();
+  EXPECT_TRUE(rig.ctl().checkpoint_pending());
+}
+
+// An intent appended before the cut may execute after it; the checkpoint
+// commits only once its result says which side of the cut it is on.
+TEST(SwitchControllerTest, CheckpointWaitsForEveryIntentBelowItsMark) {
+  Rig rig(1);
+  const db::Lsn lsn = rig.wal(0).AppendSwitchIntent(1, {rig.Add(0, 5)});
+  rig.ctl().Checkpoint();  // arms: registers at kInitial, next GID 1
+  ASSERT_TRUE(rig.ctl().checkpoint_pending());
+  rig.Execute(0, 0, 1, /*key=*/0, 5);  // runs after the cut: GID 1
+  rig.ctl().Checkpoint();
+  EXPECT_TRUE(rig.ctl().checkpoint_pending());
+  EXPECT_TRUE(rig.pm().recovery_watermarks().empty());
+  EXPECT_EQ(rig.pm().recovery_gid_floor(), 0u);
+
+  rig.wal(0).FillSwitchResult(lsn, 1, {kInitial + 5});
+  rig.ctl().Checkpoint();  // commits, then arms the next cut
+  EXPECT_EQ(rig.pm().recovery_gid_floor(), 1u);
+  EXPECT_EQ(rig.pm().entries()[0].initial_value, kInitial);
+  // The intent is not covered by the baseline: the watermark stays on it.
+  EXPECT_EQ(rig.pm().recovery_watermarks(),
+            (std::vector<uint64_t>{lsn, rig.wal(1).end_lsn()}));
+  rig.ctl().SimulateSwitchCrash();
+  ASSERT_TRUE(rig.ctl().RecoverSwitch().ok());
+  EXPECT_EQ(rig.Reg(0, 0), kInitial + 5);
+}
+
+// A promotion reconciles only intents at or above the GID floor, so a
+// checkpoint waits until every live backup holds every write below its cut.
+TEST(SwitchControllerTest, CheckpointWaitsForLiveBackupsToApplyTheCut) {
+  Rig rig(2);
+  const db::Lsn lsn = rig.wal(0).AppendSwitchIntent(1, {rig.Add(0, 5)});
+  std::optional<sw::SwitchResult> result;
+  rig.Start(0, 0, 1, {rig.Add(0, 5)}, &result);
+  // Run until the primary answered but its replication record is still on
+  // the inter-switch link.
+  while (!result.has_value()) rig.sim().RunUntil(rig.sim().now() + 1);
+  ASSERT_EQ(rig.Reg(1, 0), kInitial);
+  rig.wal(0).FillSwitchResult(lsn, result->gid, result->values);
+  rig.ctl().Checkpoint();  // arms with apply_seq 1
+  ASSERT_TRUE(rig.ctl().checkpoint_pending());
+  rig.ctl().Checkpoint();
+  EXPECT_TRUE(rig.ctl().checkpoint_pending());
+  EXPECT_EQ(rig.pm().recovery_gid_floor(), 0u);
+
+  rig.sim().Run();  // the record reaches the backup
+  ASSERT_EQ(rig.Reg(1, 0), kInitial + 5);
+  rig.ctl().Checkpoint();
+  EXPECT_EQ(rig.pm().recovery_gid_floor(), 2u);
+  EXPECT_EQ(rig.pm().entries()[0].initial_value, kInitial + 5);
+  EXPECT_EQ(rig.pm().recovery_watermarks(),
+            (std::vector<uint64_t>{rig.wal(0).end_lsn(),
+                                   rig.wal(1).end_lsn()}));
+}
+
+// A crash may lose writes the pending cut holds (or the backup it waits
+// for): the pending checkpoint is dropped, and the next hook re-arms.
+TEST(SwitchControllerTest, SwitchDownDiscardsPendingCheckpoint) {
+  Rig rig(1);
+  rig.ctl().Arm();
+  rig.wal(0).AppendSwitchIntent(1, {rig.Add(0, 5)});  // never answered
+  rig.ctl().Checkpoint();
+  ASSERT_TRUE(rig.ctl().checkpoint_pending());
+  rig.ctl().OnSwitchDown(0);
+  EXPECT_FALSE(rig.ctl().checkpoint_pending());
+  rig.ctl().Checkpoint();  // no arming while the switch is dark
+  EXPECT_FALSE(rig.ctl().checkpoint_pending());
+
+  rig.ctl().OnSwitchUp(0);
+  rig.sim().Run();
+  ASSERT_TRUE(rig.ctl().switch_up());
+  // Failback re-baselined past the unanswered intent: it no longer blocks.
+  rig.ctl().Checkpoint();
+  ASSERT_TRUE(rig.ctl().checkpoint_pending());
+  rig.ctl().Checkpoint();
+  EXPECT_EQ(rig.pm().recovery_gid_floor(), rig.pipeline(0).next_gid());
+}
+
+// An intent appended before the cut but executed before it has a GID below
+// the floor; its effect is in the baseline, so replay must skip it even
+// when it sits past the watermark behind an intent that ran after the cut.
+TEST(SwitchControllerTest, ReplaySkipsResolvedIntentsBelowTheGidFloor) {
+  Rig rig(1);
+  rig.ctl().Arm();
+  const db::Lsn a = rig.wal(0).AppendSwitchIntent(1, {rig.Add(0, 5)});
+  const db::Lsn b = rig.wal(0).AppendSwitchIntent(2, {rig.Add(0, 7)});
+  rig.Execute(0, 0, 2, /*key=*/0, 7);  // B runs first: GID 1
+  rig.wal(0).FillSwitchResult(b, 1, {kInitial + 7});
+  rig.ctl().Checkpoint();  // cut: registers kInitial + 7, floor 2
+  rig.Execute(0, 0, 1, /*key=*/0, 5);  // A runs after the cut: GID 2
+  rig.wal(0).FillSwitchResult(a, 2, {kInitial + 12});
+  rig.ctl().Checkpoint();
+  ASSERT_EQ(rig.pm().recovery_gid_floor(), 2u);
+  ASSERT_EQ(rig.pm().recovery_watermarks()[0], a);  // B is past it
+
+  // The dark period seeds host rows from baseline + replay: B once, via
+  // the baseline.
+  rig.ctl().OnSwitchDown(0);
+  EXPECT_EQ(rig.HostRow(0), kInitial + 12);
+  rig.ctl().SimulateSwitchCrash();
+  ASSERT_TRUE(rig.ctl().RecoverSwitch().ok());
+  EXPECT_EQ(rig.Reg(0, 0), kInitial + 12);
 }
 
 }  // namespace

@@ -281,5 +281,60 @@ TEST(WalEngineTest, OccCommitLogsEachWrittenCellOnceWithFinalValue) {
   }
 }
 
+/// Checkpoints keep each node's log within two checkpoint intervals of
+/// appends (plus the handful of intents in flight and one partial segment
+/// at each end) for the whole run, while the wal.* counters still count
+/// every append.
+TEST(WalEngineTest, CheckpointsBoundRetainedSegments) {
+  wl::Ycsb ycsb(SmallYcsb());
+  core::SystemConfig cfg = NoSwitchCluster();
+  cfg.mode = core::EngineMode::kP4db;
+  core::Engine engine(cfg);
+  engine.SetWorkload(&ycsb);
+  engine.Offload(5000, 40);
+
+  // At each checkpoint boundary, just before the checkpoint runs, compare
+  // what every node retains with what it appended over the last two
+  // intervals.
+  constexpr SimTime kInterval = core::SwitchController::kCheckpointInterval;
+  constexpr SimTime kHorizon = 20 * kMillisecond;
+  const uint64_t in_flight = cfg.workers_per_node;
+  std::vector<std::vector<Lsn>> ends(cfg.num_nodes);
+  size_t checks = 0;
+  for (SimTime t = kInterval; t <= kHorizon; t += kInterval) {
+    engine.ScheduleGlobalAt(t, [&] {
+      for (NodeId n = 0; n < cfg.num_nodes; ++n) {
+        const Wal& wal = engine.wal(n);
+        ends[n].push_back(wal.end_lsn());
+        if (ends[n].size() < 3) continue;
+        const Lsn two_intervals = wal.end_lsn() - ends[n][ends[n].size() - 3];
+        EXPECT_LE(wal.retained_segments(),
+                  (two_intervals + in_flight) / Wal::kSegmentRecords + 2)
+            << "node " << n << " at " << engine.simulator().now();
+        ++checks;
+      }
+    });
+  }
+  engine.Run(/*warmup=*/0, kHorizon);
+  EXPECT_GT(checks, 0u);
+
+  // The counters count every append, truncated or not (no warmup: the
+  // window reset precedes every append).
+  MetricsRegistry& reg = engine.metrics_registry();
+  const uint64_t intents = reg.counter("wal.switch_intents").value();
+  const uint64_t commits = reg.counter("wal.host_commits").value();
+  uint64_t appended = 0;
+  uint64_t retained_intents = 0;
+  for (NodeId n = 0; n < cfg.num_nodes; ++n) {
+    appended += engine.wal(n).end_lsn();
+    EXPECT_GT(engine.wal(n).begin_lsn(), 0u);  // truncation happened
+    for (const LogRecord& rec : engine.wal(n).Scan()) {
+      retained_intents += rec.kind == LogKind::kSwitchIntent;
+    }
+  }
+  EXPECT_EQ(intents + commits, appended);
+  EXPECT_GT(intents, 10 * retained_intents);
+}
+
 }  // namespace
 }  // namespace p4db::db
