@@ -16,11 +16,13 @@
 // in the row store's growth: one chunk per 1,024 new rows of a table and
 // one index block per doubling (db/table.h), not per row.
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdlib>
 #include <chrono>
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "../tests/alloc_counter.h"
 #include "bench_common.h"
@@ -227,79 +229,76 @@ void RunAll(const BenchTime& time) {
                       SmallBankHotItems(wcfg, cfg.num_nodes), time));
   }
 
-  // Tracing overhead: the figure-11 P4DB run again with a full-run tracer
-  // armed. Tracing is passive, so the simulated results must be identical
-  // to the untraced run; the wall-clock ratio is the recording cost, gated
-  // in CI at <10%.
-  {
+  // Overhead of a passive observer (full-run tracing, INT postcards): the
+  // figure-11 P4DB run plain and armed, in kOverheadPairs interleaved
+  // pairs so host-speed drift hits both sides of each pair alike. The
+  // reported ratio is the median of the per-pair plain/armed wall ratios,
+  // gated in CI at <10%. Observers are passive, so every armed run must
+  // commit exactly what the plain run commits.
+  constexpr int kOverheadPairs = 5;
+  const auto overhead = [&](const char* armed_scenario,
+                            const char* ratio_scenario,
+                            const char* plain_field, const char* armed_field,
+                            const char* label, bool int_telemetry,
+                            bool trace_full) {
     wl::YcsbConfig wcfg;
     wcfg.variant = 'A';
-    const core::SystemConfig cfg = PaperCluster(core::EngineMode::kP4db);
-    wl::Ycsb workload(wcfg);
-    const HotpathRun traced =
-        RunHotpath(cfg, &workload, 20000, YcsbHotItems(wcfg, cfg.num_nodes),
-                   time, {}, /*trace_full=*/true);
-    Record("fig11_ycsb_p4db_traced", cfg, workload, traced);
-    if (traced.metrics.committed != fig11_p4db.metrics.committed) {
-      std::printf("WARNING: traced committed %" PRIu64
-                  " != untraced %" PRIu64 " — tracing is not passive!\n",
-                  traced.metrics.committed, fig11_p4db.metrics.committed);
+    core::SystemConfig plain_cfg = PaperCluster(core::EngineMode::kP4db);
+    core::SystemConfig armed_cfg = plain_cfg;
+    armed_cfg.int_telemetry.enabled = int_telemetry;
+    std::vector<double> ratios;
+    // The armed runs' commit count, or the first one that differs from the
+    // plain run's (which the CI gate then flags).
+    uint64_t armed_committed = fig11_p4db.metrics.committed;
+    for (int pair = 0; pair < kOverheadPairs; ++pair) {
+      wl::Ycsb plain_workload(wcfg);
+      const HotpathRun plain =
+          RunHotpath(plain_cfg, &plain_workload, 20000,
+                     YcsbHotItems(wcfg, plain_cfg.num_nodes), time);
+      wl::Ycsb armed_workload(wcfg);
+      const HotpathRun armed = RunHotpath(
+          armed_cfg, &armed_workload, 20000,
+          YcsbHotItems(wcfg, armed_cfg.num_nodes), time, {}, trace_full);
+      if (pair == 0) Record(armed_scenario, armed_cfg, armed_workload, armed);
+      for (const HotpathRun* r : {&plain, &armed}) {
+        if (armed_committed == fig11_p4db.metrics.committed &&
+            r->metrics.committed != fig11_p4db.metrics.committed) {
+          armed_committed = r->metrics.committed;
+        }
+      }
+      if (armed.wall_txns_per_sec > 0) {
+        ratios.push_back(plain.wall_txns_per_sec / armed.wall_txns_per_sec);
+      }
     }
+    const bool passive = armed_committed == fig11_p4db.metrics.committed;
+    if (!passive) {
+      std::printf("WARNING: %s committed differs from the plain run — the "
+                  "observer is not passive!\n",
+                  armed_scenario);
+    }
+    std::sort(ratios.begin(), ratios.end());
     const double overhead_ratio =
-        traced.wall_txns_per_sec > 0
-            ? fig11_p4db.wall_txns_per_sec / traced.wall_txns_per_sec
-            : 0;
+        ratios.empty() ? 0 : ratios[ratios.size() / 2];
     char buf[256];
     std::snprintf(buf, sizeof(buf),
-                  "{\"scenario\": \"tracing_overhead\", "
-                  "\"overhead_ratio\": %.4f, \"untraced_committed\": %" PRIu64
-                  ", \"traced_committed\": %" PRIu64 "}",
-                  overhead_ratio, fig11_p4db.metrics.committed,
-                  traced.metrics.committed);
+                  "{\"scenario\": \"%s\", "
+                  "\"overhead_ratio\": %.4f, \"%s\": %" PRIu64
+                  ", \"%s\": %" PRIu64 "}",
+                  ratio_scenario, overhead_ratio, plain_field,
+                  fig11_p4db.metrics.committed, armed_field,
+                  armed_committed);
     AppendRunEntry(buf);
-    std::printf("%-24s tracing on/off wall ratio %.3fx (committed %s)\n",
-                "tracing_overhead", overhead_ratio,
-                traced.metrics.committed == fig11_p4db.metrics.committed
-                    ? "identical"
-                    : "DIFFER");
-  }
-
-  // INT overhead: the figure-11 P4DB run again with postcard telemetry
-  // armed. Stamping and folding are passive — the simulated event schedule
-  // (and so the commit count) must be identical to the INT-off run; the
-  // wall-clock ratio is the pure recording cost, gated in CI like tracing.
-  {
-    wl::YcsbConfig wcfg;
-    wcfg.variant = 'A';
-    core::SystemConfig cfg = PaperCluster(core::EngineMode::kP4db);
-    cfg.int_telemetry.enabled = true;
-    wl::Ycsb workload(wcfg);
-    const HotpathRun armed = RunHotpath(
-        cfg, &workload, 20000, YcsbHotItems(wcfg, cfg.num_nodes), time);
-    Record("fig11_ycsb_p4db_int", cfg, workload, armed);
-    if (armed.metrics.committed != fig11_p4db.metrics.committed) {
-      std::printf("WARNING: INT committed %" PRIu64 " != plain %" PRIu64
-                  " — postcard stamping is not passive!\n",
-                  armed.metrics.committed, fig11_p4db.metrics.committed);
-    }
-    const double overhead_ratio =
-        armed.wall_txns_per_sec > 0
-            ? fig11_p4db.wall_txns_per_sec / armed.wall_txns_per_sec
-            : 0;
-    char buf[256];
-    std::snprintf(buf, sizeof(buf),
-                  "{\"scenario\": \"int_overhead\", "
-                  "\"overhead_ratio\": %.4f, \"plain_committed\": %" PRIu64
-                  ", \"int_committed\": %" PRIu64 "}",
-                  overhead_ratio, fig11_p4db.metrics.committed,
-                  armed.metrics.committed);
-    AppendRunEntry(buf);
-    std::printf("%-24s INT on/off wall ratio %.3fx (committed %s)\n",
-                "int_overhead", overhead_ratio,
-                armed.metrics.committed == fig11_p4db.metrics.committed
-                    ? "identical"
-                    : "DIFFER");
-  }
+    std::printf("%-24s %s on/off wall ratio %.3fx, median of %d pairs "
+                "(committed %s)\n",
+                ratio_scenario, label, overhead_ratio, kOverheadPairs,
+                passive ? "identical" : "DIFFER");
+  };
+  overhead("fig11_ycsb_p4db_traced", "tracing_overhead", "untraced_committed",
+           "traced_committed", "tracing", /*int_telemetry=*/false,
+           /*trace_full=*/true);
+  overhead("fig11_ycsb_p4db_int", "int_overhead", "plain_committed",
+           "int_committed", "INT", /*int_telemetry=*/true,
+           /*trace_full=*/false);
 
   // Parallel scaling: the figure-11 YCSB cluster on the sharded runtime at
   // 1, 2, 4 and 8 worker threads. Two outputs with very different gating:

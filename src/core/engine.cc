@@ -616,7 +616,7 @@ Metrics Engine::Run(SimTime warmup, SimTime duration) {
     // Checkpoints ride window starts; they schedule nothing, so the
     // window sequence is the same as without them.
     ssim_->SetQuiescentHook(SwitchController::kCheckpointInterval,
-                            [this] { switches_->Checkpoint(); });
+                            [this] { return switches_->Checkpoint(); });
     ssim_->Run(config_.threads);
   }
   measuring_ = false;
@@ -638,10 +638,12 @@ Metrics Engine::Run(SimTime warmup, SimTime duration) {
 
 void Engine::RunLegacyUntil(SimTime until) {
   // Between two slices no event is in progress: a quiescent instant.
-  for (; next_checkpoint_ <= until;
-       next_checkpoint_ += SwitchController::kCheckpointInterval) {
+  constexpr SimTime kInterval = SwitchController::kCheckpointInterval;
+  while (next_checkpoint_ <= until) {
     sim_.RunUntil(next_checkpoint_);
-    switches_->Checkpoint();
+    next_checkpoint_ = switches_->Checkpoint()
+                           ? (next_checkpoint_ / kInterval + 1) * kInterval
+                           : next_checkpoint_ + SwitchController::kCheckpointRetry;
   }
   sim_.RunUntil(until);
 }

@@ -316,7 +316,9 @@ class Engine {
   /// under the home shard's context when sharded.
   void SpawnNode(NodeId node, uint64_t seed_salt);
   /// Legacy runtime: runs the simulator through `until`, stopping at every
-  /// checkpoint boundary on the way to call SwitchController::Checkpoint.
+  /// checkpoint boundary on the way to call SwitchController::Checkpoint
+  /// (and, while a pipeline lock keeps it from arming, every
+  /// kCheckpointRetry after).
   void RunLegacyUntil(SimTime until);
   /// Destroys every worker frame after dropping all pending events, then
   /// leaves the simulators idle and resumable.
@@ -398,7 +400,7 @@ class Engine {
   std::vector<sim::Task> workers_;
   bool ran_ = false;
   bool measuring_ = false;
-  /// Legacy runtime: the next checkpoint boundary RunLegacyUntil stops at.
+  /// Legacy runtime: the next instant RunLegacyUntil calls Checkpoint at.
   SimTime next_checkpoint_ = SwitchController::kCheckpointInterval;
   /// True while Run's workers are live — RecoverNode only respawns then.
   bool running_ = false;

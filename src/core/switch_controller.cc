@@ -220,16 +220,19 @@ void SwitchController::FinalizeFailback() {
                 /*apply_seq=*/0);
 }
 
-void SwitchController::Checkpoint() {
+bool SwitchController::Checkpoint() {
   if (ckpt_.pending && TryCommitCheckpoint()) ckpt_.pending = false;
-  if (!ckpt_.pending) ArmCheckpoint();
+  return ckpt_.pending || ArmCheckpoint();
 }
 
-void SwitchController::ArmCheckpoint() {
+bool SwitchController::ArmCheckpoint() {
+  // No cut while the control plane is mid-fault; the next hook retries.
+  if (!switch_up_ || switch_draining_) return true;
   const sw::Pipeline& pl = primary_pipeline();
   // A multi-pass transaction between passes already has its GID, but only
-  // part of its effects are in the registers: no consistent cut exists.
-  if (!switch_up_ || switch_draining_ || pl.held_locks() != 0) return;
+  // part of its effects are in the registers: no consistent cut exists
+  // until it finishes, a few passes from now.
+  if (pl.held_locks() != 0) return false;
   const std::vector<PartitionManager::HotEntry>& entries = w_.pm->entries();
   ckpt_.values.resize(entries.size());
   for (size_t i = 0; i < entries.size(); ++i) {
@@ -246,6 +249,7 @@ void SwitchController::ArmCheckpoint() {
         watermarks.empty() ? w_.wals[n]->begin_lsn() : watermarks[n];
   }
   ckpt_.pending = true;
+  return true;
 }
 
 bool SwitchController::TryCommitCheckpoint() {

@@ -65,6 +65,10 @@ class SwitchController final : public sw::ReplicationSink {
   /// Simulated time between two Checkpoint calls. Checkpoints cost no
   /// simulated time; the interval bounds how much WAL each node retains.
   static constexpr SimTime kCheckpointInterval = 250 * kMicrosecond;
+  /// How soon the legacy runtime calls Checkpoint again when a held
+  /// pipeline lock kept it from arming (the sharded runtime retries at its
+  /// next window start).
+  static constexpr SimTime kCheckpointRetry = kMicrosecond;
 
   explicit SwitchController(Wiring wiring);
 
@@ -101,8 +105,9 @@ class SwitchController final : public sw::ReplicationSink {
   /// truncates below it. Then arms a new checkpoint if the primary is
   /// serving, nothing drains and no multi-pass transaction holds a pipeline
   /// lock: snapshots the hot registers, next_gid, apply_seq and every WAL's
-  /// end as its marks.
-  void Checkpoint();
+  /// end as its marks. Returns false when a held pipeline lock kept it from
+  /// arming: the caller should call again at its next quiescent instant.
+  bool Checkpoint();
   bool checkpoint_pending() const { return ckpt_.pending; }
 
   /// Offload's install of the just-registered hot set on every switch:
@@ -145,7 +150,8 @@ class SwitchController final : public sw::ReplicationSink {
 
  private:
   bool TryCommitCheckpoint();
-  void ArmCheckpoint();
+  /// Returns false iff a held pipeline lock kept it from arming.
+  bool ArmCheckpoint();
   void FinalizeFailback();
   void PromoteBackup(uint16_t np);
   /// The tail shared by failback and promotion: restart `np`'s GID counter

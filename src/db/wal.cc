@@ -4,31 +4,32 @@
 
 namespace p4db::db {
 
+void Wal::AddSlab() {
+  slabs_.push_back(std::unique_ptr<Segment[]>(new Segment[kSlabSegments]));
+  // Both lists hold at most every segment: sized here, they never grow.
+  live_.reserve(allocated_segments());
+  free_.reserve(allocated_segments());
+  // Reversed onto the LIFO free list, so appends take the slab in order.
+  for (size_t i = kSlabSegments; i-- > 0;) free_.push_back(&slabs_.back()[i]);
+}
+
 void Wal::Reserve(size_t records, size_t payload_bytes) {
   const size_t segments =
       std::max<size_t>(1, (records + kSegmentRecords - 1) / kSegmentRecords);
+  while (free_.size() < segments) AddSlab();
   const size_t per_segment = payload_bytes / segments;
-  while (free_.size() < segments) {
-    owned_.push_back(std::make_unique<Segment>());
-    owned_.back()->payload.Reserve(per_segment);
-    free_.push_back(owned_.back().get());
+  if (per_segment <= kSegmentPayloadBytes) return;
+  for (Segment* seg : free_) {
+    seg->overflow.Reserve(per_segment - kSegmentPayloadBytes);
   }
-}
-
-Wal::Segment* Wal::AcquireSegment() {
-  if (free_.empty()) {
-    owned_.push_back(std::make_unique<Segment>());
-    return owned_.back().get();
-  }
-  Segment* seg = free_.back();
-  free_.pop_back();
-  seg->payload.Reset();
-  return seg;
 }
 
 LogRecord& Wal::NextSlot() {
   if (end_ == (first_segment_ + live_.size()) * kSegmentRecords) {
-    live_.push_back(AcquireSegment());
+    if (free_.empty()) AddSlab();
+    live_.push_back(free_.back());
+    free_.pop_back();
+    live_.back()->Reset();
   }
   LogRecord& rec = live_.back()->records[end_ % kSegmentRecords];
   rec = LogRecord();
@@ -56,7 +57,7 @@ Lsn Wal::AppendSwitchIntent(uint32_t client_seq,
   // The result slots are reserved now, so the response fills them in place
   // without allocating.
   if (!instrs.empty()) {
-    rec.results = {live_.back()->payload.AllocateArray<Value64>(instrs.size()),
+    rec.results = {AllocateArray<Value64>(*live_.back(), instrs.size()),
                    instrs.size()};
   }
   if (switch_intents_ != nullptr) switch_intents_->Increment();

@@ -9,6 +9,7 @@
 #include <iterator>
 #include <memory>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "common/arena.h"
@@ -41,7 +42,7 @@ enum class LogKind : uint8_t {
   kSwitchIntent,
 };
 
-/// A log record's payload lives in its segment's arena (appended data is
+/// A log record's payload lives in its segment (appended data is
 /// immutable, exactly like bytes on disk); the record itself only carries
 /// spans. Logging a commit is one bump append and costs zero allocations
 /// in steady state.
@@ -72,13 +73,13 @@ struct LogRecord {
 /// gids of in-flight switch transactions.
 ///
 /// Records live in fixed-size segments of kSegmentRecords records, each
-/// with its own payload arena. The log retains the LSN range
-/// [begin_lsn(), end_lsn()); TruncateBefore drops whole segments below a
-/// recovery watermark onto a free list that later appends reuse, so memory
-/// follows the checkpoint interval rather than the run length.
+/// with its own payload region and overflow arena. The log retains the LSN
+/// range [begin_lsn(), end_lsn()); TruncateBefore drops whole segments
+/// below a recovery watermark onto a free list that later appends reuse,
+/// so memory follows the checkpoint interval rather than the run length.
 class Wal {
  public:
-  static constexpr size_t kSegmentRecords = 256;
+  static constexpr size_t kSegmentRecords = 128;
 
   /// `metrics` (optional) is the cluster registry; appends are published as
   /// "wal.host_commits" / "wal.switch_intents" / "wal.logged_writes"
@@ -183,30 +184,67 @@ class Wal {
   /// Segments currently holding retained records, and all segments ever
   /// allocated (retained + free list).
   size_t retained_segments() const { return live_.size(); }
-  size_t allocated_segments() const { return owned_.size(); }
+  size_t allocated_segments() const { return slabs_.size() * kSlabSegments; }
+
+  /// Segments are allocated kSlabSegments at a time. A node's log recycles
+  /// only a few in steady state, so one slab usually serves a whole run in
+  /// a single allocation, and a segment never written costs no resident
+  /// memory.
+  static constexpr size_t kSlabSegments = 16;
 
  private:
-  static constexpr size_t kSegmentChunkBytes = 16 * 1024;
+  /// A segment's inline payload region fits a typical segment's payload
+  /// (a YCSB host commit or intent carries ~300 bytes), so opening a fresh
+  /// segment is one allocation; larger payloads overflow into the arena.
+  static constexpr size_t kSegmentPayloadBytes = 48 * 1024;
+  static constexpr size_t kOverflowChunkBytes = 16 * 1024;
   struct Segment {
+    // User-provided so a new slab leaves `inline_payload` untouched: its
+    // pages become resident only as appends fill them.
+    Segment() {}
+    /// Bump-allocates from the inline region, then from the arena.
+    void* Allocate(size_t bytes, size_t align) {
+      const size_t p = (used + align - 1) & ~(align - 1);
+      if (p + bytes > kSegmentPayloadBytes) {
+        return overflow.Allocate(bytes, align);
+      }
+      used = p + bytes;
+      return inline_payload + p;
+    }
+    void Reset() {
+      used = 0;
+      overflow.Reset();
+    }
+
     std::array<LogRecord, kSegmentRecords> records;
-    Arena payload{kSegmentChunkBytes};
+    size_t used = 0;
+    alignas(std::max_align_t) unsigned char
+        inline_payload[kSegmentPayloadBytes];
+    /// Payload past the inline region; its chunks are kept across reuse.
+    Arena overflow{kOverflowChunkBytes};
   };
+  template <typename T>
+  static T* AllocateArray(Segment& seg, size_t n) {
+    static_assert(std::is_trivially_destructible_v<T>);
+    return static_cast<T*>(seg.Allocate(n * sizeof(T), alignof(T)));
+  }
 
   /// The record slot for the next append (opens a segment when needed).
   LogRecord& NextSlot();
-  Segment* AcquireSegment();
+  /// Adds a slab of fresh segments to the free list.
+  void AddSlab();
 
   /// Copies a payload into the open segment's arena and returns a view of
   /// the stable copy.
   template <typename T>
   std::span<const T> Persist(std::span<const T> src) {
     if (src.empty()) return {};
-    T* dst = live_.back()->payload.AllocateArray<T>(src.size());
+    T* dst = AllocateArray<T>(*live_.back(), src.size());
     std::copy(src.begin(), src.end(), dst);
     return {dst, src.size()};
   }
 
-  std::vector<std::unique_ptr<Segment>> owned_;
+  std::vector<std::unique_ptr<Segment[]>> slabs_;
   /// Retained segments in LSN order: live_[i] holds segment number
   /// first_segment_ + i, i.e. LSNs from (first_segment_ + i) * S.
   std::vector<Segment*> live_;

@@ -186,10 +186,11 @@ class ShardedSimulator {
   }
 
   /// Calls `hook` on the coordinator, with every shard quiescent, at the
-  /// first window start at or after each multiple of `interval`. The hook
-  /// must schedule nothing: it never cuts a window, so the window sequence
-  /// (and every merge) is the same as without it.
-  void SetQuiescentHook(SimTime interval, std::function<void()> hook) {
+  /// first window start at or after each multiple of `interval`; when the
+  /// hook returns false, again at the next window start. The hook must
+  /// schedule nothing: it never cuts a window, so the window sequence (and
+  /// every merge) is the same as without it.
+  void SetQuiescentHook(SimTime interval, std::function<bool()> hook) {
     assert(interval > 0);
     hook_interval_ = interval;
     next_hook_ = interval;
@@ -311,8 +312,8 @@ class ShardedSimulator {
         continue;  // re-evaluate: the handler may stop, schedule, or jump
       }
       if (hook_ && w >= next_hook_) {
-        hook_();
-        next_hook_ = (w / hook_interval_ + 1) * hook_interval_;
+        next_hook_ = hook_() ? (w / hook_interval_ + 1) * hook_interval_
+                             : w + 1;
       }
       // next_gl > w here, so the window is non-empty even when the
       // lookahead would be cut by a pending global event.
@@ -385,7 +386,7 @@ class ShardedSimulator {
   std::vector<GlobalEvent> globals_;  // heap ordered by GlobalAfter
   std::vector<MergeKey> merge_scratch_;
   uint64_t next_global_seq_ = 0;
-  std::function<void()> hook_;
+  std::function<bool()> hook_;
   SimTime hook_interval_ = 0;
   SimTime next_hook_ = 0;
   SimTime window_end_ = 0;

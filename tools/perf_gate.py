@@ -17,15 +17,16 @@ transfer across machines:
    in-binary legacy heap core in the same process on the same host, so the
    host's absolute speed cancels out. May not drop more than the tolerance.
  * hotpath `tracing_overhead` — the wall-clock ratio of the untraced to the
-   traced figure-11 run, measured in the same process, so host speed
-   cancels out. Gated absolutely (not baseline-relative): full-run tracing
-   may not cost more than the tolerance, and the traced run must commit
-   exactly as much as the untraced one (tracing is passive).
- * hotpath `int_overhead` — same contract for in-band telemetry: the
-   INT-armed (postcard mode) figure-11 run may not cost more than the
-   tolerance in wall clock, and must commit exactly what the plain run
-   commits (postcard stamping is passive — it never perturbs the simulated
-   event schedule).
+   traced figure-11 run: the median over interleaved untraced/traced pairs
+   in one process, so host speed and its drift cancel out. Gated
+   absolutely (not baseline-relative): full-run tracing may not cost more
+   than the tolerance, and every traced run must commit exactly as much as
+   the untraced one (tracing is passive).
+ * hotpath `int_overhead` — same contract and the same interleaved-pair
+   median for in-band telemetry: the INT-armed (postcard mode) figure-11
+   run may not cost more than the tolerance in wall clock, and must commit
+   exactly what the plain run commits (postcard stamping is passive — it
+   never perturbs the simulated event schedule).
  * openloop knee scenarios — all simulated-time. The knee throughput of
    each series (batch=1, batch=8) must stay within the tolerance of the
    baseline, the saturation speedup from batching may not drop below its
