@@ -6,8 +6,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <initializer_list>
-#include <iterator>
 #include <memory>
+#include <ranges>
 #include <span>
 #include <type_traits>
 #include <vector>
@@ -139,46 +139,12 @@ class Wal {
         ->records[lsn % kSegmentRecords];
   }
 
-  /// Forward iteration over a retained LSN range.
-  class Iterator {
-   public:
-    using iterator_category = std::forward_iterator_tag;
-    using value_type = LogRecord;
-    using difference_type = std::ptrdiff_t;
-    using pointer = const LogRecord*;
-    using reference = const LogRecord&;
-
-    Iterator() = default;
-    Iterator(const Wal* wal, Lsn lsn) : wal_(wal), lsn_(lsn) {}
-    reference operator*() const { return wal_->at(lsn_); }
-    pointer operator->() const { return &wal_->at(lsn_); }
-    Iterator& operator++() {
-      ++lsn_;
-      return *this;
-    }
-    Iterator operator++(int) {
-      Iterator old = *this;
-      ++lsn_;
-      return old;
-    }
-    friend bool operator==(const Iterator& a, const Iterator& b) {
-      return a.lsn_ == b.lsn_;
-    }
-
-   private:
-    const Wal* wal_ = nullptr;
-    Lsn lsn_ = 0;
-  };
-  struct Range {
-    Iterator first;
-    Iterator last;
-    Iterator begin() const { return first; }
-    Iterator end() const { return last; }
-  };
-  /// The retained records from `from` (clamped to begin_lsn()) to the end.
-  Range Scan(Lsn from = 0) const {
-    return {Iterator(this, std::max(from, begin_lsn())),
-            Iterator(this, end_)};
+  /// The retained records from `from` (clamped to begin_lsn()) to the end,
+  /// as a range of `const LogRecord&`.
+  auto Scan(Lsn from = 0) const {
+    return std::views::iota(std::max(from, begin_lsn()), end_) |
+           std::views::transform(
+               [this](Lsn lsn) -> const LogRecord& { return at(lsn); });
   }
 
   /// Segments currently holding retained records, and all segments ever

@@ -73,7 +73,7 @@ TEST(WalTest, ScanVisitsRecordsInLsnOrder) {
   EXPECT_EQ(intents[0]->client_seq, 1u);
   EXPECT_EQ(intents[1]->client_seq, 2u);
   // A scan from an LSN starts there.
-  EXPECT_EQ(wal.Scan(3).begin()->client_seq, 2u);
+  EXPECT_EQ((*wal.Scan(3).begin()).client_seq, 2u);
 }
 
 TEST(WalTest, IntentKeepsExactInstructions) {
@@ -100,7 +100,7 @@ TEST(WalTest, TruncateBeforeDropsWholeSegmentsAndKeepsLsns) {
   EXPECT_EQ(wal.retained_segments(), 2u);
   EXPECT_EQ(wal.at(kSeg + 5).lsn, kSeg + 5);
   EXPECT_EQ(wal.at(kSeg + 5).client_seq, kSeg + 6);
-  EXPECT_EQ(wal.Scan().begin()->lsn, kSeg);
+  EXPECT_EQ((*wal.Scan().begin()).lsn, kSeg);
   // Moving backwards is a no-op; a cut past the end clamps to it.
   wal.TruncateBefore(1);
   EXPECT_EQ(wal.begin_lsn(), kSeg);
