@@ -42,9 +42,9 @@ struct HotpathRun {
 /// Steady-state preparation for the strict zero-allocation scenarios: every
 /// row of a bounded working set is materialized up front (GetOrCreate in
 /// the measured window then only looks up) and the growable bookkeeping —
-/// WAL segments and their payload arenas, the OCC version table — is
-/// pre-sized past the run's high-water mark. 0 = skip (unbounded workloads such as
-/// the figure-11 cluster keep their lazily-materialized 10^9-key table).
+/// WAL segments, the OCC version table — is pre-sized past the run's
+/// high-water mark. 0 = skip (unbounded workloads such as the figure-11
+/// cluster keep their lazily-materialized 10^9-key table).
 struct SteadyStatePrep {
   uint64_t materialize_keys = 0;
   size_t wal_records_per_node = 0;

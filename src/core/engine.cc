@@ -639,11 +639,12 @@ Metrics Engine::Run(SimTime warmup, SimTime duration) {
 void Engine::RunLegacyUntil(SimTime until) {
   // Between two slices no event is in progress: a quiescent instant.
   constexpr SimTime kInterval = SwitchController::kCheckpointInterval;
+  constexpr SimTime kRetry = SwitchController::kCheckpointRetry;
   while (next_checkpoint_ <= until) {
     sim_.RunUntil(next_checkpoint_);
     next_checkpoint_ = switches_->Checkpoint()
                            ? (next_checkpoint_ / kInterval + 1) * kInterval
-                           : next_checkpoint_ + SwitchController::kCheckpointRetry;
+                           : next_checkpoint_ + kRetry;
   }
   sim_.RunUntil(until);
 }

@@ -199,7 +199,7 @@ class SwitchController final : public sw::ReplicationSink {
     uint64_t apply_seq = 0;
     std::vector<db::Lsn> marks;
     std::vector<db::Lsn> resolved;
-    std::vector<db::Lsn> watermarks;  // scratch for the commit
+    std::vector<db::Lsn> watermarks;  // scratch for a new baseline
   };
   PendingCheckpoint ckpt_;
 

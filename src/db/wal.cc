@@ -1,16 +1,20 @@
 #include "db/wal.h"
 
 #include <cassert>
+#include <utility>
 
 namespace p4db::db {
 
 void Wal::AddSlab() {
-  slabs_.push_back(std::unique_ptr<Segment[]>(new Segment[kSlabSegments]));
+  // Segment's user-provided constructor leaves the payload untouched.
+  auto slab = std::make_unique<Segment[]>(kSlabSegments);
+  Segment* first = slab.get();
+  slabs_.push_back(std::move(slab));
   // Both lists hold at most every segment: sized here, they never grow.
   live_.reserve(allocated_segments());
   free_.reserve(allocated_segments());
   // Reversed onto the LIFO free list, so appends take the slab in order.
-  for (size_t i = kSlabSegments; i-- > 0;) free_.push_back(&slabs_.back()[i]);
+  for (size_t i = kSlabSegments; i-- > 0;) free_.push_back(first + i);
 }
 
 void Wal::Reserve(size_t records, size_t payload_bytes) {

@@ -129,9 +129,7 @@ class Wal {
   void TruncateBefore(Lsn lsn);
 
   /// LSN range of the retained records: [begin_lsn(), end_lsn()).
-  Lsn begin_lsn() const {
-    return std::min(first_segment_ * kSegmentRecords, end_);
-  }
+  Lsn begin_lsn() const { return first_segment_ * kSegmentRecords; }
   Lsn end_lsn() const { return end_; }
   /// The retained record at `lsn` (begin_lsn() <= lsn < end_lsn()).
   const LogRecord& at(Lsn lsn) const {
@@ -200,8 +198,8 @@ class Wal {
   /// Adds a slab of fresh segments to the free list.
   void AddSlab();
 
-  /// Copies a payload into the open segment's arena and returns a view of
-  /// the stable copy.
+  /// Copies a payload into the open segment and returns a view of the
+  /// stable copy.
   template <typename T>
   std::span<const T> Persist(std::span<const T> src) {
     if (src.empty()) return {};
