@@ -7,6 +7,13 @@
 
 namespace p4db {
 
+MetricsRegistry& MetricsRegistry::GivenOrOwned(
+    MetricsRegistry* given, std::unique_ptr<MetricsRegistry>* owned) {
+  if (given != nullptr) return *given;
+  *owned = std::make_unique<MetricsRegistry>();
+  return **owned;
+}
+
 MetricsRegistry::Counter& MetricsRegistry::counter(std::string_view name) {
   auto it = counters_.find(name);
   if (it == counters_.end()) {

@@ -23,7 +23,9 @@ namespace p4db {
 /// per-node lock managers / WALs into cluster-wide series). Returned
 /// references stay valid for the registry's lifetime.
 ///
-/// Not thread-safe; the simulator is single-threaded.
+/// Not thread-safe: one registry is written by one thread at a time. The
+/// sharded runtime gives each shard its own registry and merges them into
+/// the engine's registry (MergeFrom) after Run.
 class MetricsRegistry {
  public:
   class Counter {
@@ -52,20 +54,12 @@ class MetricsRegistry {
   Counter& counter(std::string_view prefix, std::string_view name);
   Histogram& histogram(std::string_view prefix, std::string_view name);
 
-  /// Process-wide discard sinks. Components that mirror their stats into an
-  /// *optional* registry point at these when none was supplied, so the hot
-  /// path stays an unconditional increment through a stable pointer instead
-  /// of a null check and branch per bump. Writes land in a static dummy
-  /// nothing ever reads; both are constant-memory, so unbounded traffic is
-  /// harmless.
-  static Counter& NullCounter() {
-    static Counter sink;
-    return sink;
-  }
-  static Histogram& NullHistogram() {
-    static Histogram sink;
-    return sink;
-  }
+  /// The one binding rule of every component that counts: it counts into
+  /// `given` when the caller supplies a registry, else into a fresh one it
+  /// owns through `*owned`. Either way every series is bound once, at
+  /// construction, and each event is one unconditional increment.
+  static MetricsRegistry& GivenOrOwned(MetricsRegistry* given,
+                                       std::unique_ptr<MetricsRegistry>* owned);
 
   /// Lookup without creating; nullptr if absent.
   const Counter* FindCounter(std::string_view name) const;

@@ -6,6 +6,7 @@
 #include <span>
 #include <vector>
 
+#include "common/metrics_registry.h"
 #include "common/small_vector.h"
 #include "core/cc/execution_context.h"
 #include "core/cc/node_set.h"
@@ -46,8 +47,7 @@ constexpr uint32_t kControlBytes = 64;       // 2PC control messages
 class ConcurrencyControl {
  public:
   explicit ConcurrencyControl(const ExecutionContext& ctx)
-      : ctx_(ctx),
-        failovers_(ctx.num_nodes(), &MetricsRegistry::NullCounter()) {}
+      : ctx_(ctx), failovers_(ctx.num_nodes(), &unarmed_sink_) {}
   virtual ~ConcurrencyControl() = default;
 
   ConcurrencyControl(const ConcurrencyControl&) = delete;
@@ -64,8 +64,8 @@ class ConcurrencyControl {
       std::vector<std::optional<Value64>>* results, TxnTimers* timers);
 
   /// Points the chaos-event counters at the real registry series. Called by
-  /// the Engine when a fault schedule arms; until then both stay on the
-  /// process-wide discard sink so fault-free runs never register (and never
+  /// the Engine when a fault schedule arms; until then both count into a
+  /// sink this strategy owns, so fault-free runs never register (and never
   /// dump) the chaos-only keys. Timeouts fire while the coroutine is parked
   /// at the switch, so they count into `switch_metrics`; failovers fire on
   /// the home node and count into `node_metrics[node]`. Sharded runs pass
@@ -191,8 +191,10 @@ class ConcurrencyControl {
   ExecutionContext ctx_;
   /// Hot-path chaos counters, cached once instead of a registry string
   /// lookup per timeout/failover (see BindChaosCounters). Failovers are
-  /// per home node so each entry is written only by its owning shard.
-  MetricsRegistry::Counter* txn_timeouts_ = &MetricsRegistry::NullCounter();
+  /// per home node so each entry is written only by its owning shard. All
+  /// point at unarmed_sink_ until armed.
+  MetricsRegistry::Counter unarmed_sink_;
+  MetricsRegistry::Counter* txn_timeouts_ = &unarmed_sink_;
   std::vector<MetricsRegistry::Counter*> failovers_;
 };
 

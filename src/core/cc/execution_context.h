@@ -4,7 +4,6 @@
 #include <memory>
 #include <vector>
 
-#include "common/metrics_registry.h"
 #include "common/trace.h"
 #include "common/types.h"
 #include "core/cc/node_set.h"
@@ -52,7 +51,6 @@ struct ExecutionContext {
   /// Per-node sequence numbers for compiled switch transactions; strategies
   /// increment the home node's entry when they build a switch packet.
   std::vector<uint32_t>* next_client_seq = nullptr;
-  MetricsRegistry* metrics = nullptr;
   /// Engine's tracer; never null (defaults to the shared inert instance so
   /// strategy code can emit unconditionally).
   trace::Tracer* tracer = &trace::Tracer::Disabled();

@@ -117,14 +117,9 @@ Engine::Engine(const SystemConfig& config)
     wiring.switch_registries.push_back(&HomeRegistry(shard));
   }
 
-  committed_counter_ = &registry_.counter("engine.committed");
-  aborted_counter_ = &registry_.counter("engine.aborted_attempts");
-  if (sharded_) {
-    for (uint16_t n = 0; n < config_.num_nodes; ++n) {
-      EngineShard& es = *eshards_[n];
-      es.committed = &es.registry.counter("engine.committed");
-      es.aborted = &es.registry.counter("engine.aborted_attempts");
-    }
+  for (uint16_t n = 0; n < config_.num_nodes; ++n) {
+    committed_.push_back(&HomeRegistry(n).counter("engine.committed"));
+    aborted_.push_back(&HomeRegistry(n).counter("engine.aborted_attempts"));
   }
 
   if (config_.batch.size > 1) {
@@ -163,9 +158,9 @@ Engine::Engine(const SystemConfig& config)
     // Bound at construction so the INT-on metric key set is a pure function
     // of the configuration; INT-off runs never reach this and publish the
     // historical keys byte-for-byte.
-    int_collectors_.resize(config_.num_nodes);
+    int_collectors_.reserve(config_.num_nodes);
     for (uint16_t n = 0; n < config_.num_nodes; ++n) {
-      int_collectors_[n].Bind(
+      int_collectors_.emplace_back(
           &HomeRegistry(n), config_.num_switches,
           static_cast<size_t>(config_.pipeline.CapacityRows()));
     }
@@ -208,7 +203,6 @@ Engine::Engine(const SystemConfig& config)
   ctx.wals = &wals_;
   ctx.node_crashed = &node_crashed_;
   ctx.next_client_seq = &next_client_seq_;
-  ctx.metrics = &registry_;
   ctx.tracer = &tracer_;
   ctx.router = router_.get();
   ctx.batcher = batcher_.get();
@@ -248,9 +242,6 @@ void Engine::TearDownWorkers() {
 
 void Engine::ResetWindow() {
   metrics_ = Metrics();
-  for (auto& p : pipelines_) p->ResetStats();
-  for (auto& lm : lock_managers_) lm->ResetStats();
-  switch_lm_->ResetStats();
   registry_.Reset();
   for (auto& es : eshards_) {
     es->registry.Reset();
@@ -340,10 +331,8 @@ sim::CoTask<bool> Engine::RunTransaction(
   sim::Simulator& hsim = HomeSim(node);
   trace::Tracer& htracer = HomeTracer(node);
   Metrics& wmetrics = HomeMetrics(node);
-  MetricsRegistry::Counter& committed_c =
-      sharded_ ? *eshards_[node]->committed : *committed_counter_;
-  MetricsRegistry::Counter& aborted_c =
-      sharded_ ? *eshards_[node]->aborted : *aborted_counter_;
+  MetricsRegistry::Counter& committed_c = *committed_[node];
+  MetricsRegistry::Counter& aborted_c = *aborted_[node];
   TxnTimers timers;
   const uint64_t ts = PeekTxnId(node);  // kept across retries (fairness)
   // Spans carry `ts` (stable across retries, globally unique) so every

@@ -207,7 +207,6 @@ class Engine {
   db::Catalog& catalog() { return *catalog_; }
   PartitionManager& partition_manager() { return pm_; }
   db::LockManager& lock_manager(NodeId node) { return *lock_managers_[node]; }
-  db::LockManager& switch_lock_manager() { return *switch_lm_; }
   db::Wal& wal(NodeId node) { return *wals_[node]; }
   const Metrics& metrics() const { return metrics_; }
   /// The active execution strategy (2PL or OCC).
@@ -255,8 +254,6 @@ class Engine {
     std::unique_ptr<trace::Tracer> tracer;
     Metrics metrics;        // node shards only (written by workers)
     uint64_t next_txn_id = 0;  // per-node id counter (see TakeTxnId)
-    MetricsRegistry::Counter* committed = nullptr;
-    MetricsRegistry::Counter* aborted = nullptr;
     /// Chaos only: this shard's deterministic fault stream, seeded
     /// ShardSeed(config.seed, shard).
     std::unique_ptr<net::FaultInjector> injector;
@@ -416,11 +413,12 @@ class Engine {
   /// Generation counter salting respawned workers' RNG streams.
   uint64_t recover_generation_ = 0;
 
-  /// Engine-level registry counters (committed / aborted attempts over the
-  /// measured window). Legacy runtime; sharded workers use their
-  /// EngineShard's counters and the dump merge reproduces these series.
-  MetricsRegistry::Counter* committed_counter_ = nullptr;
-  MetricsRegistry::Counter* aborted_counter_ = nullptr;
+  /// Per-node "engine.committed" / "engine.aborted_attempts" series over
+  /// the measured window, bound through HomeRegistry(n): one shared series
+  /// on the legacy runtime, shard-local ones (summed by the dump merge) on
+  /// the sharded runtime.
+  std::vector<MetricsRegistry::Counter*> committed_;
+  std::vector<MetricsRegistry::Counter*> aborted_;
 
   /// Per-node INT postcard collectors (config.int_telemetry.enabled only;
   /// empty otherwise so INT-off runs carry no collector state at all).

@@ -25,9 +25,8 @@ std::string IntCollector::SwitchPrefix(uint16_t switch_id) {
                         : "switch" + std::to_string(switch_id) + ".";
 }
 
-void IntCollector::Bind(MetricsRegistry* registry, uint16_t num_switches,
-                        size_t register_slots) {
-  registry_ = registry;
+IntCollector::IntCollector(MetricsRegistry* registry, uint16_t num_switches,
+                           size_t register_slots) {
   admission_wait_ = &registry->histogram("int.cp.admission_wait_ns");
   egress_batch_ = &registry->histogram("int.cp.egress_batch_ns");
   wire_ = &registry->histogram("int.cp.wire_ns");
@@ -54,7 +53,6 @@ void IntCollector::Bind(MetricsRegistry* registry, uint16_t num_switches,
 
 void IntCollector::FoldPostcard(const sw::SwitchResult& result, SimTime submit,
                                 SimTime flushed, SimTime received) {
-  if (!bound()) return;
   const sw::IntMeta& m = result.telemetry;
   if (!m.valid()) return;
   const uint16_t k = m.switch_id;

@@ -42,36 +42,26 @@ namespace p4db::core {
 /// admissions while postcards arrive in completion order, so a multi-pass
 /// transaction legitimately folds after later-admitted single-pass ones.
 ///
-/// Everything is pre-bound at Bind() time: the fold path is pointer bumps
+/// Everything is bound at construction: the fold path is pointer bumps
 /// and histogram records only — no allocation, no registry lookups — so an
-/// INT-armed steady-state window stays at exactly 0 allocs/txn. An unbound
-/// collector ignores every call, and binds nothing into the registry, so
-/// INT-off runs publish a byte-identical metric set.
+/// INT-armed steady-state window stays at exactly 0 allocs/txn. INT-off
+/// engines construct no collector, so they publish a byte-identical metric
+/// set.
 class IntCollector {
  public:
-  IntCollector() = default;
-
   /// Registers the counter/histogram set and sizes the slot-access array.
   /// `registry` get-or-create semantics make the "int.cp.*" histograms
   /// shared when several collectors bind to one registry (legacy runtime)
   /// and per-shard when each binds to its own (sharded runtime) — the
   /// merged totals agree either way. `register_slots` is the pipeline's
   /// CapacityRows().
-  void Bind(MetricsRegistry* registry, uint16_t num_switches,
-            size_t register_slots);
-
-  bool bound() const { return registry_ != nullptr; }
+  IntCollector(MetricsRegistry* registry, uint16_t num_switches,
+               size_t register_slots);
 
   /// Host-side critical-path terms, recorded where they happen.
-  void RecordAdmissionWait(SimTime ns) {
-    if (bound()) admission_wait_->Record(ns);
-  }
-  void RecordWal(SimTime ns) {
-    if (bound()) wal_->Record(ns);
-  }
-  void RecordCommit(SimTime ns) {
-    if (bound()) commit_->Record(ns);
-  }
+  void RecordAdmissionWait(SimTime ns) { admission_wait_->Record(ns); }
+  void RecordWal(SimTime ns) { wal_->Record(ns); }
+  void RecordCommit(SimTime ns) { commit_->Record(ns); }
 
   /// Folds one returned postcard. `submit` is when the transaction left CC
   /// for the switch, `flushed` when its egress batch actually took the wire
@@ -98,21 +88,19 @@ class IntCollector {
   static std::string SwitchPrefix(uint16_t switch_id);
 
  private:
-  MetricsRegistry* registry_ = nullptr;
+  Histogram* admission_wait_;
+  Histogram* egress_batch_;
+  Histogram* wire_;
+  Histogram* switch_queue_;
+  Histogram* switch_service_;
+  Histogram* switch_lock_wait_;
+  Histogram* switch_recirc_;
+  Histogram* wal_;
+  Histogram* commit_;
 
-  Histogram* admission_wait_ = nullptr;
-  Histogram* egress_batch_ = nullptr;
-  Histogram* wire_ = nullptr;
-  Histogram* switch_queue_ = nullptr;
-  Histogram* switch_service_ = nullptr;
-  Histogram* switch_lock_wait_ = nullptr;
-  Histogram* switch_recirc_ = nullptr;
-  Histogram* wal_ = nullptr;
-  Histogram* commit_ = nullptr;
-
-  MetricsRegistry::Counter* postcards_ = nullptr;
-  MetricsRegistry::Counter* out_of_order_ = nullptr;
-  MetricsRegistry::Counter* stale_view_ = nullptr;
+  MetricsRegistry::Counter* postcards_;
+  MetricsRegistry::Counter* out_of_order_;
+  MetricsRegistry::Counter* stale_view_;
   // Indexed by switch id.
   std::vector<MetricsRegistry::Counter*> switch_postcards_;
   std::vector<MetricsRegistry::Counter*> switch_reg_accesses_;

@@ -46,7 +46,6 @@ struct Metrics {
   uint64_t committed = 0;
   uint64_t aborted_attempts = 0;
   uint64_t committed_by_class[3] = {0, 0, 0};  // indexed by TxnClass
-  uint64_t attempts_by_class[3] = {0, 0, 0};
   uint64_t aborts_by_class[3] = {0, 0, 0};
   uint64_t committed_distributed = 0;
 
@@ -93,7 +92,6 @@ struct Metrics {
     aborted_attempts += other.aborted_attempts;
     for (int i = 0; i < 3; ++i) {
       committed_by_class[i] += other.committed_by_class[i];
-      attempts_by_class[i] += other.attempts_by_class[i];
       aborts_by_class[i] += other.aborts_by_class[i];
     }
     committed_distributed += other.committed_distributed;

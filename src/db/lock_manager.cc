@@ -124,7 +124,7 @@ bool LockManager::Compatible(const Entry& entry, uint64_t txn_id,
 
 sim::Future<Status> LockManager::Acquire(uint64_t txn_id, uint64_t ts,
                                          TupleId tuple, LockMode mode) {
-  Count(&stats_.acquisitions, mirror_.acquisitions);
+  series_.acquisitions->Increment();
   Entry& entry = table_[tuple];
 
   // Re-acquisition / upgrade detection.
@@ -138,29 +138,29 @@ sim::Future<Status> LockManager::Acquire(uint64_t txn_id, uint64_t ts,
   if (mine != kNil) {
     if (mode == LockMode::kShared ||
         holder_pool_[mine].mode == LockMode::kExclusive) {
-      Count(&stats_.immediate_grants, mirror_.immediate_grants);
+      series_.immediate_grants->Increment();
       return Ready(sim_, Status::Ok());  // already sufficient
     }
     // Shared -> exclusive upgrade: judged against the OTHER holders only.
     if (Compatible(entry, txn_id, LockMode::kExclusive)) {
       holder_pool_[mine].mode = LockMode::kExclusive;
-      Count(&stats_.upgrades, mirror_.upgrades);
-      Count(&stats_.immediate_grants, mirror_.immediate_grants);
+      series_.upgrades->Increment();
+      series_.immediate_grants->Increment();
       return Ready(sim_, Status::Ok());
     }
     if (scheme_ == CcScheme::kNoWait) {
-      Count(&stats_.no_wait_aborts, mirror_.no_wait_aborts);
+      series_.no_wait_aborts->Increment();
       return Ready(sim_, AbortStatus());  // upgrade denied (NO_WAIT)
     }
     // WAIT_DIE: wait only if older than every other holder.
     for (uint32_t i = entry.holders; i != kNil; i = holder_pool_[i].next) {
       const Holder& h = holder_pool_[i];
       if (h.txn_id != txn_id && h.ts <= ts) {
-        Count(&stats_.wait_die_aborts, mirror_.wait_die_aborts);
+        series_.wait_die_aborts->Increment();
         return Ready(sim_, AbortStatus());  // upgrade died (WAIT_DIE)
       }
     }
-    Count(&stats_.waits, mirror_.waits);
+    series_.waits->Increment();
     const uint32_t idx = AllocWaiter();
     Waiter& w = waiter_pool_[idx];
     w.txn_id = txn_id;
@@ -183,12 +183,12 @@ sim::Future<Status> LockManager::Acquire(uint64_t txn_id, uint64_t ts,
   if (!conflict) {
     PushHolder(entry, txn_id, ts, mode);
     HeldAppend(txn_id, tuple);
-    Count(&stats_.immediate_grants, mirror_.immediate_grants);
+    series_.immediate_grants->Increment();
     return Ready(sim_, Status::Ok());
   }
 
   if (scheme_ == CcScheme::kNoWait) {
-    Count(&stats_.no_wait_aborts, mirror_.no_wait_aborts);
+    series_.no_wait_aborts->Increment();
     return Ready(sim_, AbortStatus());  // lock denied (NO_WAIT)
   }
 
@@ -197,7 +197,7 @@ sim::Future<Status> LockManager::Acquire(uint64_t txn_id, uint64_t ts,
   for (uint32_t i = entry.holders; i != kNil; i = holder_pool_[i].next) {
     const Holder& h = holder_pool_[i];
     if (h.txn_id != txn_id && h.ts <= ts) {
-      Count(&stats_.wait_die_aborts, mirror_.wait_die_aborts);
+      series_.wait_die_aborts->Increment();
       return Ready(sim_, AbortStatus());  // died on holder (WAIT_DIE)
     }
   }
@@ -206,11 +206,11 @@ sim::Future<Status> LockManager::Acquire(uint64_t txn_id, uint64_t ts,
     const bool incompatible =
         mode == LockMode::kExclusive || w.mode == LockMode::kExclusive;
     if (incompatible && w.txn_id != txn_id && w.ts <= ts) {
-      Count(&stats_.wait_die_aborts, mirror_.wait_die_aborts);
+      series_.wait_die_aborts->Increment();
       return Ready(sim_, AbortStatus());  // died on waiter (WAIT_DIE)
     }
   }
-  Count(&stats_.waits, mirror_.waits);
+  series_.waits->Increment();
   const uint32_t idx = AllocWaiter();
   Waiter& w = waiter_pool_[idx];
   w.txn_id = txn_id;
@@ -250,7 +250,7 @@ void LockManager::GrantWaiters(TupleId tuple, Entry& entry) {
         if (others) return;
         assert(mine != kNil && "upgrader lost its shared lock");
         holder_pool_[mine].mode = LockMode::kExclusive;
-        Count(&stats_.upgrades, mirror_.upgrades);
+        series_.upgrades->Increment();
         granted = LockMode::kExclusive;
       } else {
         if (!Compatible(entry, w.txn_id, w.mode)) return;

@@ -2,6 +2,7 @@
 #define P4DB_DB_LOCK_MANAGER_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -23,15 +24,6 @@ enum class LockMode : uint8_t { kShared, kExclusive };
 /// otherwise it aborts ("dies").
 enum class CcScheme : uint8_t { kNoWait, kWaitDie };
 
-struct LockStats {
-  uint64_t acquisitions = 0;
-  uint64_t immediate_grants = 0;
-  uint64_t waits = 0;
-  uint64_t no_wait_aborts = 0;
-  uint64_t wait_die_aborts = 0;
-  uint64_t upgrades = 0;
-};
-
 /// Per-node pessimistic lock table. One instance guards one node's
 /// partition; remote transactions reach it after paying network latency.
 ///
@@ -49,23 +41,23 @@ struct LockStats {
 /// because WAIT_DIE waits-for chains are strictly ordered by timestamp.
 class LockManager {
  public:
-  /// `metrics` (optional) is the cluster registry; stats are mirrored into
-  /// "<prefix>.*" counters there. All node lock managers of one cluster
-  /// share a prefix (the registry aggregates their counts); the switch lock
-  /// manager gets its own. The local LockStats stays per-instance.
+  /// The lock manager counts into "<prefix>.*" series of `metrics`, or of
+  /// a registry it owns when `metrics` is null. All node lock managers of
+  /// one cluster share a prefix, and so one series set (the registry sums
+  /// their counts); the switch lock manager gets its own.
   LockManager(sim::Simulator* sim, CcScheme scheme,
               MetricsRegistry* metrics = nullptr,
               std::string_view prefix = "lock")
       : sim_(sim), scheme_(scheme) {
-    if (metrics != nullptr) {
-      const std::string p(prefix);
-      mirror_.acquisitions = &metrics->counter(p + ".acquisitions");
-      mirror_.immediate_grants = &metrics->counter(p + ".immediate_grants");
-      mirror_.waits = &metrics->counter(p + ".waits");
-      mirror_.no_wait_aborts = &metrics->counter(p + ".no_wait_aborts");
-      mirror_.wait_die_aborts = &metrics->counter(p + ".wait_die_aborts");
-      mirror_.upgrades = &metrics->counter(p + ".upgrades");
-    }
+    MetricsRegistry& reg =
+        MetricsRegistry::GivenOrOwned(metrics, &owned_metrics_);
+    const std::string p(prefix);
+    series_.acquisitions = &reg.counter(p + ".acquisitions");
+    series_.immediate_grants = &reg.counter(p + ".immediate_grants");
+    series_.waits = &reg.counter(p + ".waits");
+    series_.no_wait_aborts = &reg.counter(p + ".no_wait_aborts");
+    series_.wait_die_aborts = &reg.counter(p + ".wait_die_aborts");
+    series_.upgrades = &reg.counter(p + ".upgrades");
   }
 
   LockManager(const LockManager&) = delete;
@@ -90,8 +82,6 @@ class LockManager {
   size_t HeldBy(uint64_t txn_id) const;
   bool IsLocked(TupleId tuple) const;
 
-  const LockStats& stats() const { return stats_; }
-  void ResetStats() { stats_ = LockStats(); }
   CcScheme scheme() const { return scheme_; }
 
  private:
@@ -153,24 +143,21 @@ class LockManager {
   /// waiters, and drops the entry when it becomes empty.
   void ReleaseInEntry(uint64_t txn_id, TupleId tuple);
 
-  struct Mirror {
-    MetricsRegistry::Counter* acquisitions = nullptr;
-    MetricsRegistry::Counter* immediate_grants = nullptr;
-    MetricsRegistry::Counter* waits = nullptr;
-    MetricsRegistry::Counter* no_wait_aborts = nullptr;
-    MetricsRegistry::Counter* wait_die_aborts = nullptr;
-    MetricsRegistry::Counter* upgrades = nullptr;
+  /// The registry series the lock manager bumps, bound once at
+  /// construction.
+  struct Series {
+    MetricsRegistry::Counter* acquisitions;
+    MetricsRegistry::Counter* immediate_grants;
+    MetricsRegistry::Counter* waits;
+    MetricsRegistry::Counter* no_wait_aborts;
+    MetricsRegistry::Counter* wait_die_aborts;
+    MetricsRegistry::Counter* upgrades;
   };
-  /// Bumps a local stat and its registry mirror together.
-  static void Count(uint64_t* local, MetricsRegistry::Counter* mirror) {
-    ++*local;
-    if (mirror != nullptr) mirror->Increment();
-  }
 
   sim::Simulator* sim_;
   CcScheme scheme_;
-  LockStats stats_;
-  Mirror mirror_;
+  std::unique_ptr<MetricsRegistry> owned_metrics_;  // when none was given
+  Series series_;
 
   FlatMap<TupleId, Entry> table_;
   FlatMap<uint64_t, HeldList> held_;

@@ -45,10 +45,8 @@ Lsn Wal::AppendHostCommit(std::span<const HostLogOp> writes) {
   LogRecord& rec = NextSlot();
   rec.kind = LogKind::kHostCommit;
   rec.host_writes = Persist(writes);
-  if (host_commits_ != nullptr) {
-    host_commits_->Increment();
-    logged_writes_->Increment(rec.host_writes.size());
-  }
+  host_commits_->Increment();
+  logged_writes_->Increment(rec.host_writes.size());
   return rec.lsn;
 }
 
@@ -64,7 +62,7 @@ Lsn Wal::AppendSwitchIntent(uint32_t client_seq,
     rec.results = {AllocateArray<Value64>(*live_.back(), instrs.size()),
                    instrs.size()};
   }
-  if (switch_intents_ != nullptr) switch_intents_->Increment();
+  switch_intents_->Increment();
   return rec.lsn;
 }
 

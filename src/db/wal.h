@@ -81,16 +81,16 @@ class Wal {
  public:
   static constexpr size_t kSegmentRecords = 128;
 
-  /// `metrics` (optional) is the cluster registry; appends are published as
-  /// "wal.host_commits" / "wal.switch_intents" / "wal.logged_writes"
-  /// counters, aggregated across all node WALs of the cluster. They count
-  /// every append, truncated or not.
+  /// Appends count into the "wal.host_commits" / "wal.switch_intents" /
+  /// "wal.logged_writes" series of `metrics`, or of a registry the log owns
+  /// when `metrics` is null. All node WALs of a cluster share the series.
+  /// They count every append, truncated or not.
   explicit Wal(MetricsRegistry* metrics = nullptr) {
-    if (metrics != nullptr) {
-      host_commits_ = &metrics->counter("wal.host_commits");
-      switch_intents_ = &metrics->counter("wal.switch_intents");
-      logged_writes_ = &metrics->counter("wal.logged_writes");
-    }
+    MetricsRegistry& reg =
+        MetricsRegistry::GivenOrOwned(metrics, &owned_metrics_);
+    host_commits_ = &reg.counter("wal.host_commits");
+    switch_intents_ = &reg.counter("wal.switch_intents");
+    logged_writes_ = &reg.counter("wal.logged_writes");
   }
   Wal(const Wal&) = delete;
   Wal& operator=(const Wal&) = delete;
@@ -215,9 +215,10 @@ class Wal {
   std::vector<Segment*> free_;
   Lsn first_segment_ = 0;
   Lsn end_ = 0;
-  MetricsRegistry::Counter* host_commits_ = nullptr;
-  MetricsRegistry::Counter* switch_intents_ = nullptr;
-  MetricsRegistry::Counter* logged_writes_ = nullptr;
+  std::unique_ptr<MetricsRegistry> owned_metrics_;  // when none was given
+  MetricsRegistry::Counter* host_commits_;
+  MetricsRegistry::Counter* switch_intents_;
+  MetricsRegistry::Counter* logged_writes_;
 };
 
 }  // namespace p4db::db

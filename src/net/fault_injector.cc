@@ -65,15 +65,11 @@ FaultInjector::FaultInjector(const FaultSchedule& schedule, uint64_t seed,
       // seed with small multiplied ids, so a fixed large odd constant keeps
       // the injector's draws independent of theirs.
       rng_(seed ^ 0xc2b2ae3d27d4eb4fULL) {
-  if (metrics == nullptr) {
-    drops_ = &MetricsRegistry::NullCounter();
-    dups_ = &MetricsRegistry::NullCounter();
-    delay_spikes_ = &MetricsRegistry::NullCounter();
-  } else {
-    drops_ = &metrics->counter("net.injected_drops");
-    dups_ = &metrics->counter("net.injected_dups");
-    delay_spikes_ = &metrics->counter("net.injected_delay_spikes");
-  }
+  MetricsRegistry& reg =
+      MetricsRegistry::GivenOrOwned(metrics, &owned_metrics_);
+  drops_ = &reg.counter("net.injected_drops");
+  dups_ = &reg.counter("net.injected_dups");
+  delay_spikes_ = &reg.counter("net.injected_delay_spikes");
 }
 
 FaultInjector::Perturbation FaultInjector::OnSend(Endpoint from, Endpoint to) {

@@ -2,6 +2,7 @@
 #define P4DB_NET_FAULT_INJECTOR_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -101,9 +102,9 @@ struct FaultSchedule {
 /// Deterministic fault source for one simulated cluster. Consumes its own
 /// RNG stream in message-send order (the simulator is single-threaded, so
 /// the order — and therefore every injected fault — is a pure function of
-/// `(seed, schedule)`). Publishes what it injects into the cluster metrics
-/// registry: "net.injected_drops", "net.injected_dups",
-/// "net.injected_delay_spikes".
+/// `(seed, schedule)`). Counts what it injects into "net.injected_drops",
+/// "net.injected_dups" and "net.injected_delay_spikes" of the cluster
+/// registry, or of a registry it owns when none is given.
 class FaultInjector {
  public:
   struct Perturbation {
@@ -137,6 +138,7 @@ class FaultInjector {
  private:
   FaultSchedule schedule_;
   Rng rng_;
+  std::unique_ptr<MetricsRegistry> owned_metrics_;  // when none was given
   MetricsRegistry::Counter* drops_;
   MetricsRegistry::Counter* dups_;
   MetricsRegistry::Counter* delay_spikes_;

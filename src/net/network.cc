@@ -19,13 +19,9 @@ Network::Network(sim::Simulator* sim, const NetworkConfig& config,
               : 0,
           0),
       inter_switch_busy_(config.num_switches, 0) {
-  if (metrics == nullptr) {
-    owned_metrics_ = std::make_unique<MetricsRegistry>();
-    metrics = owned_metrics_.get();
-  }
-  metrics_ = metrics;
-  messages_sent_ = &metrics->counter("net.messages_sent");
-  bytes_sent_ = &metrics->counter("net.bytes_sent");
+  metrics_ = &MetricsRegistry::GivenOrOwned(metrics, &owned_metrics_);
+  messages_sent_ = &metrics_->counter("net.messages_sent");
+  bytes_sent_ = &metrics_->counter("net.bytes_sent");
 }
 
 void Network::EnableBatchCounters() {

@@ -23,8 +23,9 @@ namespace p4db::sim {
 /// The scheduling core is allocation-free on the hot paths: callbacks are
 /// stored inline in the event (InlineEvent, 48-byte SBO), coroutine wakeups
 /// bypass callback construction entirely (ScheduleResume), and events live
-/// in a two-tier calendar queue (EventQueue) instead of a binary heap. See
-/// DESIGN.md "Simulator core".
+/// in a calendar queue (EventQueue) of five containers — the now-FIFO, the
+/// drain heap, the rung-1 sub-buckets, the calendar ring and the overflow
+/// heap — instead of a binary heap. See DESIGN.md "Simulator core".
 class Simulator {
  public:
   Simulator() = default;

@@ -112,30 +112,44 @@ Pipeline::Pipeline(sim::Simulator* sim, const PipelineConfig& config,
       switch_id_(switch_id),
       pool_(new InflightPool()),
       waiting_port_busy_(config.num_waiting_ports, 0) {
-  if (metrics != nullptr) {
-    // Switch 0 keeps the historical bare prefix (K = 1 dumps unchanged);
-    // replicas register under "switch<k>." so a replicated bench can tell
-    // primary load from backup load.
-    const std::string prefix =
-        switch_id == 0 ? "switch." : "switch" + std::to_string(switch_id) + ".";
-    mirror_.txns_completed = &metrics->counter(prefix, "txns_completed");
-    mirror_.single_pass_txns = &metrics->counter(prefix, "single_pass_txns");
-    mirror_.multi_pass_txns = &metrics->counter(prefix, "multi_pass_txns");
-    mirror_.total_passes = &metrics->counter(prefix, "total_passes");
-    mirror_.lock_blocked_recircs =
-        &metrics->counter(prefix, "lock_blocked_recircs");
-    mirror_.holder_recircs = &metrics->counter(prefix, "holder_recircs");
-    mirror_.lock_acquisitions = &metrics->counter(prefix, "lock_acquisitions");
-    mirror_.constrained_write_failures =
-        &metrics->counter(prefix, "constrained_write_failures");
-    mirror_.recircs_per_txn = &metrics->histogram(prefix, "recircs_per_txn");
-  }
+  MetricsRegistry& reg =
+      MetricsRegistry::GivenOrOwned(metrics, &owned_metrics_);
+  // Switch 0 keeps the historical bare prefix (K = 1 dumps unchanged);
+  // replicas register under "switch<k>." so a replicated bench can tell
+  // primary load from backup load.
+  const std::string prefix =
+      switch_id == 0 ? "switch." : "switch" + std::to_string(switch_id) + ".";
+  series_.txns_completed = &reg.counter(prefix, "txns_completed");
+  series_.single_pass_txns = &reg.counter(prefix, "single_pass_txns");
+  series_.multi_pass_txns = &reg.counter(prefix, "multi_pass_txns");
+  series_.total_passes = &reg.counter(prefix, "total_passes");
+  series_.lock_blocked_recircs = &reg.counter(prefix, "lock_blocked_recircs");
+  series_.holder_recircs = &reg.counter(prefix, "holder_recircs");
+  series_.lock_acquisitions = &reg.counter(prefix, "lock_acquisitions");
+  series_.constrained_write_failures =
+      &reg.counter(prefix, "constrained_write_failures");
+  series_.stale_epoch_drops = &stale_epoch_sink_;
+  series_.recircs_per_txn = &reg.histogram(prefix, "recircs_per_txn");
 }
 
 Pipeline::~Pipeline() {
   // Frames captured by still-queued simulator events outlive us; the pool
   // absorbs their releases and frees itself with the last one.
   pool_->Orphan();
+}
+
+PipelineStats Pipeline::stats() const {
+  PipelineStats s;
+  s.txns_completed = series_.txns_completed->value();
+  s.single_pass_txns = series_.single_pass_txns->value();
+  s.multi_pass_txns = series_.multi_pass_txns->value();
+  s.total_passes = series_.total_passes->value();
+  s.lock_blocked_recircs = series_.lock_blocked_recircs->value();
+  s.holder_recircs = series_.holder_recircs->value();
+  s.lock_acquisitions = series_.lock_acquisitions->value();
+  s.constrained_write_failures = series_.constrained_write_failures->value();
+  s.recircs_per_txn = *series_.recircs_per_txn;
+  return s;
 }
 
 Status Pipeline::Validate(const SwitchTxn& txn) const {
@@ -227,8 +241,7 @@ void Pipeline::Arrive(InflightRef fl) {
   // reboot already cleared the packet's pre-crash lock bits, and the bits
   // may since have been acquired by new-epoch packets.
   if (down_ || fl->txn.epoch != epoch_) {
-    ++stats_.stale_epoch_drops;
-    mirror_.stale_epoch_drops->Increment();
+    series_.stale_epoch_drops->Increment();
     tracer_->Instant(trace::Category::kSwitchDrop, fl->result.gid, track_,
                      fl->txn.origin_node, trace::Tracer::kGidKeyFlag);
     return;
@@ -239,16 +252,14 @@ void Pipeline::Arrive(InflightRef fl) {
     // regions and, for multi-pass packets, set the pending regions — one
     // stateful register operation).
     if ((lock_register_ & fl->txn.touch_mask) != 0) {
-      ++stats_.lock_blocked_recircs;
-      mirror_.lock_blocked_recircs->Increment();
+      series_.lock_blocked_recircs->Increment();
       RecirculateBlocked(std::move(fl));
       return;
     }
     if (fl->txn.is_multipass) {
       lock_register_ |= fl->txn.lock_mask;
       fl->holds_locks = true;
-      ++stats_.lock_acquisitions;
-      mirror_.lock_acquisitions->Increment();
+      series_.lock_acquisitions->Increment();
     }
   }
 
@@ -293,19 +304,14 @@ void Pipeline::Arrive(InflightRef fl) {
 
   // Final pass: emit the response at egress.
   fl->result.recirculations = fl->txn.nb_recircs;
-  ++stats_.txns_completed;
-  mirror_.txns_completed->Increment();
-  stats_.total_passes += fl->result.passes;
-  mirror_.total_passes->Increment(fl->result.passes);
+  series_.txns_completed->Increment();
+  series_.total_passes->Increment(fl->result.passes);
   if (fl->txn.is_multipass) {
-    ++stats_.multi_pass_txns;
-    mirror_.multi_pass_txns->Increment();
+    series_.multi_pass_txns->Increment();
   } else {
-    ++stats_.single_pass_txns;
-    mirror_.single_pass_txns->Increment();
+    series_.single_pass_txns->Increment();
   }
-  stats_.recircs_per_txn.Record(fl->txn.nb_recircs);
-  mirror_.recircs_per_txn->Record(fl->txn.nb_recircs);
+  series_.recircs_per_txn->Record(fl->txn.nb_recircs);
   if (rep_sink_ != nullptr) {
     // In-band replication (primary/backup ordering): the record leaves for
     // the chain successor before the response is released. Emitted even
@@ -347,8 +353,7 @@ bool Pipeline::ExecutePass(Inflight& fl) {
         ApplyInstruction(fl, fl.txn.instrs[i], &constraint_ok);
     fl.result.constraint_ok[i] = constraint_ok;
     if (!constraint_ok) {
-      ++stats_.constrained_write_failures;
-      mirror_.constrained_write_failures->Increment();
+      series_.constrained_write_failures->Increment();
     }
     if (rep_sink_ != nullptr) {
       const Instruction& in = fl.txn.instrs[i];
@@ -475,8 +480,7 @@ void Pipeline::RecirculateBlocked(InflightRef fl) {
 }
 
 void Pipeline::RecirculateHolder(InflightRef fl) {
-  ++stats_.holder_recircs;
-  mirror_.holder_recircs->Increment();
+  series_.holder_recircs->Increment();
   if (fl->txn.nb_recircs < 255) ++fl->txn.nb_recircs;
   const size_t bytes = PacketCodec::WireSize(fl->txn);
   SimTime* port = &fast_port_busy_;

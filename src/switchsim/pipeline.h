@@ -48,7 +48,7 @@ struct PassSummary {
 PassSummary SummarizePasses(const PipelineConfig& config,
                             std::span<const Instruction> instrs);
 
-/// Runtime counters exposed by the pipeline.
+/// Snapshot of the pipeline's "switch.*" registry series (Pipeline::stats).
 struct PipelineStats {
   uint64_t txns_completed = 0;
   uint64_t single_pass_txns = 0;
@@ -58,7 +58,6 @@ struct PipelineStats {
   uint64_t holder_recircs = 0;         // lock holder cycling between passes
   uint64_t lock_acquisitions = 0;
   uint64_t constrained_write_failures = 0;
-  uint64_t stale_epoch_drops = 0;      // pre-reboot packets fenced at ingress
   Histogram recircs_per_txn;
 };
 
@@ -88,13 +87,12 @@ struct PipelineStats {
 ///    fast-recirculate optimization is on (Section 5.3).
 class Pipeline {
  public:
-  /// `metrics` (optional) is the cluster registry; the pipeline mirrors its
-  /// stats into "switch.*" counters/histograms there so benchmark dumps see
-  /// them. The local PipelineStats snapshot stays authoritative for tests.
-  /// `switch_id` keys the mirror names per physical switch: switch 0 keeps
-  /// the historical bare "switch." prefix (the K = 1 key set is unchanged),
-  /// switch k >= 1 registers under "switch<k>." so replicated benches can
-  /// tell primary load from backup load.
+  /// The pipeline counts into "switch.*" series of `metrics`, or of a
+  /// registry it owns when `metrics` is null. `switch_id` keys the series
+  /// per physical switch: switch 0 keeps the historical bare "switch."
+  /// prefix (the K = 1 key set is unchanged), switch k >= 1 registers under
+  /// "switch<k>." so replicated benches can tell primary load from backup
+  /// load.
   Pipeline(sim::Simulator* sim, const PipelineConfig& config,
            MetricsRegistry* metrics = nullptr, uint16_t switch_id = 0);
   ~Pipeline();
@@ -124,8 +122,8 @@ class Pipeline {
   /// The simulator this pipeline's events run on.
   sim::Simulator& simulator() const { return *sim_; }
   const PipelineConfig& config() const { return config_; }
-  const PipelineStats& stats() const { return stats_; }
-  void ResetStats() { stats_ = PipelineStats(); }
+  /// The pipeline's series as read from its registry (zeroed with it).
+  PipelineStats stats() const;
 
   /// Next GID that would be assigned (monotonically increasing from 1).
   Gid next_gid() const { return next_gid_; }
@@ -159,9 +157,10 @@ class Pipeline {
   }
   /// Routes the stale-drop count into a cluster registry counter. Bound
   /// lazily (only when a fault schedule arms the cluster) so fault-free
-  /// runs publish exactly the pre-chaos metric set.
+  /// runs publish exactly the pre-chaos metric set; until then drops count
+  /// into a sink the pipeline owns.
   void BindStaleEpochCounter(MetricsRegistry::Counter* counter) {
-    mirror_.stale_epoch_drops = counter;
+    series_.stale_epoch_drops = counter;
   }
 
   /// Attaches the engine's tracer: every pass, recirculation, and stale
@@ -217,35 +216,26 @@ class Pipeline {
   void RecirculateHolder(InflightRef fl);
   SimTime ReserveRecircPort(SimTime* busy_until, size_t bytes);
 
-  /// Registry mirrors of the PipelineStats fields. Default to the
-  /// registry's static discard sinks so every bump is an unconditional
-  /// increment through a stable pointer — no per-bump null check on the
-  /// hot path when the pipeline runs without a cluster registry.
-  struct Mirror {
-    MetricsRegistry::Counter* txns_completed = &MetricsRegistry::NullCounter();
-    MetricsRegistry::Counter* single_pass_txns =
-        &MetricsRegistry::NullCounter();
-    MetricsRegistry::Counter* multi_pass_txns =
-        &MetricsRegistry::NullCounter();
-    MetricsRegistry::Counter* total_passes = &MetricsRegistry::NullCounter();
-    MetricsRegistry::Counter* lock_blocked_recircs =
-        &MetricsRegistry::NullCounter();
-    MetricsRegistry::Counter* holder_recircs =
-        &MetricsRegistry::NullCounter();
-    MetricsRegistry::Counter* lock_acquisitions =
-        &MetricsRegistry::NullCounter();
-    MetricsRegistry::Counter* constrained_write_failures =
-        &MetricsRegistry::NullCounter();
-    MetricsRegistry::Counter* stale_epoch_drops =
-        &MetricsRegistry::NullCounter();
-    Histogram* recircs_per_txn = &MetricsRegistry::NullHistogram();
+  /// The registry series the pipeline bumps, bound once at construction.
+  struct Series {
+    MetricsRegistry::Counter* txns_completed;
+    MetricsRegistry::Counter* single_pass_txns;
+    MetricsRegistry::Counter* multi_pass_txns;
+    MetricsRegistry::Counter* total_passes;
+    MetricsRegistry::Counter* lock_blocked_recircs;
+    MetricsRegistry::Counter* holder_recircs;
+    MetricsRegistry::Counter* lock_acquisitions;
+    MetricsRegistry::Counter* constrained_write_failures;
+    MetricsRegistry::Counter* stale_epoch_drops;
+    Histogram* recircs_per_txn;
   };
 
   sim::Simulator* sim_;
   PipelineConfig config_;
   RegisterFile registers_;
-  PipelineStats stats_;
-  Mirror mirror_;
+  std::unique_ptr<MetricsRegistry> owned_metrics_;  // when none was given
+  MetricsRegistry::Counter stale_epoch_sink_;  // until BindStaleEpochCounter
+  Series series_;
   trace::Tracer* tracer_ = &trace::Tracer::Disabled();  // unowned, never null
   uint16_t track_ = trace::kSwitchTrack;
   ReplicationSink* rep_sink_ = nullptr;  // unowned; null = no replication

@@ -104,7 +104,9 @@ TEST(EngineRunTest, LmSwitchUsesSwitchLockManager) {
   const Metrics m = engine.Run(kMillisecond, 3 * kMillisecond);
   EXPECT_GT(m.committed, 100u);
   EXPECT_EQ(engine.pipeline().stats().txns_completed, 0u);
-  EXPECT_GT(engine.switch_lock_manager().stats().acquisitions, 0u);
+  EXPECT_GT(
+      engine.metrics_registry().counter("lock.switch.acquisitions").value(),
+      0u);
 }
 
 TEST(EngineRunTest, ChillerRunsAndCommits) {
@@ -310,10 +312,11 @@ TEST(EngineLmSwitchTest, HotLocksGoToSwitchNotOwners) {
   op.operand = 1;
   txn.ops = {op};
   ASSERT_TRUE(engine.ExecuteOnce(txn, /*home=*/0).ok());
-  // The lock decision happened at the switch's lock manager; the owner
-  // node's table was never consulted for the lock.
-  EXPECT_GT(engine.switch_lock_manager().stats().acquisitions, 0u);
-  EXPECT_EQ(engine.lock_manager(1).stats().acquisitions, 0u);
+  // The lock decision happened at the switch's lock manager; no node's
+  // lock table was consulted for the lock.
+  MetricsRegistry& reg = engine.metrics_registry();
+  EXPECT_GT(reg.counter("lock.switch.acquisitions").value(), 0u);
+  EXPECT_EQ(reg.counter("lock.node.acquisitions").value(), 0u);
   // Data still lives on the owner node (LM-Switch stores nothing).
   EXPECT_EQ(engine.catalog().table(0).GetOrCreate(hot_key)[0], 1);
 }

@@ -187,9 +187,8 @@ TEST(IntCollectorTest, HandBuiltThreeTxnCountersAreExact) {
   sim::Simulator sim;
   sw::Pipeline pipe(&sim, SmallPipeline());
   MetricsRegistry registry;
-  IntCollector collector;
-  collector.Bind(&registry, /*num_switches=*/1,
-                 static_cast<size_t>(pipe.config().CapacityRows()));
+  IntCollector collector(&registry, /*num_switches=*/1,
+                         static_cast<size_t>(pipe.config().CapacityRows()));
 
   // Three transactions with a known access pattern. Flat slot index is
   // (stage * regs_per_stage + reg) * 64 + index on this geometry:
@@ -269,8 +268,7 @@ TEST(IntCollectorTest, UnarmedTxnProducesNoPostcard) {
 
   // A fold of an unstamped result is a no-op, not a crash or a count.
   MetricsRegistry registry;
-  IntCollector collector;
-  collector.Bind(&registry, 1, 16);
+  IntCollector collector(&registry, 1, 16);
   collector.FoldPostcard(*box.result, 0, 0, 1000);
   EXPECT_EQ(registry.counter("int.postcards").value(), 0u);
 }

@@ -3,6 +3,7 @@
 #include <optional>
 #include <vector>
 
+#include "common/metrics_registry.h"
 #include "db/lock_manager.h"
 #include "sim/simulator.h"
 #include "sim/task.h"
@@ -22,19 +23,19 @@ sim::Task Acquire(LockManager& lm, uint64_t txn, uint64_t ts, TupleId t,
   box->status = co_await lm.Acquire(txn, ts, t, m);
 }
 
-class NoWaitTest : public ::testing::Test {
+template <CcScheme kScheme>
+class LockTest : public ::testing::Test {
  protected:
-  NoWaitTest() : lm_(&sim_, CcScheme::kNoWait) {}
+  LockTest() : lm_(&sim_, kScheme, &registry_) {}
+  /// Value of one of the lock manager's "lock.*" registry series.
+  uint64_t Count(const char* name) { return registry_.counter(name).value(); }
   sim::Simulator sim_;
+  MetricsRegistry registry_;
   LockManager lm_;
 };
 
-class WaitDieTest : public ::testing::Test {
- protected:
-  WaitDieTest() : lm_(&sim_, CcScheme::kWaitDie) {}
-  sim::Simulator sim_;
-  LockManager lm_;
-};
+using NoWaitTest = LockTest<CcScheme::kNoWait>;
+using WaitDieTest = LockTest<CcScheme::kWaitDie>;
 
 TEST_F(NoWaitTest, GrantsUncontendedExclusive) {
   Box b;
@@ -62,7 +63,7 @@ TEST_F(NoWaitTest, ExclusiveConflictAborts) {
   sim_.Run();
   EXPECT_TRUE(a.status->ok());
   EXPECT_EQ(b.status->code(), Code::kAborted);
-  EXPECT_EQ(lm_.stats().no_wait_aborts, 1u);
+  EXPECT_EQ(Count("lock.no_wait_aborts"), 1u);
 }
 
 TEST_F(NoWaitTest, SharedVsExclusiveConflictAborts) {
@@ -88,7 +89,7 @@ TEST_F(NoWaitTest, UpgradeSucceedsWhenSoleHolder) {
   sim::Task tb = Acquire(lm_, 1, 1, kT1, LockMode::kExclusive, &b);
   sim_.Run();
   EXPECT_TRUE(b.status->ok());
-  EXPECT_EQ(lm_.stats().upgrades, 1u);
+  EXPECT_EQ(Count("lock.upgrades"), 1u);
   // Now exclusive: another shared request must abort.
   Box c;
   sim::Task tc = Acquire(lm_, 2, 2, kT1, LockMode::kShared, &c);
@@ -142,7 +143,7 @@ TEST_F(WaitDieTest, OlderWaitsAndIsGrantedOnRelease) {
   sim_.Run();
   EXPECT_TRUE(young.status->ok());
   EXPECT_FALSE(old.status.has_value());  // still waiting
-  EXPECT_EQ(lm_.stats().waits, 1u);
+  EXPECT_EQ(Count("lock.waits"), 1u);
   lm_.ReleaseAll(2);
   sim_.Run();
   ASSERT_TRUE(old.status.has_value());
@@ -157,7 +158,7 @@ TEST_F(WaitDieTest, YoungerDies) {
   sim_.Run();
   EXPECT_TRUE(old.status->ok());
   EXPECT_EQ(young.status->code(), Code::kAborted);
-  EXPECT_EQ(lm_.stats().wait_die_aborts, 1u);
+  EXPECT_EQ(Count("lock.wait_die_aborts"), 1u);
 }
 
 TEST_F(WaitDieTest, YoungerDiesOnQueuedWaiterToo) {
@@ -268,10 +269,10 @@ TEST_F(WaitDieTest, StatsCount) {
   sim::Task t1 = Acquire(lm_, 2, 20, kT1, LockMode::kExclusive, &b);  // dies
   sim::Task t2 = Acquire(lm_, 3, 5, kT1, LockMode::kExclusive, &c);   // waits
   sim_.Run();
-  EXPECT_EQ(lm_.stats().acquisitions, 3u);
-  EXPECT_EQ(lm_.stats().immediate_grants, 1u);
-  EXPECT_EQ(lm_.stats().wait_die_aborts, 1u);
-  EXPECT_EQ(lm_.stats().waits, 1u);
+  EXPECT_EQ(Count("lock.acquisitions"), 3u);
+  EXPECT_EQ(Count("lock.immediate_grants"), 1u);
+  EXPECT_EQ(Count("lock.wait_die_aborts"), 1u);
+  EXPECT_EQ(Count("lock.waits"), 1u);
 }
 
 }  // namespace

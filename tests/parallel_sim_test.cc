@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "alloc_counter.h"
@@ -209,6 +210,72 @@ TEST(ParallelCheckpointTest, Threads4TruncationMatchesThreads1) {
   EXPECT_EQ(t1.floor, t4.floor);
   EXPECT_EQ(t1.baseline, t4.baseline);
   EXPECT_EQ(t1.gids, t4.gids);
+}
+
+/// Commit count and registry dump of one engine run: everything a run
+/// writes that a concurrent neighbour could disturb.
+struct EngineOutcome {
+  uint64_t committed = 0;
+  std::string metrics_json;
+  uint64_t stale_epoch_drops = 0;
+  uint64_t chaos_events = 0;  // CC timeouts + failovers
+  uint64_t injected = 0;      // fault-injector link faults
+};
+
+/// One run of a 4-node cluster on the calling thread alone: `threads` is 0
+/// (legacy runtime) or 1 (sharded runtime, every shard stepped inline).
+EngineOutcome RunOnCallingThread(int threads,
+                                 const net::FaultSchedule* schedule) {
+  wl::Ycsb ycsb(SmallYcsb());
+  Engine engine(ShardedCluster(threads, 42));
+  engine.SetWorkload(&ycsb);
+  engine.Offload(5000, 40);
+  if (schedule != nullptr) engine.InstallFaultSchedule(*schedule);
+  EngineOutcome out;
+  out.committed = engine.Run(kMillisecond, 3 * kMillisecond).committed;
+  MetricsRegistry& reg = engine.metrics_registry();
+  out.metrics_json = reg.ToJson();
+  const auto value = [&reg](const char* name) {
+    const MetricsRegistry::Counter* c = reg.FindCounter(name);
+    return c == nullptr ? 0 : c->value();
+  };
+  out.stale_epoch_drops = value("switch.stale_epoch_drops");
+  out.chaos_events = value("engine.txn_timeouts") + value("engine.failovers");
+  out.injected = value("net.injected_drops") + value("net.injected_dups") +
+                 value("net.injected_delay_spikes");
+  return out;
+}
+
+TEST(ParallelEnginesTest, TwoEnginesOnTwoThreadsMatchSequentialRuns) {
+  // Engines share no mutable state: two of them running at once on two
+  // std::threads each produce exactly what they produce alone. One arms a
+  // K = 1 reboot with link faults, so its fault injector, stale-epoch drop
+  // counter and CC chaos counters all fire while the other runs fault-free
+  // on the other runtime. Neither engine starts a thread of its own.
+  net::FaultSchedule schedule;
+  schedule.links.drop_prob = 0.01;
+  schedule.links.dup_prob = 0.005;
+  schedule.links.delay_spike_prob = 0.01;
+  schedule.events.push_back(
+      net::FaultEvent::SwitchReboot(2 * kMillisecond, 400 * kMicrosecond));
+
+  const EngineOutcome chaos_alone = RunOnCallingThread(0, &schedule);
+  const EngineOutcome clean_alone = RunOnCallingThread(1, nullptr);
+  EXPECT_GT(chaos_alone.stale_epoch_drops, 0u);
+  EXPECT_GT(chaos_alone.chaos_events, 0u);
+  EXPECT_GT(chaos_alone.injected, 0u);
+
+  EngineOutcome chaos, clean;
+  std::thread a([&] { chaos = RunOnCallingThread(0, &schedule); });
+  std::thread b([&] { clean = RunOnCallingThread(1, nullptr); });
+  a.join();
+  b.join();
+  EXPECT_GT(chaos.committed, 0u);
+  EXPECT_GT(clean.committed, 0u);
+  EXPECT_EQ(chaos.committed, chaos_alone.committed);
+  EXPECT_EQ(clean.committed, clean_alone.committed);
+  EXPECT_EQ(chaos.metrics_json, chaos_alone.metrics_json);
+  EXPECT_EQ(clean.metrics_json, clean_alone.metrics_json);
 }
 
 TEST(ParallelAllocTest, SteadyStateWindowIsAllocFree) {

@@ -6,6 +6,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/metrics_registry.h"
 #include "common/rng.h"
 #include "core/recovery.h"
 #include "sim/simulator.h"
@@ -577,13 +578,14 @@ TEST(PipelineTimingTest, RecircCounterSaturatesAt255) {
 
 TEST(PipelineStatsTest, ResetClearsCounters) {
   sim::Simulator sim;
-  Pipeline pipe(&sim, SmallConfig());
+  MetricsRegistry registry;
+  Pipeline pipe(&sim, SmallConfig(), &registry);
   ResultBox box;
   sim::Task t = Collect(
       pipe, TxnOf({Make(OpCode::kAdd, 0, 0, 0, 1)}, pipe.config()), &box);
   sim.Run();
   EXPECT_EQ(pipe.stats().txns_completed, 1u);
-  pipe.ResetStats();
+  registry.Reset();
   EXPECT_EQ(pipe.stats().txns_completed, 0u);
   // GIDs keep counting across stats resets (they are recovery state).
   EXPECT_EQ(pipe.next_gid(), 2u);
