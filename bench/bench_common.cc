@@ -4,7 +4,9 @@
 #include <cctype>
 #include <chrono>
 #include <cstdlib>
+#include <initializer_list>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/json_util.h"
@@ -290,6 +292,17 @@ RunOutput RunWorkload(const core::SystemConfig& config, wl::Workload* workload,
   engine.metrics_registry()
       .counter("harness.total_wall_us")
       .Set(us(wall_end - offload_start));
+  // The offload's own split of harness.offload_wall_us (same caveat).
+  const core::OffloadReport::PhaseNs& phase = out.offload.host_ns;
+  for (const auto& [name, ns] :
+       {std::pair{"harness.offload.sample_us", phase.sample},
+        std::pair{"harness.offload.observe_us", phase.observe},
+        std::pair{"harness.offload.topk_us", phase.topk},
+        std::pair{"harness.offload.graph_us", phase.graph},
+        std::pair{"harness.offload.plan_us", phase.plan},
+        std::pair{"harness.offload.install_us", phase.install}}) {
+    engine.metrics_registry().counter(name).Set(ns / 1000);
+  }
   out.metrics_json = engine.metrics_registry().ToJson();
   out.time_series_json = sampler.ToJson();
   out.critical_path_json = engine.CriticalPathJson();

@@ -16,50 +16,10 @@ void Rng::Seed(uint64_t seed) {
   for (auto& s : s_) s = SplitMix64(&sm);
 }
 
-uint64_t Rng::Next() {
-  // Ownership check: a stream bound to a shard may only be drawn while that
-  // shard's token is installed. Unbound streams (legacy mode, offline
-  // sampling) and unattributed threads (token null) always pass.
-  assert(owner_ == nullptr || RngOwnership::Current() == nullptr ||
-         RngOwnership::Current() == owner_);
-  const uint64_t result = Rotl(s_[1] * 5, 7) * 9;
-  const uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = Rotl(s_[3], 45);
-  return result;
-}
-
-uint64_t Rng::NextRange(uint64_t n) {
-  assert(n > 0);
-  // Lemire's nearly-divisionless bounded rejection sampling.
-  uint64_t x = Next();
-  __uint128_t m = static_cast<__uint128_t>(x) * n;
-  uint64_t l = static_cast<uint64_t>(m);
-  if (l < n) {
-    uint64_t t = -n % n;
-    while (l < t) {
-      x = Next();
-      m = static_cast<__uint128_t>(x) * n;
-      l = static_cast<uint64_t>(m);
-    }
-  }
-  return static_cast<uint64_t>(m >> 64);
-}
-
 int64_t Rng::NextInt(int64_t lo, int64_t hi) {
   assert(lo <= hi);
   return lo + static_cast<int64_t>(
                   NextRange(static_cast<uint64_t>(hi - lo) + 1));
 }
-
-double Rng::NextDouble() {
-  return static_cast<double>(Next() >> 11) * 0x1.0p-53;
-}
-
-bool Rng::NextBool(double p) { return NextDouble() < p; }
 
 }  // namespace p4db

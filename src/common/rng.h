@@ -1,6 +1,7 @@
 #ifndef P4DB_COMMON_RNG_H_
 #define P4DB_COMMON_RNG_H_
 
+#include <cassert>
 #include <cstdint>
 
 namespace p4db {
@@ -46,20 +47,49 @@ class Rng {
   /// RngOwnership while that shard executes). Passing nullptr unbinds.
   void BindOwner(const void* owner) { owner_ = owner; }
 
-  /// Uniform 64-bit value.
-  uint64_t Next();
+  /// Uniform 64-bit value. The draws below are defined here so workload
+  /// generation (a few dozen draws per transaction) inlines them.
+  uint64_t Next() {
+    // Ownership check: a stream bound to a shard may only be drawn while
+    // that shard's token is installed. Unbound streams (legacy mode,
+    // offline sampling) and unattributed threads (token null) always pass.
+    assert(owner_ == nullptr || RngOwnership::Current() == nullptr ||
+           RngOwnership::Current() == owner_);
+    const uint64_t result = Rotl(s_[1] * 5, 7) * 9;
+    const uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = Rotl(s_[3], 45);
+    return result;
+  }
 
   /// Uniform in [0, n). n must be > 0.
-  uint64_t NextRange(uint64_t n);
+  uint64_t NextRange(uint64_t n) {
+    assert(n > 0);
+    // Lemire's nearly-divisionless bounded rejection sampling.
+    __uint128_t m = static_cast<__uint128_t>(Next()) * n;
+    if (static_cast<uint64_t>(m) < n) {
+      const uint64_t t = -n % n;
+      while (static_cast<uint64_t>(m) < t) {
+        m = static_cast<__uint128_t>(Next()) * n;
+      }
+    }
+    return static_cast<uint64_t>(m >> 64);
+  }
 
   /// Uniform in [lo, hi] inclusive.
   int64_t NextInt(int64_t lo, int64_t hi);
 
   /// Uniform double in [0, 1).
-  double NextDouble();
+  double NextDouble() {
+    return static_cast<double>(Next() >> 11) * 0x1.0p-53;
+  }
 
   /// True with probability p.
-  bool NextBool(double p);
+  bool NextBool(double p) { return NextDouble() < p; }
 
  private:
   static uint64_t SplitMix64(uint64_t* state);

@@ -22,9 +22,10 @@ namespace p4db::core {
 /// weights for the max-cut and directions for the stage ordering.
 ///
 /// Built in two phases: InternItem / AddTransaction record each
-/// transaction's ops on interned items, then Freeze() accumulates the pair
-/// weights one vertex row at a time into a flat edge list sorted by (u, v)
-/// plus a CSR adjacency. All queries read those arrays, so they are only
+/// transaction's ops on interned items, then Freeze() buckets the
+/// same-transaction op pairs by their lower vertex and accumulates them one
+/// vertex row at a time into a flat edge list sorted by (u, v) plus a CSR
+/// adjacency. All queries read those arrays, so they are only
 /// meaningful on a frozen graph.
 class AccessGraph {
  public:
@@ -47,6 +48,13 @@ class AccessGraph {
     uint32_t edge;    // index into Edges()
     uint64_t weight;  // Edges()[edge].w.total()
   };
+
+  /// Sizes the item index for `num_items` vertices at load <= 1/4. Most
+  /// ops AddTransaction looks up may be on other items (a quarter of
+  /// figure 11's sampled ops are cold), and a linear-probing miss scans to
+  /// the next empty slot: ~11 probes at FlatMap's 7/8 growth point, ~1.4
+  /// here. Optional; call before the first InternItem.
+  void ReserveItems(size_t num_items);
 
   /// Registers `item` as a vertex (idempotent); returns its vertex id.
   uint32_t InternItem(const HotItem& item);
@@ -97,15 +105,30 @@ class AccessGraph {
     int16_t src2;
   };
 
+  /// Where one recorded transaction's hot ops end.
+  struct TxnEnd {
+    uint32_t end;  // one past its last hot op in hot_ops_
+    bool ordered;  // some hot op's operand source is another hot op
+  };
+
+  /// Sorts one transaction's `m` recorded hot ops by vertex.
+  static void SortByVertex(HotOp* ops, size_t m);
+
+  /// Freeze's two steps: the edge list (and vertex degrees, in offsets_)
+  /// from the recorded hot ops, whose build state it then releases; then
+  /// the CSR adjacency from the edge list.
+  void AccumulateEdges();
+  void BuildAdjacency();
+
   std::vector<HotItem> items_;
   FlatMap<HotItem, uint32_t> ids_;
   std::vector<uint64_t> freq_;
+
   // Build state, released by Freeze(): the hot ops of every transaction
   // with at least two of them, back to back, each transaction's sorted by
-  // vertex; txn_ends_[t] is one past the last hot op of the t-th such
-  // transaction.
+  // vertex, and one TxnEnd per such transaction.
   std::vector<HotOp> hot_ops_;
-  std::vector<uint32_t> txn_ends_;
+  std::vector<TxnEnd> txn_ends_;
 
   std::vector<Edge> edges_;
   std::vector<uint32_t> offsets_{0};  // CSR row starts, num_vertices() + 1

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <chrono>
 #include <cmath>
 #include <string>
 #include <utility>
@@ -259,11 +260,19 @@ OffloadReport Engine::Offload(size_t sample_size, size_t max_hot_items) {
   assert(workload_ != nullptr);
   OffloadReport report;
   report.requested_hot_items = max_hot_items;
+  // Charges the time since the previous call to one phase.
+  auto mark = std::chrono::steady_clock::now();
+  const auto charge = [&mark](uint64_t& phase_ns) {
+    const auto now = std::chrono::steady_clock::now();
+    phase_ns = static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(now - mark)
+            .count());
+    mark = now;
+  };
 
   const std::vector<db::Transaction> sample =
       workload_->Sample(sample_size, config_.seed + 7, config_.num_nodes);
-  HotSetDetector detector;
-  for (const db::Transaction& txn : sample) detector.Observe(txn);
+  charge(report.host_ns.sample);
 
   const uint64_t capacity = config_.pipeline.CapacityRows();
   size_t budget = max_hot_items;
@@ -272,15 +281,24 @@ OffloadReport Engine::Offload(size_t sample_size, size_t max_hot_items) {
     report.truncated_by_capacity = true;
   }
   // Items past the budget stay on the nodes (Figure 17's graceful
-  // degradation).
-  const std::vector<HotItem> hot_items =
-      detector.TopK(budget, /*min_accesses=*/2,
-                    workload_->OffloadWrittenOnly());
+  // degradation). The detector's count table (one entry per distinct
+  // sampled item) is freed before the graph build allocates.
+  std::vector<HotItem> hot_items;
+  {
+    HotSetDetector detector;
+    for (const db::Transaction& txn : sample) detector.Observe(txn);
+    charge(report.host_ns.observe);
+    hot_items = detector.TopK(budget, /*min_accesses=*/2,
+                              workload_->OffloadWrittenOnly());
+  }
+  charge(report.host_ns.topk);
   AccessGraph graph = HotSetDetector::BuildGraph(hot_items, sample);
+  charge(report.host_ns.graph);
   LayoutPlanner planner(config_.pipeline);
   report.plan = config_.optimal_layout
                     ? planner.PlanOptimal(graph, config_.seed + 13)
                     : planner.PlanRandom(graph, config_.seed + 13);
+  charge(report.host_ns.plan);
 
   // Install: allocate slots on switch 0 in deterministic item order and
   // register each item with its address and current host value, then move
@@ -300,6 +318,7 @@ OffloadReport Engine::Offload(size_t sample_size, size_t max_hot_items) {
   }
   switches_->InstallHotSet(values);
   report.offloaded_hot_items = pm_.num_hot_items();
+  charge(report.host_ns.install);
   return report;
 }
 

@@ -44,6 +44,18 @@ struct OffloadReport {
   size_t offloaded_hot_items = 0;  // may be smaller: switch capacity
   bool truncated_by_capacity = false;
   LayoutPlan plan;
+
+  /// Host wall time of each offload phase (steady clock, ns). Harness
+  /// speed only: it varies run to run and feeds no simulated result.
+  struct PhaseNs {
+    uint64_t sample = 0;   // Workload::Sample
+    uint64_t observe = 0;  // HotSetDetector::Observe over the sample
+    uint64_t topk = 0;     // HotSetDetector::TopK, freeing the counts
+    uint64_t graph = 0;    // HotSetDetector::BuildGraph
+    uint64_t plan = 0;     // LayoutPlanner::PlanOptimal / PlanRandom
+    uint64_t install = 0;  // slot allocation and register install
+  };
+  PhaseNs host_ns;
 };
 
 /// One simulated P4DB cluster: N database nodes with worker threads, the

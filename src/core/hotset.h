@@ -38,6 +38,9 @@ class HotSetDetector {
   uint64_t total_accesses() const { return total_; }
 
  private:
+  // Below this many slots the count table keeps load <= 1/2 (Observe).
+  static constexpr size_t kHeadroomSlots = 4096;
+
   struct Counts {
     uint64_t accesses = 0;
     uint64_t writes = 0;

@@ -42,6 +42,13 @@ struct MaxCutResult {
 /// Requires num_parts * max_part_size >= num_vertices.
 MaxCutResult SolveMaxCut(const AccessGraph& graph, const MaxCutConfig& config);
 
+/// SolveMaxCut on a gain table of W entries (uint32_t or uint64_t); a
+/// graph whose TotalWeight() exceeds W's range runs on the 64-bit table.
+/// SolveMaxCut is the uint32_t form; tests run both.
+template <typename W>
+MaxCutResult SolveMaxCutWithTable(const AccessGraph& graph,
+                                  const MaxCutConfig& config);
+
 /// Cut weight of an arbitrary assignment (validation helper).
 uint64_t CutWeight(const AccessGraph& graph,
                    const std::vector<uint32_t>& assignment);

@@ -134,6 +134,65 @@ TEST(RngTest, NextBoolMatchesProbability) {
   EXPECT_NEAR(yes / 100000.0, 0.25, 0.01);
 }
 
+// Golden first draws per seed: every seeded result (samples, plans, runs)
+// depends on this exact stream. The bound 2^63 + 1 rejects about half of
+// its draws, so the pin also covers Lemire's rejection loop: the four
+// bounded draws consume more than four raw values.
+TEST(RngTest, StreamIsPinned) {
+  struct Golden {
+    uint64_t seed;
+    uint64_t next[3];
+    uint64_t range10;
+    uint64_t range_prime;
+    uint64_t range_huge[4];
+    uint64_t huge_draws;
+    double doubles[2];
+    bool bools[8];
+    uint64_t last;
+  };
+  const Golden kGolden[] = {
+      {42,
+       {0x15780b2e0c2ec716ULL, 0x6104d9866d113a7eULL, 0xae17533239e499a1ULL},
+       9,
+       991803921,
+       {0x6286d29880bca91cULL, 0x5c10aa42ad32eed9ULL, 0x6174b739374bb23fULL,
+        0x2534edcc39d7c4b2ULL},
+       7,
+       {0.80102429752880777, 0.32141163331535028},
+       {false, false, false, false, false, false, true, true},
+       0x6faa904a94c529bdULL},
+      {1234,
+       {0x0bab45d9a0e3ae53ULL, 0xd7c640660c19433eULL, 0xb0dedaa0d09a6691ULL},
+       8,
+       101145191,
+       {0x39b930890edfcb73ULL, 0x4a1cd4ca5ae0d717ULL, 0x531e2737412a1c58ULL,
+        0x406ff2de2c00f0baULL},
+       6,
+       {0.22784908222460387, 0.14726706301745462},
+       {false, true, false, false, false, false, false, false},
+       0x406794df6c6bb2b2ULL},
+  };
+  constexpr uint64_t kHuge = (uint64_t{1} << 63) + 1;
+  for (const Golden& g : kGolden) {
+    SCOPED_TRACE(g.seed);
+    Rng rng(g.seed);
+    for (const uint64_t v : g.next) EXPECT_EQ(rng.Next(), v);
+    EXPECT_EQ(rng.NextRange(10), g.range10);
+    EXPECT_EQ(rng.NextRange(1000000007), g.range_prime);
+    Rng probe = rng;
+    for (const uint64_t v : g.range_huge) EXPECT_EQ(rng.NextRange(kHuge), v);
+    // Count the raw draws the bounded ones consumed.
+    const uint64_t after = Rng(rng).Next();
+    uint64_t draws = 0;
+    while (probe.Next() != after && draws < 64) ++draws;
+    EXPECT_EQ(draws, g.huge_draws);
+    EXPECT_GT(draws, 4u);
+    for (const double d : g.doubles) EXPECT_EQ(rng.NextDouble(), d);
+    for (const bool b : g.bools) EXPECT_EQ(rng.NextBool(0.5), b);
+    EXPECT_EQ(rng.Next(), g.last);
+  }
+}
+
 // ------------------------------------------------------------------ Zipf --
 
 TEST(ZipfTest, Theta0IsUniformish) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <map>
 #include <memory>
 #include <set>
@@ -44,6 +45,24 @@ TEST(EngineOffloadTest, DetectsAndInstallsHotSet) {
           HotItem{TupleId{ycsb.table_id(), ycsb.HotKey(n, j)}, 0}));
     }
   }
+}
+
+// The per-phase host times split the offload's own wall time.
+TEST(EngineOffloadTest, ReportsHostTimePerPhase) {
+  wl::Ycsb ycsb(SmallYcsb());
+  Engine engine(SmallCluster(EngineMode::kP4db));
+  engine.SetWorkload(&ycsb);
+  const auto start = std::chrono::steady_clock::now();
+  const OffloadReport report = engine.Offload(5000, 40);
+  const auto wall_ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                           std::chrono::steady_clock::now() - start)
+                           .count();
+  const OffloadReport::PhaseNs& t = report.host_ns;
+  const uint64_t sum =
+      t.sample + t.observe + t.topk + t.graph + t.plan + t.install;
+  EXPECT_GT(t.sample, 0u);
+  EXPECT_GT(t.graph, 0u);
+  EXPECT_LE(sum, static_cast<uint64_t>(wall_ns));
 }
 
 TEST(EngineOffloadTest, CapacityTruncatesHotSet) {

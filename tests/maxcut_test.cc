@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cassert>
+#include <initializer_list>
+#include <numeric>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -140,6 +144,142 @@ TEST_P(MaxCutQualityTest, NearOptimalOnSmallRandomGraphs) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MaxCutQualityTest,
                          ::testing::Range<uint64_t>(1, 11));
+
+/// SolveMaxCut's earlier local search, kept verbatim as the reference it
+/// must match move for move: 64-bit rows scattered from the edge list, a
+/// full capacity-checked scan on every visit, the cut recounted over the
+/// edge list.
+MaxCutResult ReferenceLocalSearch(const AccessGraph& graph,
+                                  const MaxCutConfig& config) {
+  const uint32_t n = static_cast<uint32_t>(graph.num_vertices());
+  const uint32_t k = config.num_parts;
+  assert(k >= 1);
+  assert(static_cast<uint64_t>(k) * config.max_part_size >= n &&
+         "parts cannot hold all vertices");
+
+  MaxCutResult best;
+  best.total_weight = graph.TotalWeight();
+  if (n == 0) return best;
+
+  Rng rng(config.seed);
+  std::vector<uint32_t> order(n);
+  std::iota(order.begin(), order.end(), 0);
+  // Gain table: weight_to_part[u * k + p] is the weight of u's edges into
+  // part p. Moving u changes only its neighbours' rows, so a visit costs
+  // O(k) and a move O(deg(u)).
+  std::vector<uint64_t> weight_to_part(static_cast<size_t>(n) * k);
+
+  for (int restart = 0; restart < std::max(1, config.num_restarts);
+       ++restart) {
+    // Balanced random initial assignment: shuffle, deal round-robin.
+    for (uint32_t i = n; i > 1; --i) {
+      std::swap(order[i - 1], order[rng.NextRange(i)]);
+    }
+    std::vector<uint32_t> part(n);
+    std::vector<uint32_t> part_size(k, 0);
+    for (uint32_t i = 0; i < n; ++i) {
+      const uint32_t p = i % k;
+      part[order[i]] = p;
+      ++part_size[p];
+    }
+    std::fill(weight_to_part.begin(), weight_to_part.end(), 0);
+    for (const AccessGraph::Edge& e : graph.Edges()) {
+      const uint64_t w = e.w.total();
+      weight_to_part[static_cast<size_t>(e.u) * k + part[e.v]] += w;
+      weight_to_part[static_cast<size_t>(e.v) * k + part[e.u]] += w;
+    }
+
+    // Local search: move a vertex to the part minimizing its internal
+    // (uncut) weight, subject to capacity.
+    bool improved = true;
+    for (int sweep = 0; sweep < config.max_sweeps && improved; ++sweep) {
+      improved = false;
+      for (uint32_t i = n; i > 1; --i) {
+        std::swap(order[i - 1], order[rng.NextRange(i)]);
+      }
+      for (uint32_t idx = 0; idx < n; ++idx) {
+        const uint32_t u = order[idx];
+        const uint64_t* row = &weight_to_part[static_cast<size_t>(u) * k];
+        const uint32_t cur = part[u];
+        uint32_t target = cur;
+        uint64_t target_internal = row[cur];
+        for (uint32_t p = 0; p < k; ++p) {
+          if (p == cur || part_size[p] >= config.max_part_size) continue;
+          if (row[p] < target_internal) {
+            target = p;
+            target_internal = row[p];
+          }
+        }
+        if (target != cur) {
+          part[u] = target;
+          --part_size[cur];
+          ++part_size[target];
+          for (const AccessGraph::Adjacent& a : graph.Adjacency(u)) {
+            uint64_t* nbr_row = &weight_to_part[static_cast<size_t>(a.v) * k];
+            nbr_row[cur] -= a.weight;
+            nbr_row[target] += a.weight;
+          }
+          improved = true;
+        }
+      }
+    }
+
+    const uint64_t cut = CutWeight(graph, part);
+    if (best.assignment.empty() || cut > best.cut_weight) {
+      best.assignment = std::move(part);
+      best.cut_weight = cut;
+    }
+  }
+  return best;
+}
+
+// SolveMaxCut's skipped visits, capacity masks and row-wise gain build
+// must not change a single move, on either table width: on random graphs
+// of varying density, with the part capacity free or binding and under
+// both restart/sweep configurations PlanOptimal uses, assignment and cut
+// equal the reference's.
+TEST(MaxCutTest, MatchesReferenceLocalSearch) {
+  int graphs = 0;
+  for (uint64_t seed = 1; seed <= 64; ++seed) {
+    Rng rng(seed * 1000003);
+    const uint32_t n = 2 + static_cast<uint32_t>(rng.NextRange(120));
+    const double density = 0.02 + 0.6 * rng.NextDouble();
+    std::vector<std::tuple<Key, Key, int>> edges;
+    for (Key a = 0; a < n; ++a) {
+      for (Key b = a + 1; b < n; ++b) {
+        if (rng.NextBool(density)) {
+          edges.emplace_back(a, b, 1 + static_cast<int>(rng.NextRange(6)));
+        }
+      }
+    }
+    const AccessGraph g = BuildGraph(n, edges);
+    MaxCutConfig cfg;
+    cfg.num_parts = 1 + static_cast<uint32_t>(rng.NextRange(std::min(n, 24u)));
+    const uint32_t min_size = (n + cfg.num_parts - 1) / cfg.num_parts;
+    // Even seeds: capacity binds (at most one spare slot per part); odd
+    // seeds: unconstrained.
+    cfg.max_part_size = seed % 2 == 0
+                            ? min_size + static_cast<uint32_t>(rng.NextRange(2))
+                            : UINT32_MAX;
+    if (seed % 4 >= 2) {
+      cfg.num_restarts = 2;
+      cfg.max_sweeps = 8;
+    }
+    cfg.seed = seed;
+    SCOPED_TRACE(testing::Message() << "seed " << seed << " n " << n
+                                    << " k " << cfg.num_parts << " cap "
+                                    << cfg.max_part_size);
+    const MaxCutResult want = ReferenceLocalSearch(g, cfg);
+    for (const MaxCutResult& got :
+         {SolveMaxCut(g, cfg), SolveMaxCutWithTable<uint64_t>(g, cfg)}) {
+      EXPECT_EQ(got.assignment, want.assignment);
+      EXPECT_EQ(got.cut_weight, want.cut_weight);
+      EXPECT_EQ(got.total_weight, want.total_weight);
+    }
+    ++graphs;
+  }
+  EXPECT_GE(graphs, 50);
+}
 
 }  // namespace
 }  // namespace p4db::core
