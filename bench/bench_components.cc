@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "common/zipf.h"
 #include "core/hotset.h"
 #include "core/layout.h"
 #include "core/maxcut.h"
@@ -29,13 +28,6 @@ void BM_RngNext(benchmark::State& state) {
   for (auto _ : state) benchmark::DoNotOptimize(rng.Next());
 }
 BENCHMARK(BM_RngNext);
-
-void BM_ZipfNext(benchmark::State& state) {
-  ZipfGenerator zipf(static_cast<uint64_t>(state.range(0)), 0.99);
-  Rng rng(2);
-  for (auto _ : state) benchmark::DoNotOptimize(zipf.Next(rng));
-}
-BENCHMARK(BM_ZipfNext)->Arg(1000)->Arg(1000000);
 
 void BM_HistogramRecord(benchmark::State& state) {
   Histogram h;

@@ -100,7 +100,7 @@ ConcurrencyControl::WarmSplit ConcurrencyControl::SplitWarmOps(
   auto& deferred = split.deferred;
   for (size_t i = 0; i < txn.ops.size(); ++i) {
     const db::Op& op = txn.ops[i];
-    if (op.type != db::OpType::kInsert && !op.key_from_src &&
+    if (op.type != db::OpType::kInsert &&
         ctx_.pm->IsHot(HotItem{op.tuple, op.column})) {
       is_hot_op[i] = true;
       continue;
@@ -251,25 +251,22 @@ Value64 ConcurrencyControl::ApplyHostOp(
   db::Table& table = ctx_.catalog->table(op.tuple.table);
   Key key = op.tuple.key;
   Value64 operand = op.operand;
-  if (op.type == db::OpType::kInsert || op.key_from_src) {
-    // src1 offsets the KEY (switch-returned order id); src2 (if any) still
-    // feeds the operand.
-    if (op.has_src()) {
-      key += static_cast<Key>(carried_value(op.operand_src, op.negate_src));
+  if (op.has_src()) {
+    // An insert's src1 offsets the KEY (switch-returned order id); every
+    // other op's feeds the operand.
+    const Value64 v = carried_value(op.operand_src, op.negate_src);
+    if (op.type == db::OpType::kInsert) {
+      key += static_cast<Key>(v);
+    } else {
+      operand += v;
     }
-    if (op.has_src2()) operand += carried_value(op.operand_src2,
-                                                op.negate_src2);
-  } else {
-    if (op.has_src()) operand += carried_value(op.operand_src, op.negate_src);
-    if (op.has_src2()) operand += carried_value(op.operand_src2,
-                                                op.negate_src2);
   }
+  if (op.has_src2()) operand += carried_value(op.operand_src2, op.negate_src2);
   const db::RowRef row = table.GetOrCreate(key);
   assert(op.column < row.size());
   Value64& cell = row[op.column];
   const auto log_write = [&] {
-    writes->push_back(
-        LoggedWrite{TupleId{op.tuple.table, key}, op.column, &cell});
+    writes->push_back(LoggedWrite{op.tuple, op.column, &cell});
   };
   switch (op.type) {
     case db::OpType::kGet:

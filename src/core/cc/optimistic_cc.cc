@@ -18,9 +18,9 @@ Value64 OptimisticCC::OccApplyOp(
     return negate ? -v : v;
   };
 
-  Key key = op.tuple.key;
   Value64 operand = op.operand;
   if (op.type == db::OpType::kInsert) {
+    Key key = op.tuple.key;
     if (op.has_src()) key += static_cast<Key>(carried(op.operand_src,
                                                       op.negate_src));
     if (op.has_src2()) operand += carried(op.operand_src2, op.negate_src2);
@@ -28,36 +28,28 @@ Value64 OptimisticCC::OccApplyOp(
     ctx->inserts.emplace_back(cell, operand);
     return operand;
   }
-  if (op.key_from_src) {
-    if (op.has_src()) key += static_cast<Key>(carried(op.operand_src,
-                                                      op.negate_src));
-    if (op.has_src2()) operand += carried(op.operand_src2, op.negate_src2);
-  } else {
-    if (op.has_src()) operand += carried(op.operand_src, op.negate_src);
-    if (op.has_src2()) operand += carried(op.operand_src2, op.negate_src2);
-  }
+  if (op.has_src()) operand += carried(op.operand_src, op.negate_src);
+  if (op.has_src2()) operand += carried(op.operand_src2, op.negate_src2);
 
-  const HotItem cell{TupleId{op.tuple.table, key}, op.column};
+  const HotItem cell{op.tuple, op.column};
   // Current value: write buffer first, then the table.
   Value64 value;
   if (const Value64* buffered = ctx->write_buffer.find(cell)) {
     value = *buffered;
   } else {
-    value = ctx_.catalog->table(op.tuple.table).GetOrCreate(key)[op.column];
+    value = ctx_.catalog->table(op.tuple.table)
+                .GetOrCreate(op.tuple.key)[op.column];
   }
-  const TupleId effective{op.tuple.table, key};
-  // Snapshot (key_from_src) accesses target write-once rows: no version
-  // tracking, no validation locks (db/txn.h).
-  if (!ctx_.catalog->IsReplicated(op.tuple.table) && !op.key_from_src) {
-    ctx->read_versions.try_emplace(effective, VersionOf(effective));
+  if (!ctx_.catalog->IsReplicated(op.tuple.table)) {
+    ctx->read_versions.try_emplace(op.tuple, VersionOf(op.tuple));
   }
 
   const auto buffer_write = [&](Value64 v) {
     if (!ctx->write_buffer.contains(cell)) {
       ctx->written.push_back(cell);
       bool known = false;
-      for (const TupleId& t : ctx->write_set) known |= (t == effective);
-      if (!known && !op.key_from_src) ctx->write_set.push_back(effective);
+      for (const TupleId& t : ctx->write_set) known |= (t == op.tuple);
+      if (!known) ctx->write_set.push_back(op.tuple);
     }
     ctx->write_buffer[cell] = v;
   };

@@ -19,7 +19,6 @@ TwoPhaseLocking::LockPlan TwoPhaseLocking::BuildLockPlan(
   LockPlan plan;
   for (const db::Op& op : txn.ops) {
     if (op.type == db::OpType::kInsert) continue;  // fresh keys: no lock
-    if (op.key_from_src) continue;  // snapshot access to write-once rows
     if (ctx_.catalog->IsReplicated(op.tuple.table)) {
       continue;  // local read-only
     }

@@ -30,16 +30,6 @@ const char* CcProtocolName(CcProtocol protocol) {
   return "?";
 }
 
-const char* ArrivalProcessName(ArrivalProcess process) {
-  switch (process) {
-    case ArrivalProcess::kPoisson:
-      return "poisson";
-    case ArrivalProcess::kMmpp:
-      return "mmpp";
-  }
-  return "?";
-}
-
 Status ValidateConfig(const SystemConfig& config) {
   if (config.num_switches == 0) {
     return Status::InvalidArgument(
@@ -119,17 +109,6 @@ Status ValidateConfig(const SystemConfig& config) {
       return Status::InvalidArgument(
           "open_loop.admission_queue_bound must be >= 1: a zero-capacity "
           "admission queue would shed or stall every arrival");
-    }
-    if (config.open_loop.process == ArrivalProcess::kMmpp) {
-      if (config.open_loop.burst_factor < 1.0) {
-        return Status::InvalidArgument(
-            "open_loop.burst_factor must be >= 1 (the burst state runs at "
-            "least as hot as the calm state)");
-      }
-      if (config.open_loop.burst_dwell <= 0) {
-        return Status::InvalidArgument(
-            "open_loop.burst_dwell must be positive for MMPP arrivals");
-      }
     }
   }
   if (config.int_telemetry.wire_cost && !config.int_telemetry.enabled) {

@@ -66,19 +66,6 @@ struct TimingConfig {
   SimTime view_change_delay = 40 * kMicrosecond;
 };
 
-/// Inter-arrival process of the open-loop client population.
-enum class ArrivalProcess : uint8_t {
-  /// Memoryless aggregate of a huge independent client population.
-  kPoisson,
-  /// Two-state Markov-modulated Poisson process: the generator alternates
-  /// between a calm and a burst state (exponential dwell times), with the
-  /// burst state running `burst_factor` times hotter. Long-run average rate
-  /// equals `offered_load`; the bursts are what exposes queueing collapse.
-  kMmpp,
-};
-
-const char* ArrivalProcessName(ArrivalProcess process);
-
 /// Open-loop load generation: instead of N closed-loop workers (one
 /// inflight transaction each), a per-node arrival generator models millions
 /// of independent clients multiplexed onto a bounded pool of session
@@ -89,14 +76,10 @@ const char* ArrivalProcessName(ArrivalProcess process);
 struct OpenLoopConfig {
   bool enabled = false;
   /// Aggregate offered load across the whole cluster, transactions per
-  /// second of simulated time. Split evenly over the nodes.
+  /// second of simulated time. Split evenly over the nodes; arrivals are
+  /// Poisson (the memoryless aggregate of a huge independent client
+  /// population).
   double offered_load = 0.0;
-  ArrivalProcess process = ArrivalProcess::kPoisson;
-  /// kMmpp: burst-state rate multiplier (>= 1) relative to the calm state.
-  /// Rates are solved so the long-run average stays `offered_load`.
-  double burst_factor = 4.0;
-  /// kMmpp: mean exponential dwell time in each state.
-  SimTime burst_dwell = 200 * kMicrosecond;
   /// Session workers per node draining the admission queue; 0 = use
   /// workers_per_node.
   uint16_t sessions_per_node = 0;

@@ -414,48 +414,18 @@ sim::Task Engine::RunOpenLoopGenerator(NodeId node, uint64_t seed_salt) {
   OpenLoopNode& ol = *open_loop_[node];
   const OpenLoopConfig& olc = config_.open_loop;
   const uint32_t bound = olc.admission_queue_bound;
-  // Arrival rates in transactions per simulated nanosecond. The MMPP's two
-  // state rates solve to the configured long-run average: equal mean dwell
-  // in each state means the average rate is (r0 + r1) / 2.
+  // Poisson arrivals: the per-node rate in transactions per simulated
+  // nanosecond.
   const double per_node_rate =
       olc.offered_load / static_cast<double>(config_.num_nodes) / 1e9;
-  const bool mmpp = olc.process == ArrivalProcess::kMmpp;
-  double rate[2] = {per_node_rate, per_node_rate};
-  if (mmpp) {
-    rate[0] = 2.0 * per_node_rate / (1.0 + olc.burst_factor);
-    rate[1] = olc.burst_factor * rate[0];
-  }
-  // Inverse-CDF exponential draw; NextDouble() is in [0, 1), so the log
-  // argument never hits zero.
-  const auto exp_ns = [&rng](double per_ns) {
-    return -std::log(1.0 - rng.NextDouble()) / per_ns;
-  };
-  const double dwell_rate = mmpp ? 1.0 / static_cast<double>(olc.burst_dwell)
-                                 : 0.0;
-  int state = 0;
   SimTime pos = hsim.now();
-  SimTime state_end =
-      mmpp ? pos + std::max<SimTime>(
-                       1, static_cast<SimTime>(std::llround(exp_ns(dwell_rate))))
-           : 0;
   while (!hsim.stopped()) {
     if (node_crashed_[node]) co_return;
-    // Draw the next client arrival. An MMPP gap that crosses the state
-    // boundary moves to the boundary, flips state, and redraws — exact
-    // sampling, justified by the exponential's memorylessness.
-    for (;;) {
-      const SimTime dt = std::max<SimTime>(
-          1, static_cast<SimTime>(std::llround(exp_ns(rate[state]))));
-      if (!mmpp || pos + dt <= state_end) {
-        pos += dt;
-        break;
-      }
-      pos = state_end;
-      state ^= 1;
-      state_end = pos + std::max<SimTime>(
-                            1, static_cast<SimTime>(
-                                   std::llround(exp_ns(dwell_rate))));
-    }
+    // Inverse-CDF exponential gap; NextDouble() is in [0, 1), so the log
+    // argument never hits zero.
+    pos += std::max<SimTime>(
+        1, static_cast<SimTime>(std::llround(
+               -std::log(1.0 - rng.NextDouble()) / per_node_rate)));
     if (pos > hsim.now()) co_await sim::Delay(hsim, pos - hsim.now());
     if (hsim.stopped()) co_return;
     if (node_crashed_[node]) co_return;

@@ -312,7 +312,7 @@ class Engine {
     Histogram* depth = nullptr;  // queue depth at each admit
   };
 
-  /// The node's arrival source: draws Poisson/MMPP inter-arrival gaps for
+  /// The node's arrival source: draws Poisson inter-arrival gaps for
   /// the (simulated) client population and admits transactions into the
   /// bounded ring — shedding or stalling on overflow per the policy.
   sim::Task RunOpenLoopGenerator(NodeId node, uint64_t seed_salt = 0);

@@ -55,7 +55,7 @@ void PartitionManager::Classify(db::Transaction* txn, NodeId home) const {
   bool distributed = false;
   for (const db::Op& op : txn->ops) {
     if (catalog_->IsReplicated(op.tuple.table)) continue;  // local everywhere
-    const bool hot = op.type != db::OpType::kInsert && !op.key_from_src &&
+    const bool hot = op.type != db::OpType::kInsert &&
                      IsHot(HotItem{op.tuple, op.column});
     any_hot |= hot;
     any_cold |= !hot;
@@ -84,7 +84,7 @@ StatusOr<PartitionManager::Compiled> PartitionManager::Compile(
 
   for (size_t i = 0; i < txn.ops.size(); ++i) {
     const db::Op& op = txn.ops[i];
-    if (op.type == db::OpType::kInsert || op.key_from_src) continue;
+    if (op.type == db::OpType::kInsert) continue;
     const sw::RegisterAddress* addr = index_.find(HotItem{op.tuple, op.column});
     if (addr == nullptr) continue;  // cold op: handled by the host
 

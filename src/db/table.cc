@@ -48,9 +48,4 @@ TableId Catalog::CreateTable(std::string name, uint16_t num_columns,
   return id;
 }
 
-SecondaryIndex& Catalog::CreateSecondaryIndex(std::string /*name*/) {
-  indexes_.push_back(std::make_unique<SecondaryIndex>());
-  return *indexes_.back();
-}
-
 }  // namespace p4db::db

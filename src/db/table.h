@@ -7,11 +7,9 @@
 #include <mutex>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/flat_map.h"
-#include "common/status.h"
 #include "common/types.h"
 
 namespace p4db::db {
@@ -104,23 +102,6 @@ class Table {
   std::mutex mu_;
 };
 
-/// Secondary index mapping an alternate key to a primary key. Kept on the
-/// database nodes even for hot tuples (Section 6.1: "secondary indexes are
-/// supported by keeping them on the database nodes").
-class SecondaryIndex {
- public:
-  void Put(Key secondary, Key primary) { map_[secondary] = primary; }
-  StatusOr<Key> Lookup(Key secondary) const {
-    auto it = map_.find(secondary);
-    if (it == map_.end()) return Status::NotFound("secondary key");
-    return it->second;
-  }
-  size_t size() const { return map_.size(); }
-
- private:
-  std::unordered_map<Key, Key> map_;
-};
-
 /// The cluster's schema and storage. In the simulator all node partitions
 /// live in one address space; ownership (which node pays local vs. remote
 /// access cost and whose lock table guards a tuple) is defined by each
@@ -137,8 +118,6 @@ class Catalog {
   Table& table(TableId id) { return *tables_[id]; }
   const Table& table(TableId id) const { return *tables_[id]; }
   size_t num_tables() const { return tables_.size(); }
-
-  SecondaryIndex& CreateSecondaryIndex(std::string name);
 
   /// Arms mutex-guarded access on every table (see
   /// Table::EnableConcurrentAccess). Called by the engine when the parallel
@@ -161,7 +140,6 @@ class Catalog {
  private:
   uint16_t num_nodes_;
   std::vector<std::unique_ptr<Table>> tables_;
-  std::vector<std::unique_ptr<SecondaryIndex>> indexes_;
 };
 
 }  // namespace p4db::db

@@ -48,13 +48,6 @@ struct Op {
   int16_t operand_src2 = -1;
   bool negate_src = false;
   bool negate_src2 = false;
-  /// Host-only result-derived addressing: effective key = tuple.key +
-  /// result(operand_src) instead of feeding the operand (TPC-C Delivery /
-  /// Order-Status rows addressed by an order id returned from the switch).
-  /// Such ops target write-once rows (orders, order lines) and execute
-  /// without locks — their single writer is serialized upstream by the
-  /// per-district counter. Never compilable to the switch.
-  bool key_from_src = false;
 
   bool has_src() const { return operand_src >= 0; }
   bool has_src2() const { return operand_src2 >= 0; }

@@ -26,26 +26,6 @@ StatusOr<RegisterAddress> ControlPlane::AllocateSlot(uint8_t stage,
   return addr;
 }
 
-StatusOr<uint8_t> ControlPlane::LeastLoadedRegister(uint8_t stage) const {
-  const PipelineConfig& cfg = pipeline_->config();
-  if (stage >= cfg.num_stages) {
-    return Status::InvalidArgument("no such stage");
-  }
-  uint8_t best = 0;
-  uint32_t best_used = UINT32_MAX;
-  for (uint8_t r = 0; r < cfg.regs_per_stage; ++r) {
-    const uint32_t used = next_free_[RegSlot(stage, r)];
-    if (used < cfg.SlotsPerRegister() && used < best_used) {
-      best = r;
-      best_used = used;
-    }
-  }
-  if (best_used == UINT32_MAX) {
-    return Status::CapacityExceeded("stage full");
-  }
-  return best;
-}
-
 Status ControlPlane::InstallValue(const RegisterAddress& addr, Value64 value) {
   if (!pipeline_->registers().ValidAddress(addr)) {
     return Status::InvalidArgument("invalid register address");
@@ -94,10 +74,6 @@ void ControlPlane::Reset() {
   }
   allocated_total_ = 0;
   pipeline_->set_next_gid(1);
-}
-
-uint32_t ControlPlane::AllocatedIn(uint8_t stage, uint8_t reg) const {
-  return next_free_[RegSlot(stage, reg)];
 }
 
 }  // namespace p4db::sw

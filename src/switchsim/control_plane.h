@@ -27,10 +27,6 @@ class ControlPlane {
   /// kCapacityExceeded when the register array is full.
   StatusOr<RegisterAddress> AllocateSlot(uint8_t stage, uint8_t reg);
 
-  /// Register array with the most free slots in the given stage, or error
-  /// if the whole stage is full.
-  StatusOr<uint8_t> LeastLoadedRegister(uint8_t stage) const;
-
   /// Writes an initial value (offload step) or a recovered value into an
   /// allocated slot.
   Status InstallValue(const RegisterAddress& addr, Value64 value);
@@ -50,7 +46,6 @@ class ControlPlane {
   uint64_t FreeSlots() const {
     return pipeline_->config().CapacityRows() - allocated_total_;
   }
-  uint32_t AllocatedIn(uint8_t stage, uint8_t reg) const;
 
   Pipeline* pipeline() { return pipeline_; }
 

@@ -20,15 +20,15 @@ void Tpcc::Setup(db::Catalog* catalog) {
 
   // Default rows: see column constants in the header.
   warehouse_ = catalog->CreateTable("warehouse", 2, rr, {0, 8});
-  // {ytd, next_o_id, tax, last_delivered_o_id}
-  district_ = catalog->CreateTable("district", 4, range(10), {0, 1, 10, 1});
+  // {ytd, next_o_id, tax}
+  district_ = catalog->CreateTable("district", 3, range(10), {0, 1, 10});
   customer_ =
       catalog->CreateTable("customer", 3, range(1000000ULL), {0, 0, 0});
   stock_ = catalog->CreateTable("stock", 2, range(1000000ULL),
                                 {1000000000, 0});
   item_ = catalog->CreateTable("item", 1, repl, {500});
-  // {customer, total_amount, carrier}
-  order_ = catalog->CreateTable("order", 3, range(100000000ULL));
+  // {customer, total_amount}
+  order_ = catalog->CreateTable("order", 2, range(100000000ULL));
   new_order_ = catalog->CreateTable("new_order", 1, range(100000000ULL));
   order_line_ = catalog->CreateTable("order_line", 1, range(1600000000ULL));
   history_ = catalog->CreateTable("history", 1, range(1000000ULL));
@@ -171,123 +171,12 @@ db::Transaction Tpcc::MakePayment(Rng& rng, uint32_t w) {
   return txn;
 }
 
-db::Transaction Tpcc::MakeDelivery(Rng& rng, uint32_t w) {
-  // One carrier sweeps every district: pop the oldest undelivered order
-  // (the per-district counters serialize concurrent deliveries), read its
-  // total, stamp the carrier, credit a customer of the district.
-  db::Transaction txn;
-  txn.type_tag = kDelivery;
-  const Value64 carrier = 1 + static_cast<Value64>(rng.NextRange(10));
-  for (uint32_t d = 0; d < config_.districts_per_warehouse; ++d) {
-    const int16_t pop_op = static_cast<int16_t>(txn.ops.size());
-    txn.ops.push_back({db::OpType::kAdd,
-                       {district_, DistrictKey(w, d)},
-                       kDistrictLastDelivered,
-                       1});
-    db::Op read_total{db::OpType::kGet,
-                      {order_, OrderKeyBase(w, d)},
-                      kOrderTotal,
-                      0};
-    read_total.operand_src = pop_op;
-    read_total.key_from_src = true;
-    const int16_t total_op = static_cast<int16_t>(txn.ops.size());
-    txn.ops.push_back(read_total);
-
-    db::Op stamp{db::OpType::kPut,
-                 {order_, OrderKeyBase(w, d)},
-                 kOrderCarrier,
-                 carrier};
-    stamp.operand_src = pop_op;
-    stamp.key_from_src = true;
-    txn.ops.push_back(stamp);
-
-    const uint32_t c = static_cast<uint32_t>(
-        rng.NextRange(config_.customers_per_district));
-    db::Op credit{db::OpType::kAdd,
-                  {customer_, CustomerKey(w, d, c)},
-                  kCustomerBalance,
-                  0};
-    credit.operand_src = total_op;
-    txn.ops.push_back(credit);
-  }
-  return txn;
-}
-
-db::Transaction Tpcc::MakeOrderStatus(Rng& rng, uint32_t w) {
-  // Read-only: a customer's balance plus their district's most recent
-  // order (order keys equal the counter value at insert time, so
-  // base + current counter addresses the latest order).
-  db::Transaction txn;
-  txn.type_tag = kOrderStatus;
-  const uint32_t d =
-      static_cast<uint32_t>(rng.NextRange(config_.districts_per_warehouse));
-  const uint32_t c =
-      static_cast<uint32_t>(rng.NextRange(config_.customers_per_district));
-  txn.ops.push_back({db::OpType::kGet,
-                     {customer_, CustomerKey(w, d, c)},
-                     kCustomerBalance,
-                     0});
-  const int16_t oid_op = static_cast<int16_t>(txn.ops.size());
-  txn.ops.push_back({db::OpType::kGet,
-                     {district_, DistrictKey(w, d)},
-                     kDistrictNextOid,
-                     0});
-  db::Op last_order{db::OpType::kGet,
-                    {order_, OrderKeyBase(w, d)},
-                    kOrderTotal,
-                    0};
-  last_order.operand_src = oid_op;
-  last_order.key_from_src = true;
-  txn.ops.push_back(last_order);
-  return txn;
-}
-
-db::Transaction Tpcc::MakeStockLevel(Rng& rng, uint32_t w) {
-  // Read-only: the most recent order's lines vs. low stock (approximation
-  // of the spec's last-20-orders join; see tpcc.h).
-  db::Transaction txn;
-  txn.type_tag = kStockLevel;
-  const uint32_t d =
-      static_cast<uint32_t>(rng.NextRange(config_.districts_per_warehouse));
-  const int16_t oid_op = static_cast<int16_t>(txn.ops.size());
-  txn.ops.push_back({db::OpType::kGet,
-                     {district_, DistrictKey(w, d)},
-                     kDistrictNextOid,
-                     0});
-  for (uint64_t line = 0; line < 5; ++line) {
-    db::Op ol{db::OpType::kGet,
-              {order_line_, OrderKeyBase(w, d) * 16 + line * 10000000ULL},
-              0,
-              0};
-    ol.operand_src = oid_op;
-    ol.key_from_src = true;
-    txn.ops.push_back(ol);
-  }
-  for (int k = 0; k < 5; ++k) {
-    const uint32_t item = PickItem(rng);
-    txn.ops.push_back({db::OpType::kGet,
-                       {stock_, StockKey(w, item)},
-                       kStockQuantity,
-                       0});
-  }
-  return txn;
-}
-
 db::Transaction Tpcc::Next(Rng& rng, NodeId home) {
   const uint32_t w = LocalWarehouse(rng, home);
-  if (!config_.full_mix) {
-    if (rng.NextBool(config_.new_order_fraction)) {
-      return MakeNewOrder(rng, w);
-    }
-    return MakePayment(rng, w);
+  if (rng.NextBool(config_.new_order_fraction)) {
+    return MakeNewOrder(rng, w);
   }
-  // Spec-style full mix: 45/43/4/4/4.
-  const double r = rng.NextDouble();
-  if (r < 0.45) return MakeNewOrder(rng, w);
-  if (r < 0.88) return MakePayment(rng, w);
-  if (r < 0.92) return MakeDelivery(rng, w);
-  if (r < 0.96) return MakeOrderStatus(rng, w);
-  return MakeStockLevel(rng, w);
+  return MakePayment(rng, w);
 }
 
 }  // namespace p4db::wl

@@ -34,10 +34,6 @@ struct TpccConfig {
   double remote_fraction = 0.1;
   /// NewOrder share of the mix (rest is Payment).
   double new_order_fraction = 0.5;
-  /// false = the paper's NewOrder+Payment mix (Section 7.2). true = the
-  /// full five-transaction TPC-C mix (45/43/4/4/4), an extension beyond
-  /// the paper's evaluation.
-  bool full_mix = false;
 };
 
 class Tpcc : public Workload {
@@ -45,10 +41,6 @@ class Tpcc : public Workload {
   enum TxnType : uint8_t {
     kNewOrder = 0,
     kPayment = 1,
-    // Full-mix extensions (not part of the paper's evaluation):
-    kDelivery = 2,
-    kOrderStatus = 3,
-    kStockLevel = 4,
   };
 
   // Column indexes.
@@ -57,7 +49,6 @@ class Tpcc : public Workload {
   static constexpr uint16_t kDistrictYtd = 0;    // hot
   static constexpr uint16_t kDistrictNextOid = 1;  // hot
   static constexpr uint16_t kDistrictTax = 2;
-  static constexpr uint16_t kDistrictLastDelivered = 3;
   static constexpr uint16_t kCustomerBalance = 0;
   static constexpr uint16_t kCustomerYtdPayment = 1;
   static constexpr uint16_t kCustomerPaymentCnt = 2;
@@ -66,7 +57,6 @@ class Tpcc : public Workload {
   static constexpr uint16_t kItemPrice = 0;
   static constexpr uint16_t kOrderCustomer = 0;
   static constexpr uint16_t kOrderTotal = 1;
-  static constexpr uint16_t kOrderCarrier = 2;
 
   explicit Tpcc(const TpccConfig& config) : config_(config) {}
 
@@ -77,14 +67,6 @@ class Tpcc : public Workload {
 
   db::Transaction MakeNewOrder(Rng& rng, uint32_t w);
   db::Transaction MakePayment(Rng& rng, uint32_t w);
-  /// Full-mix extensions. Delivery pops the oldest undelivered order per
-  /// district (addressed by the switch-returned counter via result-derived
-  /// keys) and credits a customer; Order-Status and Stock-Level are the
-  /// read-only transactions of the spec, approximated over the most recent
-  /// order.
-  db::Transaction MakeDelivery(Rng& rng, uint32_t w);
-  db::Transaction MakeOrderStatus(Rng& rng, uint32_t w);
-  db::Transaction MakeStockLevel(Rng& rng, uint32_t w);
 
   // Key packing.
   Key WarehouseKey(uint32_t w) const { return w; }

@@ -7,12 +7,10 @@
 #include <string>
 #include <vector>
 
-#include "common/fixed_point.h"
 #include "common/histogram.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "common/types.h"
-#include "common/zipf.h"
 
 namespace p4db {
 namespace {
@@ -191,79 +189,6 @@ TEST(RngTest, StreamIsPinned) {
     for (const bool b : g.bools) EXPECT_EQ(rng.NextBool(0.5), b);
     EXPECT_EQ(rng.Next(), g.last);
   }
-}
-
-// ------------------------------------------------------------------ Zipf --
-
-TEST(ZipfTest, Theta0IsUniformish) {
-  ZipfGenerator zipf(100, 0.0);
-  Rng rng(3);
-  std::vector<int> counts(100, 0);
-  for (int i = 0; i < 100000; ++i) ++counts[zipf.Next(rng)];
-  const auto [mn, mx] = std::minmax_element(counts.begin(), counts.end());
-  EXPECT_GT(*mn, 600);
-  EXPECT_LT(*mx, 1500);
-}
-
-TEST(ZipfTest, HighThetaIsSkewed) {
-  ZipfGenerator zipf(1000, 0.99);
-  Rng rng(5);
-  int top10 = 0;
-  constexpr int kSamples = 50000;
-  for (int i = 0; i < kSamples; ++i) {
-    if (zipf.Next(rng) < 10) ++top10;
-  }
-  // With theta=0.99, the top-10 of 1000 items draw a large share.
-  EXPECT_GT(top10, kSamples / 3);
-}
-
-TEST(ZipfTest, StaysInRange) {
-  ZipfGenerator zipf(50, 0.9);
-  Rng rng(23);
-  for (int i = 0; i < 10000; ++i) EXPECT_LT(zipf.Next(rng), 50u);
-}
-
-TEST(HotSetDistributionTest, HotFractionRespected) {
-  HotSetDistribution dist(100000, 50, 0.75);
-  Rng rng(29);
-  int hot = 0;
-  constexpr int kSamples = 100000;
-  for (int i = 0; i < kSamples; ++i) hot += dist.IsHot(dist.Next(rng));
-  EXPECT_NEAR(hot / static_cast<double>(kSamples), 0.75, 0.01);
-}
-
-TEST(HotSetDistributionTest, ColdNeverInHotRange) {
-  HotSetDistribution dist(1000, 10, 0.0);
-  Rng rng(31);
-  for (int i = 0; i < 10000; ++i) EXPECT_GE(dist.Next(rng), 10u);
-}
-
-// ----------------------------------------------------------------- Fixed --
-
-TEST(FixedTest, UnitsAndCents) {
-  EXPECT_EQ(Fixed::FromUnits(3).raw(), 300);
-  EXPECT_EQ(Fixed::FromCents(123).whole_units(), 1);
-}
-
-TEST(FixedTest, Arithmetic) {
-  Fixed a = Fixed::FromCents(150), b = Fixed::FromCents(75);
-  EXPECT_EQ((a + b).raw(), 225);
-  EXPECT_EQ((a - b).raw(), 75);
-  EXPECT_EQ((-a).raw(), -150);
-  a += b;
-  EXPECT_EQ(a.raw(), 225);
-}
-
-TEST(FixedTest, Comparisons) {
-  EXPECT_LT(Fixed::FromCents(1), Fixed::FromCents(2));
-  EXPECT_EQ(Fixed::FromCents(100), Fixed::FromUnits(1));
-}
-
-TEST(FixedTest, ScaleByPercentIsIntegerExact) {
-  // 8% tax on 12.50 = 1.00 exactly in integer math.
-  EXPECT_EQ(Fixed::ScaleByPercent(Fixed::FromCents(1250), 8).raw(), 100);
-  // Truncation (never rounds up): 8% of 1.01 = 0.0808 -> 8 cents.
-  EXPECT_EQ(Fixed::ScaleByPercent(Fixed::FromCents(101), 8).raw(), 8);
 }
 
 // ------------------------------------------------------------- Histogram --

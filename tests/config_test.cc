@@ -104,36 +104,11 @@ TEST(ConfigValidationTest, OpenLoopRequiresNonZeroAdmissionBound) {
   EXPECT_TRUE(ValidateConfig(cfg).ok());
 }
 
-TEST(ConfigValidationTest, MmppRequiresBurstFactorAtLeastOne) {
-  SystemConfig cfg = OpenLoopCluster();
-  cfg.open_loop.process = ArrivalProcess::kMmpp;
-  cfg.open_loop.burst_factor = 0.5;
-  EXPECT_FALSE(ValidateConfig(cfg).ok());
-  cfg.open_loop.burst_factor = 1.0;
-  EXPECT_TRUE(ValidateConfig(cfg).ok());
-}
-
-TEST(ConfigValidationTest, MmppRequiresPositiveBurstDwell) {
-  SystemConfig cfg = OpenLoopCluster();
-  cfg.open_loop.process = ArrivalProcess::kMmpp;
-  cfg.open_loop.burst_dwell = 0;
-  EXPECT_FALSE(ValidateConfig(cfg).ok());
-}
-
-TEST(ConfigValidationTest, PoissonIgnoresBurstKnobs) {
-  // The MMPP-only knobs must not be validated for a Poisson process.
-  SystemConfig cfg = OpenLoopCluster();
-  cfg.open_loop.burst_factor = 0.0;
-  cfg.open_loop.burst_dwell = 0;
-  EXPECT_TRUE(ValidateConfig(cfg).ok());
-}
-
 TEST(ConfigValidationTest, OpenLoopComposesWithBatching) {
   // The bench's actual shape: open-loop arrivals feeding a batched egress.
   SystemConfig cfg = BatchedCluster();
   cfg.open_loop.enabled = true;
   cfg.open_loop.offered_load = 4e6;
-  cfg.open_loop.process = ArrivalProcess::kMmpp;
   EXPECT_TRUE(ValidateConfig(cfg).ok());
 }
 
@@ -166,6 +141,97 @@ TEST(ConfigValidationTest, ShardedRuntimeRequiresP4dbOrNoSwitch) {
     if (!sharded_ok) {
       EXPECT_EQ(ValidateConfig(cfg).code(), Code::kUnsupported);
     }
+  }
+}
+
+TEST(ConfigValidationTest, EveryRejectionHasACase) {
+  // One minimal change per rejection in ValidateConfig, in source order,
+  // each applied to the valid default config.
+  struct Case {
+    const char* what;
+    void (*apply)(SystemConfig&);
+    Code code;
+  };
+  const Case cases[] = {
+      {"zero switches", [](SystemConfig& c) { c.num_switches = 0; },
+       Code::kInvalidArgument},
+      {"more than 8 switches", [](SystemConfig& c) { c.num_switches = 9; },
+       Code::kInvalidArgument},
+      {"zero nodes", [](SystemConfig& c) { c.num_nodes = 0; },
+       Code::kInvalidArgument},
+      {"negative threads", [](SystemConfig& c) { c.threads = -1; },
+       Code::kInvalidArgument},
+      {"sharded OCC",
+       [](SystemConfig& c) {
+         c.threads = 1;
+         c.cc_protocol = CcProtocol::kOcc;
+       },
+       Code::kUnsupported},
+      {"replication without P4DB",
+       [](SystemConfig& c) {
+         c.mode = EngineMode::kNoSwitch;
+         c.num_switches = 2;
+       },
+       Code::kUnsupported},
+      {"replication without view-change delay",
+       [](SystemConfig& c) {
+         c.num_switches = 2;
+         c.timing.view_change_delay = 0;
+       },
+       Code::kInvalidArgument},
+      {"batch size 0", [](SystemConfig& c) { c.batch.size = 0; },
+       Code::kInvalidArgument},
+      {"batch size above inline capacity",
+       [](SystemConfig& c) { c.batch.size = BatchConfig::kMaxBatchSize + 1; },
+       Code::kInvalidArgument},
+      {"batching without flush timeout",
+       [](SystemConfig& c) {
+         c.batch.size = 2;
+         c.batch.flush_timeout = 0;
+       },
+       Code::kInvalidArgument},
+      {"batching without a switch",
+       [](SystemConfig& c) {
+         c.batch.size = 2;
+         c.mode = EngineMode::kNoSwitch;
+       },
+       Code::kUnsupported},
+      {"batching with replication",
+       [](SystemConfig& c) {
+         c.batch.size = 2;
+         c.num_switches = 2;
+       },
+       Code::kUnsupported},
+      {"open loop without offered load",
+       [](SystemConfig& c) { c.open_loop.enabled = true; },
+       Code::kInvalidArgument},
+      {"open loop without admission queue",
+       [](SystemConfig& c) {
+         c = OpenLoopCluster();
+         c.open_loop.admission_queue_bound = 0;
+       },
+       Code::kInvalidArgument},
+      {"INT wire cost without INT",
+       [](SystemConfig& c) { c.int_telemetry.wire_cost = true; },
+       Code::kInvalidArgument},
+      {"INT without a switch",
+       [](SystemConfig& c) {
+         c.int_telemetry.enabled = true;
+         c.mode = EngineMode::kNoSwitch;
+       },
+       Code::kUnsupported},
+      {"network mirror disagrees",
+       [](SystemConfig& c) { c.network.num_switches = 2; },
+       Code::kInvalidArgument},
+      {"star topology with a zero-length link",
+       [](SystemConfig& c) { c.network.node_to_switch_one_way = 0; },
+       Code::kInvalidArgument},
+  };
+  ASSERT_TRUE(ValidateConfig(SystemConfig{}).ok());
+  for (const Case& c : cases) {
+    SystemConfig cfg;
+    c.apply(cfg);
+    EXPECT_EQ(ValidateConfig(cfg).code(), c.code) << c.what;
   }
 }
 

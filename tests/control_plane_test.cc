@@ -42,20 +42,6 @@ TEST_F(ControlPlaneTest, RejectsBadArray) {
   EXPECT_FALSE(cp_.AllocateSlot(0, 9).ok());
 }
 
-TEST_F(ControlPlaneTest, LeastLoadedRegisterBalances) {
-  ASSERT_TRUE(cp_.AllocateSlot(0, 0).ok());
-  auto r = cp_.LeastLoadedRegister(0);
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(*r, 1);
-}
-
-TEST_F(ControlPlaneTest, LeastLoadedFailsWhenStageFull) {
-  for (int r = 0; r < 2; ++r) {
-    for (int i = 0; i < 4; ++i) ASSERT_TRUE(cp_.AllocateSlot(0, r).ok());
-  }
-  EXPECT_FALSE(cp_.LeastLoadedRegister(0).ok());
-}
-
 TEST_F(ControlPlaneTest, InstallAndReadBack) {
   auto addr = cp_.AllocateSlot(1, 0);
   ASSERT_TRUE(addr.ok());
@@ -99,8 +85,6 @@ TEST_F(ControlPlaneTest, FreeSlotAccounting) {
   EXPECT_EQ(cp_.FreeSlots(), total);
   ASSERT_TRUE(cp_.AllocateSlot(0, 0).ok());
   EXPECT_EQ(cp_.FreeSlots(), total - 1);
-  EXPECT_EQ(cp_.AllocatedIn(0, 0), 1u);
-  EXPECT_EQ(cp_.AllocatedIn(0, 1), 0u);
 }
 
 TEST(PipelineConfigTest, CapacityMath) {

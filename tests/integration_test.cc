@@ -196,81 +196,6 @@ TEST(TpccIntegrationTest, MoreWarehousesReduceContention) {
   EXPECT_GT(abort_rate[0], abort_rate[1]);
 }
 
-
-TEST(TpccIntegrationTest, FullMixRunsAndDeliveryCreditsFlow) {
-  wl::TpccConfig tcfg;
-  tcfg.num_warehouses = 8;
-  tcfg.full_mix = true;
-  wl::Tpcc workload(tcfg);
-  Engine engine(Cluster(EngineMode::kP4db));
-  engine.SetWorkload(&workload);
-  engine.Offload(10000, 2500);
-  const Metrics m = engine.Run(kMillisecond, 4 * kMillisecond);
-  EXPECT_GT(m.committed, 500u);
-
-  // A scripted NewOrder -> Delivery pair: the delivery must pick up the
-  // order's total through the result-derived key chain.
-  Rng rng(55);
-  const db::Transaction no = workload.MakeNewOrder(rng, 0);
-  auto r1 = engine.ExecuteOnce(no, 0);
-  ASSERT_TRUE(r1.ok());
-  Value64 total = 0;
-  for (const db::Op& op : no.ops) {
-    if (op.type == db::OpType::kInsert &&
-        op.tuple.table == workload.order_table() &&
-        op.column == wl::Tpcc::kOrderTotal) {
-      total = op.operand;
-    }
-  }
-  // Drive this district's delivery counter right behind the order counter
-  // so the next pop returns exactly our order. (The background run above
-  // advanced the order counters far beyond the delivery counters.)
-  const uint32_t d_of_order = 0;  // MakeNewOrder(rng seeded 55, w=0): see below
-  (void)d_of_order;
-  // Find the district the order went to (the next_o_id ADD op).
-  Key district_key = 0;
-  for (const db::Op& op : no.ops) {
-    if (op.tuple.table == workload.district_table() &&
-        op.column == wl::Tpcc::kDistrictNextOid) {
-      district_key = op.tuple.key;
-    }
-  }
-  const HotItem oid_item{TupleId{workload.district_table(), district_key},
-                         wl::Tpcc::kDistrictNextOid};
-  const auto* oid_addr = engine.partition_manager().AddressOf(oid_item);
-  ASSERT_NE(oid_addr, nullptr);
-  const Value64 order_counter = *engine.control_plane().ReadValue(*oid_addr);
-
-  // Set the district's delivery counter to order_counter - 1 so the next
-  // Delivery pops our order. The column may or may not be offloaded.
-  const HotItem del_item{TupleId{workload.district_table(), district_key},
-                         wl::Tpcc::kDistrictLastDelivered};
-  const auto* del_addr = engine.partition_manager().AddressOf(del_item);
-  if (del_addr != nullptr) {
-    ASSERT_TRUE(engine.control_plane()
-                    .InstallValue(*del_addr, order_counter - 1)
-                    .ok());
-  } else {
-    engine.catalog()
-        .table(workload.district_table())
-        .GetOrCreate(district_key)[wl::Tpcc::kDistrictLastDelivered] =
-        order_counter - 1;
-  }
-
-  const db::Transaction delivery = workload.MakeDelivery(rng, 0);
-  auto r2 = engine.ExecuteOnce(delivery, 0);
-  ASSERT_TRUE(r2.ok());
-  // Locate our district's read-total op within the delivery and check it
-  // saw the recorded total.
-  for (size_t i = 0; i < delivery.ops.size(); ++i) {
-    const db::Op& op = delivery.ops[i];
-    if (op.key_from_src && op.column == wl::Tpcc::kOrderTotal &&
-        delivery.ops[op.operand_src].tuple.key == district_key) {
-      EXPECT_EQ((*r2)[i], total);
-    }
-  }
-}
-
 // ----------------------------------------------------------- determinism --
 
 TEST(DeterminismTest, IdenticalSeedsProduceIdenticalRuns) {

@@ -96,19 +96,6 @@ TEST(OpenLoopTest, RunIsAPureFunctionOfSeedAndLoad) {
   EXPECT_NE(a.metrics_json, c.metrics_json);
 }
 
-TEST(OpenLoopTest, MmppRunIsDeterministic) {
-  const auto mmpp = [](SystemConfig& cfg) {
-    cfg.open_loop.enabled = true;
-    cfg.open_loop.offered_load = 1e6;
-    cfg.open_loop.process = ArrivalProcess::kMmpp;
-  };
-  const RunArtifacts a = RunSmall(mmpp);
-  const RunArtifacts b = RunSmall(mmpp);
-  EXPECT_EQ(a.metrics_json, b.metrics_json);
-  EXPECT_EQ(a.time_series_json, b.time_series_json);
-  EXPECT_GT(a.committed, 0u);
-}
-
 TEST(OpenLoopTest, ClosedLoopDefaultEmitsNoNewMetricKeys) {
   // Byte-compatibility guarantee for every committed baseline: a default
   // closed-loop run must not register any open-loop or batching metric —

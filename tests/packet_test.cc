@@ -106,6 +106,43 @@ TEST(PacketCodecTest, WireSizeIncludesFraming) {
   EXPECT_GT(PacketCodec::ResponseWireSize(8), PacketCodec::ResponseWireSize(1));
 }
 
+// Wire sizes pinned to literal byte counts from Figure 6's field widths,
+// independent of the codecs:
+//   request header 12 B = flags 1 + lock_mask 1 + touch_mask 1 +
+//     nb_recircs 1 + instr_count 1 + origin_node 2 + client_seq 4 + epoch 1;
+//   instruction 20 B = opcode 1 + stage 1 + reg 1 + src1 1 + index 4 +
+//     operand 8 + src2 1 + pad 3;
+//   frame 42 B = Ethernet 14 + IPv4 20 + UDP 8;
+//   response 24 B + 9 B per instruction (8 B value + 1 B constraint flag);
+//   INT: 4 B instruction header on the request, 32 B postcard on the reply;
+//   batch header 8 B = magic 1 + txn_count 1 + origin_node 2 + batch_seq 4.
+TEST(PacketWireSizeTest, RequestSizesMatchFigure6Layout) {
+  SwitchTxn txn;
+  EXPECT_EQ(PacketCodec::WireSize(txn), 54u);  // 12 + 42
+  txn = SampleTxn();
+  EXPECT_EQ(PacketCodec::WireSize(txn), 94u);  // 12 + 2 * 20 + 42
+  txn.int_flags = SwitchTxn::kIntEnabled;  // postcard mode rides for free
+  EXPECT_EQ(PacketCodec::WireSize(txn), 94u);
+  txn.int_flags |= SwitchTxn::kIntWireCost;
+  EXPECT_EQ(PacketCodec::WireSize(txn), 98u);  // + 4
+}
+
+TEST(PacketWireSizeTest, ResponseSizesMatchFigure6Layout) {
+  EXPECT_EQ(PacketCodec::ResponseWireSize(0), 66u);   // 24 + 42
+  EXPECT_EQ(PacketCodec::ResponseWireSize(1), 75u);   // 24 + 9 + 42
+  EXPECT_EQ(PacketCodec::ResponseWireSize(8), 138u);  // 24 + 72 + 42
+  EXPECT_EQ(PacketCodec::ResponseWireSize(1, /*int_wire_cost=*/true), 107u);
+  EXPECT_EQ(PacketCodec::ResponseWireSize(8, /*int_wire_cost=*/true), 170u);
+}
+
+TEST(PacketWireSizeTest, BatchSizesPayOneFrame) {
+  // Members of 2, 1 and 2 instructions: 52 + 32 + 52 = 136 payload bytes.
+  EXPECT_EQ(BatchCodec::WireSizeFor(136), 186u);  // 8 + 136 + 42
+  EXPECT_EQ(BatchCodec::WireSizeFor(0), 50u);     // 8 + 42
+  EXPECT_EQ(BatchCodec::ResponsePayloadSize(2), 42u);         // 24 + 18
+  EXPECT_EQ(BatchCodec::ResponsePayloadSize(2, true), 74u);   // + 32
+}
+
 TEST(InstructionTest, OpCodeNames) {
   EXPECT_STREQ(OpCodeName(OpCode::kRead), "READ");
   EXPECT_STREQ(OpCodeName(OpCode::kSwap), "SWAP");

@@ -48,6 +48,8 @@ struct ParallelRun {
   std::string metrics_json;      // complete registry dump
   std::string time_series_json;  // sampler curves over the window
   std::string trace_json;        // merged per-shard trace export
+  uint64_t committed_warm = 0;
+  uint64_t admission_shed = 0;  // open-loop arrivals dropped at admission
 };
 
 /// One full sharded run with every observable artifact captured. The trace
@@ -75,6 +77,12 @@ ParallelRun RunSharded(int threads, uint64_t seed, wl::Workload* workload,
   out.metrics_json = engine.metrics_registry().ToJson();
   out.time_series_json = sampler.ToJson();
   out.trace_json = engine.TraceJson(schedule_json);
+  out.committed_warm =
+      m.committed_by_class[static_cast<int>(db::TxnClass::kWarm)];
+  if (const auto* shed =
+          engine.metrics_registry().FindCounter("engine.admission_shed")) {
+    out.admission_shed = shed->value();
+  }
   return out;
 }
 
@@ -104,6 +112,22 @@ TEST(ParallelParityTest, SmallBankThreads1Vs4ByteIdentical) {
   ExpectIdentical(t1, t4, "SmallBank");
 }
 
+TEST(ParallelParityTest, WarmCommitMulticastThreads1Vs4ByteIdentical) {
+  // Offloading half of the hot set leaves the other half on the nodes, so
+  // every-distributed YCSB transactions mix switch and remote host ops. A
+  // warm transaction's commit is multicast from the switch shard to its
+  // remote participants (ShardRouter::MulticastCommit), which releases
+  // their locks on their own shards.
+  wl::YcsbConfig ycsb = SmallYcsb();
+  ycsb.distributed_fraction = 1.0;
+  wl::Ycsb a(ycsb), b(ycsb);
+  const ParallelRun t1 = RunSharded(1, 7, &a, 20);
+  const ParallelRun t4 = RunSharded(4, 7, &b, 20);
+  ExpectIdentical(t1, t4, "warm multicast");
+  EXPECT_GT(t1.committed_warm, 0u);
+  EXPECT_EQ(t1.committed_warm, t4.committed_warm);
+}
+
 TEST(ParallelParityTest, RepeatedThreads4RunsAreByteIdentical) {
   // Same thread count twice: catches nondeterminism that happens to bite
   // both sides of a 1-vs-4 comparison the same way (e.g. an address-keyed
@@ -124,7 +148,7 @@ TEST(ParallelParityTest, DifferentSeedsDiverge) {
 }
 
 TEST(ParallelParityTest, OpenLoopBatchedThreads1Vs4ByteIdentical) {
-  // Open-loop MMPP arrivals + egress batching: generator draws, admission
+  // Open-loop Poisson arrivals + egress batching: generator draws, admission
   // queueing/shedding, doorbell flushes, and batched cross-shard delivery
   // must all stay a pure function of the seed under the parallel runtime.
   // The offered load overloads this small cluster on purpose so the shed
@@ -132,7 +156,6 @@ TEST(ParallelParityTest, OpenLoopBatchedThreads1Vs4ByteIdentical) {
   const auto openloop = [](SystemConfig& cfg) {
     cfg.open_loop.enabled = true;
     cfg.open_loop.offered_load = 2e6;
-    cfg.open_loop.process = ArrivalProcess::kMmpp;
     cfg.batch.size = 4;
   };
   wl::Ycsb a(SmallYcsb()), b(SmallYcsb());
@@ -143,6 +166,7 @@ TEST(ParallelParityTest, OpenLoopBatchedThreads1Vs4ByteIdentical) {
   EXPECT_NE(t1.metrics_json.find("net.batches_sent"), std::string::npos);
   EXPECT_NE(t1.metrics_json.find("engine.admission_admitted"),
             std::string::npos);
+  EXPECT_GT(t1.admission_shed, 0u);
 }
 
 TEST(ParallelChaosTest, RebootChaosThreads1Vs4ByteIdentical) {

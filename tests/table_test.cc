@@ -177,23 +177,6 @@ TEST(TableConcurrentTest, OverlappingGetOrCreateMaterializesEachKeyOnce) {
   EXPECT_EQ(t.materialized_rows(), distinct);
 }
 
-TEST(SecondaryIndexTest, LookupRoundTrip) {
-  SecondaryIndex idx;
-  idx.Put(1001, 42);
-  auto r = idx.Lookup(1001);
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(*r, 42u);
-  EXPECT_FALSE(idx.Lookup(9999).ok());
-}
-
-TEST(SecondaryIndexTest, PutOverwrites) {
-  SecondaryIndex idx;
-  idx.Put(1, 10);
-  idx.Put(1, 20);
-  EXPECT_EQ(*idx.Lookup(1), 20u);
-  EXPECT_EQ(idx.size(), 1u);
-}
-
 TEST(CatalogTest, CreateAndAccessTables) {
   Catalog cat(4);
   const TableId a = cat.CreateTable("a", 1, PartitionSpec{});

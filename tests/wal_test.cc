@@ -219,34 +219,6 @@ TEST(WalEngineTest, ColdCommitLogsEachAppliedWriteWithFinalValue) {
   }
 }
 
-/// A write whose key comes from an earlier result (TPC-C Delivery's carrier
-/// stamp) logs the row it wrote, and touches no other row.
-TEST(WalEngineTest, KeyFromSourceWriteLogsTheRowItWrote) {
-  wl::Ycsb ycsb(SmallYcsb());
-  core::Engine engine(NoSwitchCluster());
-  engine.SetWorkload(&ycsb);
-  engine.Offload(5000, 40);
-  Table& table = engine.catalog().table(0);
-  table.GetOrCreate(6000)[0] = 3;
-  const size_t rows_before = table.materialized_rows();
-
-  Op stamp = MakeOp(OpType::kPut, 7000, 9);
-  stamp.operand_src = 0;
-  stamp.key_from_src = true;
-  Transaction txn;
-  txn.ops = {MakeOp(OpType::kGet, 6000, 0), stamp};
-  auto r = engine.ExecuteOnce(txn, 0);
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(table.GetOrCreate(7003)[0], 9);
-  EXPECT_EQ(table.materialized_rows(), rows_before + 1);
-
-  const LogRecord& rec = engine.wal(0).at(engine.wal(0).end_lsn() - 1);
-  ASSERT_EQ(rec.kind, LogKind::kHostCommit);
-  ASSERT_EQ(rec.host_writes.size(), 1u);
-  EXPECT_EQ(rec.host_writes[0].tuple, (TupleId{0, 7003}));
-  EXPECT_EQ(rec.host_writes[0].new_value, 9);
-}
-
 /// OCC's commit record carries every written cell once — its column and
 /// its final value — in first-write order; reads log nothing.
 TEST(WalEngineTest, OccCommitLogsEachWrittenCellOnceWithFinalValue) {

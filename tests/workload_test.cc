@@ -354,61 +354,6 @@ TEST_F(TpccTest, NewOrderRecordsTotalAmount) {
   EXPECT_EQ(recorded_total, expected_total);
 }
 
-TEST_F(TpccTest, DeliverySweepsAllDistricts) {
-  Rng rng(31);
-  const db::Transaction txn = tpcc_->MakeDelivery(rng, 2);
-  EXPECT_EQ(txn.type_tag, Tpcc::kDelivery);
-  size_t pops = 0, snapshot_ops = 0, credits = 0;
-  for (const db::Op& op : txn.ops) {
-    if (op.tuple.table == tpcc_->district_table()) {
-      EXPECT_EQ(op.column, Tpcc::kDistrictLastDelivered);
-      EXPECT_EQ(op.type, db::OpType::kAdd);
-      ++pops;
-    }
-    if (op.key_from_src) {
-      EXPECT_EQ(op.tuple.table, tpcc_->order_table());
-      ++snapshot_ops;
-    }
-    if (op.tuple.table == tpcc_->customer_table()) {
-      EXPECT_TRUE(op.has_src());  // credited with the order total
-      ++credits;
-    }
-  }
-  EXPECT_EQ(pops, 10u);
-  EXPECT_EQ(snapshot_ops, 20u);  // read total + stamp carrier per district
-  EXPECT_EQ(credits, 10u);
-}
-
-TEST_F(TpccTest, OrderStatusAndStockLevelAreReadOnly) {
-  Rng rng(32);
-  for (const db::Transaction& txn :
-       {tpcc_->MakeOrderStatus(rng, 0), tpcc_->MakeStockLevel(rng, 0)}) {
-    for (const db::Op& op : txn.ops) {
-      EXPECT_EQ(op.type, db::OpType::kGet);
-    }
-  }
-}
-
-TEST_F(TpccTest, FullMixProducesAllFiveTypes) {
-  TpccConfig cfg;
-  cfg.num_warehouses = 8;
-  cfg.full_mix = true;
-  Tpcc full(cfg);
-  db::Catalog catalog(4);
-  full.Setup(&catalog);
-  Rng rng(33);
-  int counts[5] = {};
-  constexpr int kTxns = 5000;
-  for (int i = 0; i < kTxns; ++i) {
-    ++counts[full.Next(rng, 0).type_tag];
-  }
-  EXPECT_NEAR(counts[Tpcc::kNewOrder] / double(kTxns), 0.45, 0.03);
-  EXPECT_NEAR(counts[Tpcc::kPayment] / double(kTxns), 0.43, 0.03);
-  for (int t : {Tpcc::kDelivery, Tpcc::kOrderStatus, Tpcc::kStockLevel}) {
-    EXPECT_NEAR(counts[t] / double(kTxns), 0.04, 0.02);
-  }
-}
-
 TEST_F(TpccTest, OrderLineKeysNeverCollideAcrossDistricts) {
   // The packed order-line key (district base * 16 + line * 1e7 + o_id)
   // must be unique across (warehouse, district, o_id, line).
