@@ -289,36 +289,10 @@ uint64_t Sampler::Series::HistBucket(int i) const {
 }
 
 void Sampler::AddCounterRate(std::string name,
-                             const MetricsRegistry::Counter* c) {
-  AddCounterRate(std::move(name),
-                 std::vector<const MetricsRegistry::Counter*>{c});
-}
-
-void Sampler::AddCounterLevel(std::string name,
-                              const MetricsRegistry::Counter* c) {
-  AddCounterLevel(std::move(name),
-                  std::vector<const MetricsRegistry::Counter*>{c});
-}
-
-void Sampler::AddHistogramQuantile(std::string name, const Histogram* h,
-                                   double q) {
-  AddHistogramQuantile(std::move(name), std::vector<const Histogram*>{h}, q);
-}
-
-void Sampler::AddCounterRate(std::string name,
                              std::vector<const MetricsRegistry::Counter*> cs) {
   Series s;
   s.name = std::move(name);
   s.kind = Kind::kRate;
-  s.counters = std::move(cs);
-  series_.push_back(std::move(s));
-}
-
-void Sampler::AddCounterLevel(std::string name,
-                              std::vector<const MetricsRegistry::Counter*> cs) {
-  Series s;
-  s.name = std::move(name);
-  s.kind = Kind::kLevel;
   s.counters = std::move(cs);
   series_.push_back(std::move(s));
 }
@@ -348,8 +322,6 @@ void Sampler::BeginCommon(SimTime start, SimTime horizon, SimTime tick) {
     switch (s.kind) {
       case Kind::kRate:
         s.last_value = s.CounterSum();
-        break;
-      case Kind::kLevel:
         break;
       case Kind::kQuantile:
         s.prev_buckets.assign(Histogram::kNumBuckets, 0);
@@ -390,9 +362,6 @@ void Sampler::SampleOnce() {
         s.last_value = cur;
         break;
       }
-      case Kind::kLevel:
-        s.samples.push_back(static_cast<int64_t>(s.CounterSum()));
-        break;
       case Kind::kQuantile: {
         const uint64_t total = s.HistCount() - s.prev_count;
         int64_t value = 0;

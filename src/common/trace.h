@@ -229,22 +229,15 @@ class Sampler {
   Sampler(const Sampler&) = delete;
   Sampler& operator=(const Sampler&) = delete;
 
-  /// Per-tick delta of a monotonic counter (e.g. commits per window).
-  void AddCounterRate(std::string name, const MetricsRegistry::Counter* c);
-  /// Absolute counter value at each tick.
-  void AddCounterLevel(std::string name, const MetricsRegistry::Counter* c);
-  /// Windowed quantile (bucket-diff between consecutive ticks) of a live
-  /// histogram; q in [0, 1]. Values are bucket midpoints (~4.6% error).
-  void AddHistogramQuantile(std::string name, const Histogram* h, double q);
-
-  /// Summed-source variants: each tick observes the sum over all sources,
-  /// as if they were one counter/histogram. The parallel runtime registers
-  /// one logical series backed by the per-shard instances of a metric; with
-  /// a single source the samples are byte-identical to the overloads above.
+  /// Each series observes the sum over its sources, as if they were one
+  /// counter/histogram: the parallel runtime backs one logical series with
+  /// the per-shard instances of a metric, the legacy runtime with one.
+  ///
+  /// Per-tick delta of monotonic counters (e.g. commits per window).
   void AddCounterRate(std::string name,
                       std::vector<const MetricsRegistry::Counter*> cs);
-  void AddCounterLevel(std::string name,
-                       std::vector<const MetricsRegistry::Counter*> cs);
+  /// Windowed quantile (bucket-diff between consecutive ticks) of live
+  /// histograms; q in [0, 1]. Values are bucket midpoints (~4.6% error).
   void AddHistogramQuantile(std::string name,
                             std::vector<const Histogram*> hs, double q);
 
@@ -279,7 +272,7 @@ class Sampler {
   void AppendChromeCounterEvents(std::string* out, bool* first) const;
 
  private:
-  enum class Kind : uint8_t { kRate, kLevel, kQuantile };
+  enum class Kind : uint8_t { kRate, kQuantile };
 
   struct Series {
     std::string name;

@@ -23,7 +23,7 @@ sim::CoTask<bool> ConcurrencyControl::ExecuteAttempt(
       // would race the register re-install), so abort and let the worker's
       // backoff carry the transaction past the drain window.
       if (ctx_.switches->switch_draining()) co_return co_await Abort(timers);
-      failovers_[node]->Increment();
+      ctx_.failovers[node]->Increment();
       ctx_.Trace().Instant(trace::Category::kDegraded, ts, node);
       ctx_.switches->EnterDegraded(node);
       const bool ok =
@@ -170,7 +170,7 @@ sim::CoTask<bool> ConcurrencyControl::SwitchRoundTrip(
     // tells the participants to commit & release, one node-to-node hop
     // away. No result values land in `results`; downstream consumers see
     // nullopt, exactly like a reader on a crashed node.
-    txn_timeouts_->Increment();
+    ctx_.txn_timeouts->Increment();
     timers->switch_access += ctx_.Now() - t0;
     ctx_.Trace().CompleteSpan(t0, ctx_.Now(),
                               trace::Category::kSwitchAccess, ts, node);

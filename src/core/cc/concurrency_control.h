@@ -47,7 +47,7 @@ constexpr uint32_t kControlBytes = 64;       // 2PC control messages
 class ConcurrencyControl {
  public:
   explicit ConcurrencyControl(const ExecutionContext& ctx)
-      : ctx_(ctx), failovers_(ctx.num_nodes(), &unarmed_sink_) {}
+      : ctx_(ctx) {}
   virtual ~ConcurrencyControl() = default;
 
   ConcurrencyControl(const ConcurrencyControl&) = delete;
@@ -62,22 +62,6 @@ class ConcurrencyControl {
   sim::CoTask<bool> ExecuteAttempt(
       NodeId node, db::Transaction& txn, uint64_t txn_id, uint64_t ts,
       std::vector<std::optional<Value64>>* results, TxnTimers* timers);
-
-  /// Points the chaos-event counters at the real registry series. Called by
-  /// the Engine when a fault schedule arms; until then both count into a
-  /// sink this strategy owns, so fault-free runs never register (and never
-  /// dump) the chaos-only keys. Timeouts fire while the coroutine is parked
-  /// at the switch, so they count into `switch_metrics`; failovers fire on
-  /// the home node and count into `node_metrics[node]`. Sharded runs pass
-  /// shard registries (the merged dump sums them back into the same series
-  /// names); legacy runs pass the one cluster registry throughout.
-  void BindChaosCounters(MetricsRegistry* switch_metrics,
-                         const std::vector<MetricsRegistry*>& node_metrics) {
-    txn_timeouts_ = &switch_metrics->counter("engine.txn_timeouts");
-    for (size_t n = 0; n < failovers_.size(); ++n) {
-      failovers_[n] = &node_metrics[n]->counter("engine.failovers");
-    }
-  }
 
   /// Pre-sizes per-tuple bookkeeping (OCC version table) for a bounded
   /// working set so steady-state validation never grows a table. No-op for
@@ -189,13 +173,6 @@ class ConcurrencyControl {
   const SystemConfig& config() const { return *ctx_.config; }
 
   ExecutionContext ctx_;
-  /// Hot-path chaos counters, cached once instead of a registry string
-  /// lookup per timeout/failover (see BindChaosCounters). Failovers are
-  /// per home node so each entry is written only by its owning shard. All
-  /// point at unarmed_sink_ until armed.
-  MetricsRegistry::Counter unarmed_sink_;
-  MetricsRegistry::Counter* txn_timeouts_ = &unarmed_sink_;
-  std::vector<MetricsRegistry::Counter*> failovers_;
 };
 
 /// Factory keyed by SystemConfig::cc_protocol.

@@ -4,6 +4,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/metrics_registry.h"
 #include "common/trace.h"
 #include "common/types.h"
 #include "core/cc/node_set.h"
@@ -72,6 +73,11 @@ struct ExecutionContext {
   /// exactly when config.int_telemetry.enabled (the Engine constructs and
   /// binds them then and only then, so INT-off runs have nothing to probe).
   std::vector<IntCollector>* int_collectors = nullptr;
+
+  /// "engine.txn_timeouts" in the switch shard's registry, and
+  /// "engine.failovers" per home node in the node's; always wired.
+  MetricsRegistry::Counter* txn_timeouts = nullptr;
+  std::vector<MetricsRegistry::Counter*> failovers;
 
   /// `node`'s postcard collector, or null when INT is off.
   IntCollector* Int(NodeId node) const {

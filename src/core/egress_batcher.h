@@ -55,10 +55,9 @@ class EgressBatcher {
         request_lanes_(num_nodes),
         response_lanes_(num_nodes) {
     assert(config_.size > 1 && config_.size <= BatchConfig::kMaxBatchSize);
-    net_->EnableBatchCounters();
   }
 
-  /// Sharded parallel runtime. Call ShardRouter::EnableBatchCounters first.
+  /// Sharded parallel runtime.
   EgressBatcher(const BatchConfig& config, uint16_t num_nodes,
                 ShardRouter* router)
       : config_(config),

@@ -72,12 +72,6 @@ Engine::Engine(const SystemConfig& config)
     router_ = std::make_unique<ShardRouter>(ssim_.get(), config_.network,
                                             std::move(shard_tracers),
                                             shard_registries);
-    if (config_.batch.size > 1) {
-      // Batch counters live on the shard that models each flush's egress
-      // link; registered here (not first use) so the dumped key set is a
-      // pure function of the configuration.
-      router_->EnableBatchCounters(shard_registries);
-    }
   }
 
   // Under OCC the lock manager only serves short validation-phase locks;
@@ -118,10 +112,11 @@ Engine::Engine(const SystemConfig& config)
     wiring.switch_registries.push_back(&HomeRegistry(shard));
   }
 
+  txn_series_.reserve(config_.num_nodes);
   for (uint16_t n = 0; n < config_.num_nodes; ++n) {
-    committed_.push_back(&HomeRegistry(n).counter("engine.committed"));
-    aborted_.push_back(&HomeRegistry(n).counter("engine.aborted_attempts"));
+    txn_series_.emplace_back(HomeRegistry(n));
   }
+  node_recoveries_ = &registry_.counter("engine.node_recoveries");
 
   if (config_.batch.size > 1) {
     // Egress batching armed: the CC send sites route switch-bound requests
@@ -140,9 +135,8 @@ Engine::Engine(const SystemConfig& config)
       auto ol = std::make_unique<OpenLoopNode>();
       ol->ring.resize(config_.open_loop.admission_queue_bound);
       ol->idle_sessions.reserve(config_.open_loop.sessions_per_node);
-      // Admission telemetry exists only in open-loop runs (closed-loop
-      // dumps keep the historical key set), shard-local when sharded like
-      // every other per-node series.
+      // Admission state exists only in open-loop runs, and so do its
+      // series; shard-local when sharded like every other per-node series.
       MetricsRegistry& reg = HomeRegistry(n);
       ol->admitted = &reg.counter("engine.admission_admitted");
       ol->shed = &reg.counter("engine.admission_shed");
@@ -156,9 +150,7 @@ Engine::Engine(const SystemConfig& config)
     // One postcard collector per home node, bound to the node's home
     // registry (shard-local when sharded; the get-or-create semantics share
     // one series set in legacy mode — merged totals agree either way).
-    // Bound at construction so the INT-on metric key set is a pure function
-    // of the configuration; INT-off runs never reach this and publish the
-    // historical keys byte-for-byte.
+    // INT-off runs have no collectors and so no int.* series.
     int_collectors_.reserve(config_.num_nodes);
     for (uint16_t n = 0; n < config_.num_nodes; ++n) {
       int_collectors_.emplace_back(
@@ -208,6 +200,13 @@ Engine::Engine(const SystemConfig& config)
   ctx.router = router_.get();
   ctx.batcher = batcher_.get();
   ctx.int_collectors = int_collectors_.empty() ? nullptr : &int_collectors_;
+  // Timeouts fire while the coroutine is parked at the switch, failovers on
+  // the home node: each counts into the registry of the shard it runs on.
+  ctx.txn_timeouts =
+      &HomeRegistry(switch_shard()).counter("engine.txn_timeouts");
+  for (uint16_t n = 0; n < config_.num_nodes; ++n) {
+    ctx.failovers.push_back(&HomeRegistry(n).counter("engine.failovers"));
+  }
   cc_ = cc::MakeConcurrencyControl(config_.cc_protocol, ctx);
 }
 
@@ -242,12 +241,8 @@ void Engine::TearDownWorkers() {
 }
 
 void Engine::ResetWindow() {
-  metrics_ = Metrics();
   registry_.Reset();
-  for (auto& es : eshards_) {
-    es->registry.Reset();
-    es->metrics = Metrics();
-  }
+  for (auto& es : eshards_) es->registry.Reset();
   for (IntCollector& ic : int_collectors_) ic.ResetWindow();
 }
 
@@ -349,9 +344,7 @@ sim::CoTask<bool> Engine::RunTransaction(
   // references never go stale.
   sim::Simulator& hsim = HomeSim(node);
   trace::Tracer& htracer = HomeTracer(node);
-  Metrics& wmetrics = HomeMetrics(node);
-  MetricsRegistry::Counter& committed_c = *committed_[node];
-  MetricsRegistry::Counter& aborted_c = *aborted_[node];
+  TxnSeries& series = txn_series_[node];
   TxnTimers timers;
   const uint64_t ts = PeekTxnId(node);  // kept across retries (fairness)
   // Spans carry `ts` (stable across retries, globally unique) so every
@@ -368,10 +361,7 @@ sim::CoTask<bool> Engine::RunTransaction(
                                                  results, &timers);
     attempt_span.End();
     if (ok) break;
-    if (measuring_) {
-      wmetrics.RecordAbort(txn.cls);
-      aborted_c.Increment();
-    }
+    if (measuring_) series.RecordAbort(txn.cls);
     ++attempt;
     const SimTime backoff = BackoffDelay(attempt, rng);
     timers.backoff += backoff;
@@ -383,9 +373,7 @@ sim::CoTask<bool> Engine::RunTransaction(
   }
   txn_span.End();
   if (measuring_) {
-    wmetrics.RecordCommit(txn.cls, txn.distributed, hsim.now() - epoch,
-                          timers);
-    committed_c.Increment();
+    series.RecordCommit(txn.cls, txn.distributed, hsim.now() - epoch, timers);
   }
   co_return true;
 }
@@ -602,16 +590,11 @@ Metrics Engine::Run(SimTime warmup, SimTime duration) {
   TearDownWorkers();
 
   if (sharded_) {
-    // Deterministic merges in fixed shard order: per-shard metrics fold
-    // into the engine Metrics, per-shard registries into the engine
-    // registry (the merged dump reproduces the legacy series names with
-    // summed values).
-    for (uint16_t n = 0; n < config_.num_nodes; ++n) {
-      metrics_.Merge(eshards_[n]->metrics);
-    }
+    // Deterministic merge in fixed shard order: the merged dump reproduces
+    // the legacy series names with summed values.
     for (auto& es : eshards_) registry_.MergeFrom(es->registry);
   }
-  return metrics_;
+  return ReadMetrics(registry_);
 }
 
 void Engine::RunLegacyUntil(SimTime until) {
@@ -636,10 +619,14 @@ trace::Sampler& Engine::EnableTimeSeries(SimTime tick) {
   // engine-level instance, sharded runs with the per-shard instances.
   std::vector<MetricsRegistry*> node_regs;
   std::vector<MetricsRegistry*> switch_regs;
+  std::vector<const MetricsRegistry::Counter*> committed;
+  std::vector<const MetricsRegistry::Counter*> aborted;
   std::vector<const Histogram*> latency;
   for (uint16_t n = 0; n < (sharded_ ? config_.num_nodes : 1); ++n) {
     node_regs.push_back(&HomeRegistry(n));
-    latency.push_back(&HomeMetrics(n).latency_all);
+    committed.push_back(&txn_series_[n].committed());
+    aborted.push_back(&txn_series_[n].aborted());
+    latency.push_back(&txn_series_[n].latency());
   }
   for (uint16_t k = 0; k < (sharded_ ? config_.num_switches : 1); ++k) {
     switch_regs.push_back(&HomeRegistry(switch_shard() + k));
@@ -653,10 +640,8 @@ trace::Sampler& Engine::EnableTimeSeries(SimTime tick) {
   // The standard series every bench cares about: throughput, abort rate,
   // how much of the mix the switch absorbed, and tail latency — all as
   // curves over the measured window instead of end-of-run scalars.
-  sampler_->AddCounterRate("committed",
-                           counters(node_regs, "engine.committed"));
-  sampler_->AddCounterRate("aborted_attempts",
-                           counters(node_regs, "engine.aborted_attempts"));
+  sampler_->AddCounterRate("committed", std::move(committed));
+  sampler_->AddCounterRate("aborted_attempts", std::move(aborted));
   sampler_->AddCounterRate("switch_txns",
                            counters(switch_regs, "switch.txns_completed"));
   sampler_->AddHistogramQuantile("p99_latency_ns", latency, 0.99);
@@ -791,8 +776,7 @@ Status Engine::RecoverNode(NodeId node) {
   // recovery's job to apply — the node must never replay them itself, or a
   // recovered intent would be applied twice.
   node_crashed_[node] = false;
-  // Lazily created, so only runs that actually recover a node publish it.
-  registry_.counter("engine.node_recoveries").Increment();
+  node_recoveries_->Increment();
   if (running_) {
     // Respawn the node's workers under a fresh RNG generation: the crashed
     // generation's streams died mid-sequence, and reusing them would replay
@@ -824,18 +808,6 @@ void Engine::InstallFaultSchedule(const net::FaultSchedule& schedule) {
     fault_injector_ = std::make_unique<net::FaultInjector>(
         fault_schedule_, config_.seed, &registry_);
     net_.set_fault_injector(fault_injector_.get());
-  }
-  // Chaos-only series are registered at arming (not first use) so two runs
-  // with the same (seed, schedule) dump identical key sets even when an
-  // event never fires.
-  std::vector<MetricsRegistry*> node_registries;
-  for (uint16_t n = 0; n < config_.num_nodes; ++n) {
-    node_registries.push_back(&HomeRegistry(n));
-  }
-  cc_->BindChaosCounters(&HomeRegistry(switch_shard()), node_registries);
-  for (uint16_t k = 0; k < config_.num_switches; ++k) {
-    pipelines_[k]->BindStaleEpochCounter(
-        &HomeRegistry(switch_shard() + k).counter("switch.stale_epoch_drops"));
   }
   for (const net::FaultEvent& ev : fault_schedule_.events) {
     // Scripted events are cluster-scope state changes; the sharded runtime

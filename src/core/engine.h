@@ -106,7 +106,8 @@ class Engine {
   OffloadReport Offload(size_t sample_size, size_t max_hot_items);
 
   /// Runs the closed-loop workers for warmup + duration (simulated time)
-  /// and returns metrics collected over the measured window. Callable once.
+  /// and returns the measured window's Metrics, read out of the merged
+  /// registry. Callable once.
   Metrics Run(SimTime warmup, SimTime duration);
 
   /// Executes a single transaction to completion on an otherwise idle
@@ -220,7 +221,6 @@ class Engine {
   PartitionManager& partition_manager() { return pm_; }
   db::LockManager& lock_manager(NodeId node) { return *lock_managers_[node]; }
   db::Wal& wal(NodeId node) { return *wals_[node]; }
-  const Metrics& metrics() const { return metrics_; }
   /// The active execution strategy (2PL or OCC).
   cc::ConcurrencyControl& concurrency_control() { return *cc_; }
   /// Cluster-wide named counters/histograms published by Network, Pipeline,
@@ -259,12 +259,11 @@ class Engine {
   /// Per-shard engine state for the parallel runtime: one slot per node
   /// shard plus one for the switch shard (last index). Everything a
   /// worker's hot path touches lives here so no two shards share mutable
-  /// state; the mergeable pieces fold into the engine-level registry /
-  /// metrics / trace in fixed shard order when Run finishes.
+  /// state; the mergeable pieces fold into the engine-level registry and
+  /// trace in fixed shard order when Run finishes.
   struct EngineShard {
     MetricsRegistry registry;
     std::unique_ptr<trace::Tracer> tracer;
-    Metrics metrics;        // node shards only (written by workers)
     uint64_t next_txn_id = 0;  // per-node id counter (see TakeTxnId)
     /// Chaos only: this shard's deterministic fault stream, seeded
     /// ShardSeed(config.seed, shard).
@@ -343,7 +342,7 @@ class Engine {
   SimTime BackoffDelay(int attempt, Rng& rng);
 
   uint32_t switch_shard() const { return config_.num_nodes; }
-  /// Shard `shard`'s simulator, tracer, registry and metrics when sharded
+  /// Shard `shard`'s simulator, tracer and registry when sharded
   /// (a node id is its home shard); the engine-wide ones in legacy mode.
   sim::Simulator& HomeSim(uint32_t shard) {
     return sharded_ ? ssim_->shard(shard) : sim_;
@@ -353,9 +352,6 @@ class Engine {
   }
   MetricsRegistry& HomeRegistry(uint32_t shard) {
     return sharded_ ? eshards_[shard]->registry : registry_;
-  }
-  Metrics& HomeMetrics(NodeId node) {
-    return sharded_ ? eshards_[node]->metrics : metrics_;
   }
   /// Transaction ids. Legacy: one global counter. Sharded: per-node
   /// counters interleaved as c * num_nodes + node + 1, so ids stay globally
@@ -403,7 +399,6 @@ class Engine {
   std::vector<std::unique_ptr<OpenLoopNode>> open_loop_;
 
   wl::Workload* workload_ = nullptr;
-  Metrics metrics_;
   std::unique_ptr<trace::Sampler> sampler_;
   SimTime sampler_tick_ = 0;
   std::vector<sim::Task> workers_;
@@ -417,20 +412,20 @@ class Engine {
   uint64_t next_txn_id_ = 1;  // legacy runtime only (see TakeTxnId)
   std::vector<uint32_t> next_client_seq_;
 
-  // Chaos-harness state. All inert (and the counters unregistered) until
-  // InstallFaultSchedule arms a non-empty schedule, so fault-free runs dump
-  // exactly the historical metric key set.
+  // Chaos-harness state. All inert until InstallFaultSchedule arms a
+  // non-empty schedule.
   std::unique_ptr<net::FaultInjector> fault_injector_;
   net::FaultSchedule fault_schedule_;
   /// Generation counter salting respawned workers' RNG streams.
   uint64_t recover_generation_ = 0;
 
-  /// Per-node "engine.committed" / "engine.aborted_attempts" series over
-  /// the measured window, bound through HomeRegistry(n): one shared series
-  /// on the legacy runtime, shard-local ones (summed by the dump merge) on
-  /// the sharded runtime.
-  std::vector<MetricsRegistry::Counter*> committed_;
-  std::vector<MetricsRegistry::Counter*> aborted_;
+  /// Per-node transaction series over the measured window, bound through
+  /// HomeRegistry(n): one shared series set on the legacy runtime,
+  /// shard-local ones (summed by the dump merge) on the sharded runtime.
+  /// Run reads its Metrics out of the merged registry.
+  std::vector<TxnSeries> txn_series_;
+  /// "engine.node_recoveries", counted by RecoverNode.
+  MetricsRegistry::Counter* node_recoveries_ = nullptr;
 
   /// Per-node INT postcard collectors (config.int_telemetry.enabled only;
   /// empty otherwise so INT-off runs carry no collector state at all).

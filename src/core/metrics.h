@@ -1,17 +1,20 @@
 #ifndef P4DB_CORE_METRICS_H_
 #define P4DB_CORE_METRICS_H_
 
+#include <array>
 #include <cstdint>
 
 #include "common/histogram.h"
+#include "common/metrics_registry.h"
 #include "common/types.h"
 #include "db/txn.h"
 
 namespace p4db::core {
 
 /// Per-transaction wall-time attribution (simulated ns), accumulated across
-/// all attempts of one transaction and folded into Metrics at commit.
-/// Drives the Figure 18a latency breakdown.
+/// all attempts of one transaction and counted into the
+/// "engine.breakdown.<term>_ns" series at commit. Drives the Figure 18a
+/// latency breakdown.
 struct TxnTimers {
   int64_t lock_wait = 0;      // lock manager round trips + queueing
   int64_t remote_access = 0;  // node<->node data round trips
@@ -24,24 +27,11 @@ struct TxnTimers {
     return lock_wait + remote_access + switch_access + local_work + commit +
            backoff;
   }
-
-  TxnTimers& operator+=(const TxnTimers& other) {
-    lock_wait += other.lock_wait;
-    remote_access += other.remote_access;
-    switch_access += other.switch_access;
-    local_work += other.local_work;
-    commit += other.commit;
-    backoff += other.backoff;
-    return *this;
-  }
 };
 
-inline TxnTimers operator+(TxnTimers lhs, const TxnTimers& rhs) {
-  lhs += rhs;
-  return lhs;
-}
-
-/// Aggregated results of one simulated run.
+/// Results of one simulated run over its measured window: a read-out of the
+/// engine's transaction series (TxnSeries) from the merged registry. It
+/// records nothing itself.
 struct Metrics {
   uint64_t committed = 0;
   uint64_t aborted_attempts = 0;
@@ -53,21 +43,6 @@ struct Metrics {
   Histogram latency_by_class[3];
 
   TxnTimers breakdown;  // sums over committed transactions
-
-  void RecordCommit(db::TxnClass cls, bool distributed, int64_t latency_ns,
-                    const TxnTimers& timers) {
-    ++committed;
-    ++committed_by_class[static_cast<int>(cls)];
-    if (distributed) ++committed_distributed;
-    latency_all.Record(latency_ns);
-    latency_by_class[static_cast<int>(cls)].Record(latency_ns);
-    breakdown += timers;
-  }
-
-  void RecordAbort(db::TxnClass cls) {
-    ++aborted_attempts;
-    ++aborts_by_class[static_cast<int>(cls)];
-  }
 
   /// Committed transactions per (real) second of simulated time.
   double Throughput(SimTime duration) const {
@@ -82,26 +57,41 @@ struct Metrics {
                          : static_cast<double>(aborted_attempts) /
                                static_cast<double>(attempts);
   }
-
-  /// Folds another shard's metrics into this one (counts add, histograms
-  /// merge). All fields are order-independent sums, so merging the shards
-  /// in fixed shard order yields the same aggregate regardless of how many
-  /// threads executed them.
-  void Merge(const Metrics& other) {
-    committed += other.committed;
-    aborted_attempts += other.aborted_attempts;
-    for (int i = 0; i < 3; ++i) {
-      committed_by_class[i] += other.committed_by_class[i];
-      aborts_by_class[i] += other.aborts_by_class[i];
-    }
-    committed_distributed += other.committed_distributed;
-    latency_all.Merge(other.latency_all);
-    for (int i = 0; i < 3; ++i) {
-      latency_by_class[i].Merge(other.latency_by_class[i]);
-    }
-    breakdown += other.breakdown;
-  }
 };
+
+/// The registry series one home node's transactions are counted in, bound
+/// once at construction:
+///   engine.committed[.<class>], engine.aborted_attempts[.<class>],
+///   engine.committed_distributed, engine.latency_ns[.<class>] (histograms)
+///   and engine.breakdown.<term>_ns, one per TxnTimers term,
+/// where <class> is db::TxnClassName. Each commit or abort is counted here
+/// and nowhere else; ReadMetrics reads the totals back.
+class TxnSeries {
+ public:
+  explicit TxnSeries(MetricsRegistry& reg);
+
+  void RecordCommit(db::TxnClass cls, bool distributed, int64_t latency_ns,
+                    const TxnTimers& timers);
+  void RecordAbort(db::TxnClass cls);
+
+  const MetricsRegistry::Counter& committed() const { return *committed_; }
+  const MetricsRegistry::Counter& aborted() const { return *aborted_; }
+  const Histogram& latency() const { return *latency_; }
+
+ private:
+  MetricsRegistry::Counter* committed_;
+  MetricsRegistry::Counter* aborted_;
+  std::array<MetricsRegistry::Counter*, 3> committed_by_class_;
+  std::array<MetricsRegistry::Counter*, 3> aborts_by_class_;
+  MetricsRegistry::Counter* committed_distributed_;
+  Histogram* latency_;
+  std::array<Histogram*, 3> latency_by_class_;
+  std::array<MetricsRegistry::Counter*, 6> breakdown_;  // TxnTimers order
+};
+
+/// Reads the TxnSeries totals out of `reg` (an unregistered series reads
+/// as zero).
+Metrics ReadMetrics(const MetricsRegistry& reg);
 
 }  // namespace p4db::core
 

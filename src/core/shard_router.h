@@ -54,6 +54,7 @@ class ShardRouter {
         config_(config),
         tracers_(std::move(tracers)),
         injectors_(ssim->num_shards(), nullptr),
+        batch_arrival_slot_(config.num_nodes, 0),
         uplink_busy_(config.num_nodes, 0),
         rx_busy_(config.num_nodes, 0),
         downlink_busy_(
@@ -62,11 +63,11 @@ class ShardRouter {
            uint32_t{config_.num_nodes} + config_.num_switches);
     assert(tracers_.size() == ssim_->num_shards());
     assert(registries.size() == ssim_->num_shards());
-    messages_sent_.reserve(registries.size());
-    bytes_sent_.reserve(registries.size());
     for (MetricsRegistry* reg : registries) {
       messages_sent_.push_back(&reg->counter("net.messages_sent"));
       bytes_sent_.push_back(&reg->counter("net.bytes_sent"));
+      batches_sent_.push_back(&reg->counter("net.batches_sent"));
+      batched_txns_.push_back(&reg->counter("net.batched_txns"));
     }
   }
   ShardRouter(const ShardRouter&) = delete;
@@ -90,21 +91,6 @@ class ShardRouter {
     injectors_[shard] = injector;
   }
 
-  /// Arms per-shard "net.batches_sent" / "net.batched_txns" counters (the
-  /// sharded mirror of Network::EnableBatchCounters — lazily registered so
-  /// unbatched runs keep the historical merged key set). `registries` must
-  /// be the same per-shard vector the constructor saw.
-  void EnableBatchCounters(const std::vector<MetricsRegistry*>& registries) {
-    assert(registries.size() == ssim_->num_shards());
-    batches_sent_.reserve(registries.size());
-    batched_txns_.reserve(registries.size());
-    for (MetricsRegistry* reg : registries) {
-      batches_sent_.push_back(&reg->counter("net.batches_sent"));
-      batched_txns_.push_back(&reg->counter("net.batched_txns"));
-    }
-    batch_arrival_slot_.assign(config_.num_nodes, 0);
-  }
-
   /// Batched egress flush (EgressBatcher): reserves `from`'s egress link
   /// ONCE for the whole `bytes`-sized frame, then resumes every member at
   /// the batch's arrival. A switch destination ingests at line rate — all
@@ -114,7 +100,7 @@ class ShardRouter {
   /// parks the arrival in a dst-shard-owned slot; follower records (posted
   /// after it at the same flight time, so mailbox merge order guarantees
   /// they execute after it) resume at the slot time. Call on `from`'s
-  /// shard, after EnableBatchCounters.
+  /// shard.
   void BatchSend(net::Endpoint from, net::Endpoint to, uint32_t bytes,
                  uint32_t count, uint64_t label,
                  const std::coroutine_handle<>* handles) {
@@ -333,7 +319,6 @@ class ShardRouter {
   std::vector<net::FaultInjector*> injectors_;      // per shard, may be null
   std::vector<MetricsRegistry::Counter*> messages_sent_;  // per shard
   std::vector<MetricsRegistry::Counter*> bytes_sent_;     // per shard
-  // Batching support (empty until EnableBatchCounters).
   std::vector<MetricsRegistry::Counter*> batches_sent_;   // per shard
   std::vector<MetricsRegistry::Counter*> batched_txns_;   // per shard
   /// Per destination node: the post-rx arrival of the batch frame currently

@@ -31,7 +31,9 @@ SwitchController::SwitchController(Wiring wiring)
       switch_alive_(config_.num_switches, true),
       degraded_inflight_(config_.num_nodes, 0),
       logs_(w_.wals.begin(), w_.wals.end()),
-      crash_lsn_(config_.num_nodes, 0) {
+      crash_lsn_(config_.num_nodes, 0),
+      view_changes_(&w_.registry->counter("engine.view_changes")),
+      switch_rejoins_(&w_.registry->counter("engine.switch_rejoins")) {
   assert(pipelines_.size() == config_.num_switches);
   ckpt_.marks.resize(config_.num_nodes);
   ckpt_.resolved.resize(config_.num_nodes);
@@ -171,8 +173,7 @@ void SwitchController::OnSwitchUp(uint16_t sw) {
   // primary's packets, and a backup only receives view-checked records.
   pipelines_[sw]->PowerOn(static_cast<uint8_t>(switch_epoch_));
   switch_alive_[sw] = true;
-  // Lazily created, so only runs that actually rejoin a switch publish it.
-  w_.registry->counter("engine.switch_rejoins").Increment();
+  switch_rejoins_->Increment();
   RetargetReplication();
 }
 
@@ -400,7 +401,7 @@ void SwitchController::PromoteBackup(uint16_t np) {
     }
   }
   Provision(np, state);
-  w_.registry->counter("engine.view_changes").Increment();
+  view_changes_->Increment();
   // The new primary's writes extend the replication order.
   OpenAsPrimary(np, rs.max_gid(), reconciled, rs.max_apply_seq());
 }

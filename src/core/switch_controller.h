@@ -46,7 +46,7 @@ class SwitchController final : public sw::ReplicationSink {
     std::vector<db::Wal*> wals;  // index == node id
     db::Catalog* catalog = nullptr;    // hot items' host rows
     std::span<IntCollector> int_collectors;  // empty when INT is off
-    /// Receives the lazily created engine.view_changes / switch_rejoins.
+    /// Holds engine.view_changes / engine.switch_rejoins.
     MetricsRegistry* registry = nullptr;
     /// Per switch, for the switch.rep_* counters (K >= 2 only).
     std::vector<MetricsRegistry*> switch_registries;
@@ -211,6 +211,9 @@ class SwitchController final : public sw::ReplicationSink {
   std::vector<MetricsRegistry::Counter*> rep_sent_;
   std::vector<MetricsRegistry::Counter*> rep_applied_;
   std::vector<MetricsRegistry::Counter*> rep_stale_;
+
+  MetricsRegistry::Counter* view_changes_;
+  MetricsRegistry::Counter* switch_rejoins_;
 };
 
 }  // namespace p4db::core

@@ -19,14 +19,12 @@ Network::Network(sim::Simulator* sim, const NetworkConfig& config,
               : 0,
           0),
       inter_switch_busy_(config.num_switches, 0) {
-  metrics_ = &MetricsRegistry::GivenOrOwned(metrics, &owned_metrics_);
-  messages_sent_ = &metrics_->counter("net.messages_sent");
-  bytes_sent_ = &metrics_->counter("net.bytes_sent");
-}
-
-void Network::EnableBatchCounters() {
-  batches_sent_ = &metrics_->counter("net.batches_sent");
-  batched_txns_ = &metrics_->counter("net.batched_txns");
+  MetricsRegistry& reg =
+      MetricsRegistry::GivenOrOwned(metrics, &owned_metrics_);
+  messages_sent_ = &reg.counter("net.messages_sent");
+  bytes_sent_ = &reg.counter("net.bytes_sent");
+  batches_sent_ = &reg.counter("net.batches_sent");
+  batched_txns_ = &reg.counter("net.batched_txns");
 }
 
 SimTime Network::PropagationDelay(Endpoint from, Endpoint to) const {

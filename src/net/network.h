@@ -117,18 +117,13 @@ class Network {
   /// Timing of one coalesced egress frame carrying `num_txns` switch
   /// transactions (the batcher's flush). Link-wise identical to
   /// ArrivalTime(bytes) — one frame is one message — plus the batching
-  /// counters. Call EnableBatchCounters() first.
+  /// counters.
   SimTime BatchArrivalTime(Endpoint from, Endpoint to, uint32_t bytes,
                            uint32_t num_txns, uint64_t txn_id = 0) {
     batches_sent_->Increment();
     batched_txns_->Increment(num_txns);
     return ArrivalTime(from, to, bytes, txn_id);
   }
-
-  /// Arms "net.batches_sent" / "net.batched_txns". Lazily registered so an
-  /// unbatched run's metric dump keeps the historical key set
-  /// byte-identical; the Engine calls this iff batch.size > 1.
-  void EnableBatchCounters();
 
   const NetworkConfig& config() const { return config_; }
   uint64_t messages_sent() const { return messages_sent_->value(); }
@@ -168,11 +163,10 @@ class Network {
   std::vector<SimTime> extra_downlink_busy_;  // switches 1..K-1, per node
   std::vector<SimTime> inter_switch_busy_;    // per-switch replication egress
   std::unique_ptr<MetricsRegistry> owned_metrics_;  // standalone fallback
-  MetricsRegistry* metrics_;  // registry the counters live in (maybe owned)
   MetricsRegistry::Counter* messages_sent_;
   MetricsRegistry::Counter* bytes_sent_;
-  MetricsRegistry::Counter* batches_sent_ = nullptr;  // EnableBatchCounters
-  MetricsRegistry::Counter* batched_txns_ = nullptr;
+  MetricsRegistry::Counter* batches_sent_;
+  MetricsRegistry::Counter* batched_txns_;
   FaultInjector* fault_injector_ = nullptr;  // unowned; null = lossless
   trace::Tracer* tracer_ = &trace::Tracer::Disabled();  // unowned, never null
 };

@@ -128,7 +128,9 @@ Pipeline::Pipeline(sim::Simulator* sim, const PipelineConfig& config,
   series_.lock_acquisitions = &reg.counter(prefix, "lock_acquisitions");
   series_.constrained_write_failures =
       &reg.counter(prefix, "constrained_write_failures");
-  series_.stale_epoch_drops = &stale_epoch_sink_;
+  // One cluster-wide series: every switch counts its fenced packets under
+  // the bare name.
+  series_.stale_epoch_drops = &reg.counter("switch.stale_epoch_drops");
   series_.recircs_per_txn = &reg.histogram(prefix, "recircs_per_txn");
 }
 

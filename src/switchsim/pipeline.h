@@ -155,14 +155,6 @@ class Pipeline {
     epoch_ = new_epoch;
     down_ = false;
   }
-  /// Routes the stale-drop count into a cluster registry counter. Bound
-  /// lazily (only when a fault schedule arms the cluster) so fault-free
-  /// runs publish exactly the pre-chaos metric set; until then drops count
-  /// into a sink the pipeline owns.
-  void BindStaleEpochCounter(MetricsRegistry::Counter* counter) {
-    series_.stale_epoch_drops = counter;
-  }
-
   /// Attaches the engine's tracer: every pass, recirculation, and stale
   /// drop lands on the switch track, keyed by GID.
   void set_tracer(trace::Tracer* tracer) {
@@ -234,7 +226,6 @@ class Pipeline {
   PipelineConfig config_;
   RegisterFile registers_;
   std::unique_ptr<MetricsRegistry> owned_metrics_;  // when none was given
-  MetricsRegistry::Counter stale_epoch_sink_;  // until BindStaleEpochCounter
   Series series_;
   trace::Tracer* tracer_ = &trace::Tracer::Disabled();  // unowned, never null
   uint16_t track_ = trace::kSwitchTrack;

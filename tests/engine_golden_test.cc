@@ -322,61 +322,61 @@ INSTANTIATE_TEST_SUITE_P(
     Golden, EngineGoldenTest,
     ::testing::Values(
         GoldenCase{Case::kClosed2pl, "closed_2pl", 1714, 0,
-                   0xac1f4513507d3d69ULL},
+                   0xa246379218422245ULL},
         GoldenCase{Case::kClosed2plNoSwitch, "closed_2pl_noswitch", 107, 398,
-                   0x9f90608e47c11206ULL},
+                   0xd0d4570a934598a0ULL},
         GoldenCase{Case::kClosedOcc, "closed_occ_noswitch", 124, 187,
-                   0xc402841b7aa92b75ULL},
+                   0x52dad866987c8c4aULL},
         GoldenCase{Case::kClosedOccP4db, "closed_occ_p4db", 1542, 0,
-                   0x8992a5263d8a8f8aULL},
+                   0x9592f044458a5c37ULL},
         GoldenCase{Case::kShardedSmallBank, "sharded_smallbank", 2685, 0,
-                   0x3176e5383b1dcd83ULL},
+                   0xfdee9c76f3a4a301ULL},
         GoldenCase{Case::kShardedOpenLoop, "sharded_open_loop", 1455, 11,
-                   0xc676f372f79b26c8ULL},
+                   0x90154b147d525971ULL},
         GoldenCase{Case::kOpenLoopShed, "open_loop_shed", 1602, 0,
-                   0x15f279cd92a0eff9ULL},
+                   0x1a97667b54412cf9ULL},
         GoldenCase{Case::kOpenLoopDelay, "open_loop_delay", 1662, 4,
-                   0x16bae64bb4bd139dULL},
+                   0xf8c7e1a9ecacb22bULL},
         GoldenCase{Case::kOpenLoopNodeRestart, "open_loop_node_restart", 1591,
-                   3, 0x4241cbec47ee6ff5ULL},
+                   3, 0xa069d2abf4c2eca7ULL},
         GoldenCase{Case::kIntSeries, "int_series", 1658, 3,
-                   0xb4707247c79a2bb6ULL},
+                   0x7a2a201deb6be266ULL},
         GoldenCase{Case::kShardedIntSeries, "sharded_int_series", 1755, 11,
-                   0x17cbc022c596d554ULL},
+                   0x65968f37903afb4eULL},
         GoldenCase{Case::kRebootFailback, "reboot_failback", 1391, 127,
-                   0x8422e933124bdee5ULL, /*degraded=*/true},
+                   0x10f79a2ab7beba78ULL, /*degraded=*/true},
         GoldenCase{Case::kShardedRebootFailback, "sharded_reboot_failback",
-                   1454, 141, 0xef57de54f88adc5eULL, /*degraded=*/true},
+                   1454, 141, 0xb112c5ae5c31efe6ULL, /*degraded=*/true},
         GoldenCase{Case::kPrimaryCrashPromotion, "primary_crash_promotion",
-                   1686, 45, 0x489e71cb1261b9f4ULL, false,
+                   1686, 45, 0xc300fbad66710c7bULL, false,
                    /*view_changes=*/1, /*rejoins=*/1},
         GoldenCase{Case::kShardedPrimaryCrashPromotion,
                    "sharded_primary_crash_promotion", 1651, 38,
-                   0xf725ac8025851318ULL, false, /*view_changes=*/1,
+                   0x8a6c511dc059f2b9ULL, false, /*view_changes=*/1,
                    /*rejoins=*/1},
         GoldenCase{Case::kBackupCrash, "backup_crash", 1714, 0,
-                   0x5d9df0e5e6e18788ULL, false, /*view_changes=*/0,
+                   0x600f2382434f8375ULL, false, /*view_changes=*/0,
                    /*rejoins=*/1},
         GoldenCase{Case::kOccRebootFailback, "occ_reboot_failback", 1331, 104,
-                   0x391bc55584542f2fULL,
+                   0x000a6c17f04c6f35ULL,
                    /*degraded=*/true},
         GoldenCase{Case::kOccPrimaryCrashPromotion,
                    "occ_primary_crash_promotion", 1505, 40,
-                   0xb2ec26807e866e40ULL, false,
+                   0x9db4666c813b3b40ULL, false,
                    /*view_changes=*/1, /*rejoins=*/1},
         GoldenCase{Case::kLongRebootFailback, "long_reboot_failback", 10576,
-                   121, 0x02cda88c90f37a44ULL, /*degraded=*/true},
+                   121, 0xc2271744fbdd18c9ULL, /*degraded=*/true},
         GoldenCase{Case::kShardedLongRebootFailback,
                    "sharded_long_reboot_failback", 10898, 110,
-                   0xea0de2875d416fedULL,
+                   0xa078665521ef6bf7ULL,
                    /*degraded=*/true},
         GoldenCase{Case::kLongPrimaryCrashPromotion,
                    "long_primary_crash_promotion", 10742, 49,
-                   0x1c48aefb5922e6d6ULL, false,
+                   0xa06287cc92904359ULL, false,
                    /*view_changes=*/1, /*rejoins=*/1},
         GoldenCase{Case::kShardedLongPrimaryCrashPromotion,
                    "sharded_long_primary_crash_promotion", 11056, 35,
-                   0x2bddacb89f38cf67ULL, false,
+                   0x8a21c6cb2a0533f6ULL, false,
                    /*view_changes=*/1, /*rejoins=*/1}),
     [](const ::testing::TestParamInfo<GoldenCase>& info) {
       return std::string(info.param.name);
@@ -416,12 +416,12 @@ uint64_t WarmTxnDigest(CcProtocol protocol) {
 
 TEST(EngineGoldenExecuteOnceTest, WarmTxnDigestIsPinned) {
   const uint64_t d = WarmTxnDigest(CcProtocol::k2pl);
-  EXPECT_EQ(d, 0x8980030a80853cfcULL) << std::hex << "0x" << d;
+  EXPECT_EQ(d, 0x5cb3717035bc6fc5ULL) << std::hex << "0x" << d;
 }
 
 TEST(EngineGoldenExecuteOnceTest, OccWarmTxnDigestIsPinned) {
   const uint64_t d = WarmTxnDigest(CcProtocol::kOcc);
-  EXPECT_EQ(d, 0x3873d8625e2090dbULL) << std::hex << "0x" << d;
+  EXPECT_EQ(d, 0x674ef841769fc24aULL) << std::hex << "0x" << d;
 }
 
 // Offline recovery from a mid-run crash: the reboot's dark period outlasts
@@ -449,7 +449,7 @@ TEST(EngineGoldenRecoveryTest, OfflineRecoveryDigestIsPinned) {
   }
   d.Add(engine.pipeline().next_gid());
   EXPECT_EQ(m.committed, 1558u);
-  EXPECT_EQ(d.value(), 0xe9484ca336b5e187ULL) << std::hex << "0x" << d.value();
+  EXPECT_EQ(d.value(), 0x0481f80ae6f5ee7dULL) << std::hex << "0x" << d.value();
 }
 
 }  // namespace

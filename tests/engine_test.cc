@@ -4,6 +4,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <string>
 
 #include "core/engine.h"
 #include "workload/smallbank.h"
@@ -378,22 +379,84 @@ TEST(EngineMetricsTest, ThroughputAndAbortRateMath) {
   EXPECT_DOUBLE_EQ(Metrics().Throughput(0), 0.0);
 }
 
-TEST(EngineMetricsTest, RecordCommitAccumulatesBreakdown) {
-  Metrics m;
-  TxnTimers t;
-  t.lock_wait = 10;
-  t.switch_access = 20;
-  m.RecordCommit(db::TxnClass::kHot, /*distributed=*/true, /*latency=*/100,
-                 t);
-  m.RecordCommit(db::TxnClass::kCold, false, 200, t);
-  EXPECT_EQ(m.committed, 2u);
-  EXPECT_EQ(m.committed_distributed, 1u);
-  EXPECT_EQ(m.breakdown.lock_wait, 20);
-  EXPECT_EQ(m.breakdown.switch_access, 40);
-  EXPECT_EQ(m.latency_by_class[0].count(), 1u);
-  EXPECT_EQ(m.latency_all.count(), 2u);
-  EXPECT_EQ(m.breakdown.Total(), 60);
+// Run's Metrics is a read-out of the merged registry: every field equals
+// its engine.* series, on both runtimes and under open-loop load.
+TEST(EngineMetricsTest, RunMetricsAreTheRegistrySeries) {
+  struct Variant {
+    const char* name;
+    EngineMode mode;
+    int threads;
+    bool open_loop;
+  };
+  const Variant variants[] = {
+      {"legacy closed loop", EngineMode::kNoSwitch, 0, false},
+      {"sharded threads=1", EngineMode::kP4db, 1, false},
+      {"open loop", EngineMode::kP4db, 0, true},
+  };
+  for (const Variant& v : variants) {
+    SCOPED_TRACE(v.name);
+    wl::Ycsb ycsb(SmallYcsb());
+    SystemConfig cfg = SmallCluster(v.mode);
+    cfg.threads = v.threads;
+    cfg.open_loop.enabled = v.open_loop;
+    cfg.open_loop.offered_load = 2e6;
+    Engine engine(cfg);
+    engine.SetWorkload(&ycsb);
+    engine.Offload(5000, 40);
+    const Metrics m = engine.Run(500 * kMicrosecond, 1500 * kMicrosecond);
+    const MetricsRegistry& reg = engine.metrics_registry();
+    const auto counter = [&reg](const std::string& name) {
+      const MetricsRegistry::Counter* c = reg.FindCounter(name);
+      EXPECT_NE(c, nullptr) << name;
+      return c == nullptr ? ~uint64_t{0} : c->value();
+    };
+    const auto expect_histogram = [&reg](const std::string& name,
+                                         const Histogram& h) {
+      const Histogram* r = reg.FindHistogram(name);
+      ASSERT_NE(r, nullptr) << name;
+      EXPECT_EQ(h.count(), r->count()) << name;
+      EXPECT_EQ(h.sum(), r->sum()) << name;
+      EXPECT_EQ(h.P99(), r->P99()) << name;
+    };
+    EXPECT_GT(m.committed, 0u);
+    EXPECT_EQ(m.committed, counter("engine.committed"));
+    EXPECT_EQ(m.aborted_attempts, counter("engine.aborted_attempts"));
+    EXPECT_EQ(m.committed_distributed, counter("engine.committed_distributed"));
+    expect_histogram("engine.latency_ns", m.latency_all);
+    EXPECT_EQ(m.latency_all.count(), m.committed);
+    uint64_t by_class = 0;
+    for (const db::TxnClass cls :
+         {db::TxnClass::kHot, db::TxnClass::kCold, db::TxnClass::kWarm}) {
+      const int i = static_cast<int>(cls);
+      const std::string suffix = std::string(".") + db::TxnClassName(cls);
+      EXPECT_EQ(m.committed_by_class[i], counter("engine.committed" + suffix));
+      EXPECT_EQ(m.aborts_by_class[i],
+                counter("engine.aborted_attempts" + suffix));
+      expect_histogram("engine.latency_ns" + suffix, m.latency_by_class[i]);
+      by_class += m.committed_by_class[i];
+    }
+    EXPECT_EQ(by_class, m.committed);
+    const auto term = [&counter](const char* name) {
+      return static_cast<int64_t>(
+          counter(std::string("engine.breakdown.") + name + "_ns"));
+    };
+    const TxnTimers& b = m.breakdown;
+    EXPECT_EQ(b.lock_wait, term("lock_wait"));
+    EXPECT_EQ(b.remote_access, term("remote_access"));
+    EXPECT_EQ(b.switch_access, term("switch_access"));
+    EXPECT_EQ(b.local_work, term("local_work"));
+    EXPECT_EQ(b.commit, term("commit"));
+    EXPECT_EQ(b.backoff, term("backoff"));
+    EXPECT_GT(b.Total(), 0);
+    if (v.mode == EngineMode::kNoSwitch) {
+      EXPECT_GT(m.aborted_attempts, 0u);  // hot keys contend on the nodes
+    } else {
+      EXPECT_GT(m.committed_by_class[static_cast<int>(db::TxnClass::kHot)],
+                0u);
+    }
+  }
 }
+
 // --------------------------------------------------- money conservation --
 
 double TotalMoney(Engine& engine, wl::SmallBank& sb, uint64_t accounts) {

@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
+#include <sstream>
+#include <string>
 
 #include "core/engine.h"
+#include "net/fault_injector.h"
 #include "workload/ycsb.h"
 
 namespace p4db {
@@ -174,6 +178,66 @@ TEST(MetricsRegistryTest, PerNodeLockManagersAggregateIntoSharedCounters) {
   db::LockManager lm0(&sim, db::CcScheme::kWaitDie, &reg, "lock.node");
   db::LockManager lm1(&sim, db::CcScheme::kWaitDie, &reg, "lock.node");
   EXPECT_EQ(reg.num_counters(), 6u);  // one shared family, not two
+}
+
+// The key set of an engine's dump is a function of its configuration
+// alone: every series is registered at construction, so neither the batch
+// size nor an armed fault schedule whose events never fire changes which
+// keys exist. The three net.injected_* series belong to the fault
+// injector, which exists only once a schedule arms.
+std::set<std::string> DumpKeys(const MetricsRegistry& reg) {
+  // ToJson writes one series per line: `    "name": ...`, counters first.
+  std::set<std::string> keys;
+  std::istringstream lines(reg.ToJson());
+  std::string section;
+  for (std::string line; std::getline(lines, line);) {
+    if (line.rfind("  \"", 0) == 0) section = line.substr(3, 1);
+    if (line.rfind("    \"", 0) != 0) continue;
+    const size_t end = line.find('"', 5);
+    keys.insert(section + ":" + line.substr(5, end - 5));
+  }
+  return keys;
+}
+
+std::set<std::string> RunKeys(int threads, uint32_t batch_size,
+                              const net::FaultSchedule* schedule) {
+  core::SystemConfig cfg;
+  cfg.mode = core::EngineMode::kP4db;
+  cfg.num_nodes = 4;
+  cfg.workers_per_node = 4;
+  cfg.seed = 7;
+  cfg.threads = threads;
+  cfg.batch.size = batch_size;
+  wl::YcsbConfig wcfg;
+  wcfg.table_size = 100000;
+  wcfg.hot_keys_per_node = 10;
+  wl::Ycsb workload(wcfg);
+  core::Engine engine(cfg);
+  engine.SetWorkload(&workload);
+  engine.Offload(5000, 10ull * cfg.num_nodes);
+  if (schedule != nullptr) engine.InstallFaultSchedule(*schedule);
+  const core::Metrics m = engine.Run(kMillisecond, 2 * kMillisecond);
+  EXPECT_GT(m.committed, 0u);
+  return DumpKeys(engine.metrics_registry());
+}
+
+TEST(EngineKeySetTest, KeySetDependsOnlyOnConfiguration) {
+  net::FaultSchedule past_horizon;
+  past_horizon.events.push_back(
+      net::FaultEvent::SwitchReboot(kSecond, 100 * kMicrosecond));
+  for (const int threads : {0, 1}) {
+    SCOPED_TRACE(threads == 0 ? "legacy runtime" : "sharded runtime");
+    const std::set<std::string> plain = RunKeys(threads, 1, nullptr);
+    EXPECT_TRUE(plain.contains("c:net.batches_sent"));
+    EXPECT_TRUE(plain.contains("c:engine.failovers"));
+    EXPECT_TRUE(plain.contains("h:engine.latency_ns.warm"));
+    EXPECT_EQ(RunKeys(threads, 8, nullptr), plain);
+
+    std::set<std::string> armed_expected = plain;
+    armed_expected.insert({"c:net.injected_delay_spikes",
+                           "c:net.injected_drops", "c:net.injected_dups"});
+    EXPECT_EQ(RunKeys(threads, 1, &past_horizon), armed_expected);
+  }
 }
 
 }  // namespace

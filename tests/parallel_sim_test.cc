@@ -50,6 +50,8 @@ struct ParallelRun {
   std::string trace_json;        // merged per-shard trace export
   uint64_t committed_warm = 0;
   uint64_t admission_shed = 0;  // open-loop arrivals dropped at admission
+  uint64_t batches_sent = 0;
+  uint64_t stale_epoch_drops = 0;
 };
 
 /// One full sharded run with every observable artifact captured. The trace
@@ -79,10 +81,14 @@ ParallelRun RunSharded(int threads, uint64_t seed, wl::Workload* workload,
   out.trace_json = engine.TraceJson(schedule_json);
   out.committed_warm =
       m.committed_by_class[static_cast<int>(db::TxnClass::kWarm)];
-  if (const auto* shed =
-          engine.metrics_registry().FindCounter("engine.admission_shed")) {
-    out.admission_shed = shed->value();
-  }
+  const MetricsRegistry& reg = engine.metrics_registry();
+  const auto value = [&reg](const char* name) {
+    const MetricsRegistry::Counter* c = reg.FindCounter(name);
+    return c == nullptr ? 0 : c->value();
+  };
+  out.admission_shed = value("engine.admission_shed");
+  out.batches_sent = value("net.batches_sent");
+  out.stale_epoch_drops = value("switch.stale_epoch_drops");
   return out;
 }
 
@@ -163,7 +169,7 @@ TEST(ParallelParityTest, OpenLoopBatchedThreads1Vs4ByteIdentical) {
   const ParallelRun t4 = RunSharded(4, 42, &b, 40, nullptr, openloop);
   ExpectIdentical(t1, t4, "open-loop");
   // The run actually exercised the new machinery.
-  EXPECT_NE(t1.metrics_json.find("net.batches_sent"), std::string::npos);
+  EXPECT_GT(t1.batches_sent, 0u);
   EXPECT_NE(t1.metrics_json.find("engine.admission_admitted"),
             std::string::npos);
   EXPECT_GT(t1.admission_shed, 0u);
@@ -187,8 +193,7 @@ TEST(ParallelChaosTest, RebootChaosThreads1Vs4ByteIdentical) {
   const ParallelRun t4 = RunSharded(4, seed, &b, 40, &schedule);
   ExpectIdentical(t1, t4, "chaos");
   // The reboot actually exercised the fencing machinery.
-  EXPECT_NE(t1.metrics_json.find("switch.stale_epoch_drops"),
-            std::string::npos);
+  EXPECT_GT(t1.stale_epoch_drops, 0u);
   EXPECT_NE(t1.metrics_json.find("net.injected_drops"), std::string::npos);
 }
 
@@ -290,8 +295,16 @@ TEST(ParallelEnginesTest, TwoEnginesOnTwoThreadsMatchSequentialRuns) {
   EXPECT_GT(chaos_alone.injected, 0u);
 
   EngineOutcome chaos, clean;
-  std::thread a([&] { chaos = RunOnCallingThread(0, &schedule); });
-  std::thread b([&] { clean = RunOnCallingThread(1, nullptr); });
+  // Each thread hands its pooled coroutine frames back before it exits:
+  // FreePool's thread-local lists have no destructor.
+  std::thread a([&] {
+    chaos = RunOnCallingThread(0, &schedule);
+    FreePool::ReleaseThreadCache();
+  });
+  std::thread b([&] {
+    clean = RunOnCallingThread(1, nullptr);
+    FreePool::ReleaseThreadCache();
+  });
   a.join();
   b.join();
   EXPECT_GT(chaos.committed, 0u);

@@ -104,15 +104,14 @@ TEST(TracerTest, InstantSetsFlagAndZeroDuration) {
 
 // --------------------------------------------------------------- Sampler --
 
-TEST(SamplerTest, RateLevelAndQuantileSeries) {
+TEST(SamplerTest, RateAndQuantileSeries) {
   sim::Simulator sim;
   MetricsRegistry reg;
   MetricsRegistry::Counter& c = reg.counter("c");
   Histogram h;
   trace::Sampler s(&sim);
-  s.AddCounterRate("rate", &c);
-  s.AddCounterLevel("level", &c);
-  s.AddHistogramQuantile("p50", &h, 0.5);
+  s.AddCounterRate("rate", {&c});
+  s.AddHistogramQuantile("p50", {&h}, 0.5);
 
   sim.ScheduleAt(5, [&] {
     c.Increment();
@@ -131,11 +130,6 @@ TEST(SamplerTest, RateLevelAndQuantileSeries) {
   EXPECT_EQ((*rate)[0], 1);
   EXPECT_EQ((*rate)[1], 2);
   EXPECT_EQ((*rate)[2], 0);
-  const std::vector<int64_t>* level = s.Find("level");
-  ASSERT_NE(level, nullptr);
-  EXPECT_EQ((*level)[0], 1);
-  EXPECT_EQ((*level)[1], 3);
-  EXPECT_EQ((*level)[2], 3);
   // Windowed quantile: each window sees only its own samples (bucket
   // midpoints, ~5% error); an empty window reports 0.
   const std::vector<int64_t>* p50 = s.Find("p50");
@@ -148,7 +142,6 @@ TEST(SamplerTest, RateLevelAndQuantileSeries) {
   const std::string json = s.ToJson();
   EXPECT_NE(json.find("\"tick_ns\": 10"), std::string::npos);
   EXPECT_NE(json.find("\"rate\": [1, 2, 0]"), std::string::npos);
-  EXPECT_NE(json.find("\"level\": [1, 3, 3]"), std::string::npos);
 }
 
 // ------------------------------------------------- Engine-level tracing --
