@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
 #include <initializer_list>
 #include <string_view>
@@ -136,7 +137,8 @@ void RecordRun(const core::SystemConfig& config, const wl::Workload& workload,
   std::snprintf(buf, sizeof(buf), "%.6f", out.wall_seconds);
   entry += buf;
   entry += ", \"events_per_sec\": ";
-  std::snprintf(buf, sizeof(buf), "%.0f", out.events_per_sec);
+  std::snprintf(buf, sizeof(buf), "%llu",
+                static_cast<unsigned long long>(out.events_per_sec));
   entry += buf;
   entry += ", \"registry\": ";
   entry += out.metrics_json;
@@ -267,16 +269,18 @@ RunOutput RunWorkload(const core::SystemConfig& config, wl::Workload* workload,
   out.wall_seconds =
       std::chrono::duration<double>(wall_end - wall_start).count();
   out.sim_events = engine.TotalExecutedEvents();
+  // One integer, written to both the run entry and the registry.
   out.events_per_sec =
       out.wall_seconds > 0
-          ? static_cast<double>(out.sim_events) / out.wall_seconds
+          ? static_cast<uint64_t>(std::llround(
+                static_cast<double>(out.sim_events) / out.wall_seconds))
           : 0;
   // Published into the registry AFTER Run so the harness speed rides along
   // in every BENCH_<name>.json registry dump (Run resets the registry at
   // the start of the measured window).
   engine.metrics_registry()
       .counter("harness.events_per_sec")
-      .Set(static_cast<uint64_t>(out.events_per_sec));
+      .Set(out.events_per_sec);
   engine.metrics_registry()
       .counter("harness.wall_us")
       .Set(static_cast<uint64_t>(out.wall_seconds * 1e6));

@@ -31,7 +31,7 @@ struct RunOutput {
   double throughput = 0;      // committed txn/s (simulated time)
   double wall_seconds = 0;    // host wall-clock spent inside Engine::Run
   uint64_t sim_events = 0;    // simulator events executed by the run
-  double events_per_sec = 0;  // sim_events / wall_seconds (harness speed)
+  uint64_t events_per_sec = 0;  // sim_events / wall_seconds, rounded
   std::string metrics_json;   // engine MetricsRegistry dump for this run
   std::string time_series_json;  // Sampler::ToJson for this run
   std::string critical_path_json;  // Engine::CriticalPathJson (INT runs only)

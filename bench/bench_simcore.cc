@@ -209,7 +209,7 @@ uint64_t RunBigPopulation(S& sim, const PatternSizes& sz) {
 }
 
 // Pattern 4: coroutine delay ping — worker think-time loops (1-5ns delays,
-// one dense calendar bucket).
+// a few adjacent one-ns slots).
 template <typename S>
 sim::Task Ping(S& sim, uint64_t n) {
   for (uint64_t i = 0; i < n; ++i) {
@@ -285,7 +285,7 @@ int Main(int argc, char** argv) {
   const int reps = smoke ? 1 : 3;
 
   PrintBanner("simcore",
-              "Scheduling-core microbenchmark: calendar-queue core vs the "
+              "Scheduling-core microbenchmark: timing-wheel core vs the "
               "legacy heap core");
 
   const Pattern patterns[] = {

@@ -645,12 +645,8 @@ trace::Sampler& Engine::EnableTimeSeries(SimTime tick) {
   sampler_->AddCounterRate("switch_txns",
                            counters(switch_regs, "switch.txns_completed"));
   sampler_->AddHistogramQuantile("p99_latency_ns", latency, 0.99);
-  if (config_.open_loop.enabled) {
-    // Extreme-tail series only for open-loop runs (the knee bench gates on
-    // p999); closed-loop dumps keep the historical key set.
-    sampler_->AddHistogramQuantile("p999_latency_ns", std::move(latency),
-                                   0.999);
-  }
+  sampler_->AddHistogramQuantile("p999_latency_ns", std::move(latency),
+                                 0.999);
   if (config_.int_telemetry.enabled) {
     // Postcard fold + register-touch rates, summed over the per-node
     // collectors (and, for accesses, over the per-switch key family).

@@ -166,12 +166,12 @@ class Engine {
       // most in-flight coroutines at peak, and memory is cheap next to a
       // realloc inside the measured window.
       for (uint32_t s = 0; s < ssim_->num_shards(); ++s) {
-        ssim_->shard(s).Reserve(workers * 8 + 1024, workers * 4 + 256);
+        ssim_->shard(s).Reserve(workers * 8 + 1024);
       }
       ssim_->Reserve(/*global_events=*/workers * 4 + 4096,
                      /*mailbox_records_per_pair=*/workers * 4 + 256);
     } else {
-      sim_.Reserve(workers * 8 + 1024, workers * 4 + 256);
+      sim_.Reserve(workers * 8 + 1024);
     }
   }
 

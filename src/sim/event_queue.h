@@ -2,9 +2,12 @@
 #define P4DB_SIM_EVENT_QUEUE_H_
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/types.h"
@@ -12,367 +15,359 @@
 
 namespace p4db::sim {
 
-/// One scheduled simulator event, as handed back by EventQueue::PopMin.
-/// `seq` is the global insertion sequence number; the queue pops in
-/// ascending (time, seq) order, which is the FIFO-within-timestamp contract
-/// every seeded run's bit-reproducibility rests on.
-struct Event {
-  SimTime time;
-  uint64_t seq;
-  InlineEvent fn;
-};
-
-/// Multi-tier calendar/ladder priority queue specialized for discrete-event
-/// simulation, replacing the binary-heap `std::priority_queue`.
+/// Two-level timing wheel plus an overflow heap; DESIGN.md §4c. Pops in
+/// exactly ascending (time, seq) order, seq being insertion order.
 ///
-/// Internally an event is a 16-byte key — {time, seq packed with a payload
-/// slot index} — and the callback payload lives in a slab indexed by that
-/// slot, so every structural operation (heap sift, bucket scatter) moves
-/// small PODs, never the 64-byte callback object.
-///
-/// Tiers, from "now" to far future:
-///  * `now_fifo_`: events scheduled AT the drain timestamp while it is
-///    being drained — the zero-delay resume pattern (promise wakeups,
-///    Submit, admission-edge retries). Only a zero delay can hit the
-///    running timestamp and seq grows with every insert, so a plain FIFO
-///    is exact; push and pop are O(1) with no comparisons. Zero-delay
-///    payloads ride a parallel FIFO (`now_pay_`) and skip the slab
-///    entirely: this lane is the hottest pattern in the engine.
-///  * `bottom_`: drain heap, a small binary min-heap on (time, seq)
-///    holding the current drain bucket when it is sparse, plus late
-///    inserts that land below the drain cursor. O(log k) in the *bucket*
-///    population, not the whole queue.
-///  * `sub_` (rung 1): when a calendar bucket is pulled with more than
-///    kSplitThreshold events it is scattered into 2^kWidthShift
-///    sub-buckets of one nanosecond each. SimTime is integral
-///    nanoseconds, so a sub-bucket holds exactly one timestamp — and
-///    because each bucket's contents are seq-ascending per timestamp (see
-///    invariant below), a sub-bucket is already in final order: draining
-///    it is a pointer swap into `now_fifo_`, no sorting, no comparisons.
-///  * `ring_` (rung 0): kNumBuckets unsorted append-only calendar buckets,
-///    each 2^kWidthShift ns of simulated time wide, covering
-///    [cur_bucket_, cur_bucket_ + kNumBuckets). Insert is an amortized
-///    O(1) push_back with no comparisons.
-///  * `overflow_`: a binary min-heap on (time, seq) for events beyond the
-///    ring horizon (~0.5 ms with the defaults: coarse backoffs, benchmark
-///    horizon marks). Migrated into the ring as the window advances.
-///
-/// Ordering invariant: within any single timestamp, every container holds
-/// events in ascending seq. Direct inserts are globally seq-ascending;
-/// overflow events migrate into a ring bucket in full (time, seq) order
-/// and always before any direct insert reaches that bucket (a push only
-/// goes to the ring once the window covers the bucket, and migration runs
-/// exactly when the window first covers it). Pop order is therefore
-/// *exactly* ascending (time, seq) — identical to the old global heap.
+/// Every event is one pooled 64-byte Node that never moves: Push links a
+/// node and returns its empty payload for the caller to build in place;
+/// PopMin unlinks a node, the caller runs its payload where it sits and
+/// hands it back with Release. Lists are intrusive, through 32-bit handles.
+///  * Fine level: one slot per ns over [base_, base_ + kFineSlots), each a
+///    circular FIFO list (the slot stores its tail), found by a bitmap.
+///  * Coarse level: kStacks stacks of 512 ns each, newest on top, ~8.4 ms.
+///  * Overflow: a (time, seq) min-heap beyond that.
+/// A block reaches a level (cascade, migration) when base_ first brings it
+/// into that level's range, before any direct insert can reach it; its
+/// fine slots are empty then, so prepending each node as its stack pops
+/// keeps every slot in seq order. base_ moves only in PopMin, since the
+/// popped event becomes now(); MinTime only peeks, because a caller may
+/// stop its clock short of the earliest event and push below it.
 class EventQueue {
  public:
-  /// 1024 buckets x 512 ns: the ring spans ~524 us of simulated future,
-  /// comfortably past per-pass/recirculation/network delays (0.1–5 us).
-  static constexpr int kWidthShift = 9;  // 512 ns per bucket
-  static constexpr size_t kNumBuckets = 1024;
-  /// Rung-1 sub-buckets per calendar bucket: one per nanosecond of width.
-  static constexpr size_t kSubBuckets = size_t{1} << kWidthShift;
-  /// Bucket population above which scattering into rung 1 beats a heap.
-  static constexpr size_t kSplitThreshold = 48;
-  /// Consumed-prefix length at which the now-FIFO compacts in place.
-  static constexpr size_t kCompactThreshold = 1024;
+  struct alignas(64) Node {
+    InlineEvent fn;
+    SimTime time = 0;
+    uint32_t next = 0;  // slot, stack or free-list link; 4 spare bytes
+  };
+  static_assert(sizeof(Node) == 64, "a queue node is one cache line");
 
-  EventQueue() : ring_(kNumBuckets), sub_(kSubBuckets) {}
+  static constexpr int kBlockBits = 12;  // base_ moves in 4096 ns blocks
+  static constexpr size_t kFineSlots = size_t{1} << 14;
+  static constexpr int kStackBits = 9;
+  static constexpr size_t kStacks = size_t{1} << 14;
+  /// First delay past base_ that lies beyond the coarse level.
+  static constexpr SimTime kCoarseHorizon =
+      static_cast<SimTime>(kFineSlots + (kStacks << kStackBits));
+
+  EventQueue()
+      : fine_tail_(std::make_unique_for_overwrite<uint32_t[]>(kFineSlots)),
+        stack_top_(std::make_unique_for_overwrite<uint32_t[]>(kStacks)) {}
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
 
   bool empty() const { return size_ == 0; }
   size_t size() const { return size_; }
 
-  void Push(SimTime time, uint64_t seq, InlineEvent fn) {
-    assert(time >= 0);
-    assert(seq < (uint64_t{1} << kSeqBits) && "seq space exhausted");
+  /// Queues an event at `time` (never below the last popped time) and
+  /// returns its empty payload, which the caller fills in place before the
+  /// next queue call.
+  InlineEvent& Push(SimTime time) {
+    assert(time >= base_);
+    uint32_t h = free_;
+    if (h != kNil) {
+      free_ = node(h).next;
+    } else {
+      if (used_ == chunks_.size() * kChunkNodes) AddChunk();
+      h = used_++;
+    }
+    Node& n = node(h);
+    n.time = time;
     ++size_;
-    if (time == drain_time_) {
-      // Zero-delay fast lane: seq is monotone, FIFO order is exact. The
-      // payload goes straight into the parallel FIFO — no slab round-trip.
-      now_fifo_.push_back(Key{time, (seq << kSlotBits) | kDirectSlot});
-      now_pay_.push_back(std::move(fn));
-      return;
-    }
-    const Key key{time, (seq << kSlotBits) | AllocSlot(std::move(fn))};
-    const uint64_t b = BucketOf(time);
-    if (sub_active_ && b == sub_bucket_) {
-      const size_t s = SubIndexOf(time);
-      if (s >= sub_cursor_) {
-        sub_[s].push_back(key);
-        ++sub_count_;
-        return;
-      }
-      // Below the rung-1 drain cursor: fall through to the drain heap.
-    } else if (b >= cur_bucket_ + kNumBuckets) {
-      overflow_.push_back(key);
-      std::push_heap(overflow_.begin(), overflow_.end(), LaterFirst{});
-      return;
-    } else if (b >= cur_bucket_) {
-      ring_[b & kRingMask].push_back(key);
-      ++ring_count_;
-      return;
-    }
-    bottom_.push_back(key);
-    std::push_heap(bottom_.begin(), bottom_.end(), LaterFirst{});
+    Place(h, n);
+    return n.fn;
   }
 
   /// Smallest (time, seq) event's timestamp. Queue must be non-empty.
   SimTime MinTime() {
     assert(size_ > 0);
-    if (now_head_ < now_fifo_.size()) {
-      // Late inserts below the drain cursor sit in bottom_ and may precede
-      // the FIFO; both can only tie on the timestamp itself.
-      if (!bottom_.empty() && bottom_.front().time < drain_time_) {
-        return bottom_.front().time;
-      }
-      return drain_time_;
+    if (fine_count_ > 0) {
+      FindFine();
+      return scan_;
     }
-    if (bottom_.empty()) Advance();
-    if (now_head_ < now_fifo_.size()) return drain_time_;
-    return bottom_.front().time;
+    if (coarse_count_ == 0) return overflow_.front().time;
+    SimTime t = INT64_MAX;  // a stack is in seq order, not time order
+    for (uint32_t h = stack_top_[FirstStack() & (kStacks - 1)]; h != kNil;
+         h = node(h).next) {
+      t = std::min(t, node(h).time);
+    }
+    return t;
   }
 
-  /// Removes and returns the smallest (time, seq) event.
-  Event PopMin() {
+  /// Unlinks the smallest (time, seq) event and returns its handle. The
+  /// node stays where it is, with its payload, until Release(handle).
+  uint32_t PopMin() {
     assert(size_ > 0);
+    if (fine_count_ == 0) {  // move base_ to the first occupied block
+      Rebase(coarse_count_ > 0
+                 ? FirstStack() / kBlockStacks
+                 : static_cast<uint64_t>(overflow_.front().time) >> kBlockBits);
+    }
+    const size_t s = FindFine();
+    // Keep base_ within a block of the cursor, so direct inserts reach at
+    // least one block short of kFineSlots ns ahead.
+    if ((scan_ - base_) >> kBlockBits != 0) {
+      Rebase(static_cast<uint64_t>(scan_) >> kBlockBits);
+    }
     --size_;
-    if (now_head_ >= now_fifo_.size() && bottom_.empty()) Advance();
-    if (now_head_ < now_fifo_.size()) {
-      const Key fifo_front = now_fifo_[now_head_];
-      // Same-timestamp events still in the drain heap were inserted before
-      // anything in the FIFO (smaller seq), and late sub-cursor inserts in
-      // the heap may precede the FIFO's timestamp outright.
-      if (bottom_.empty() || LaterFirst{}(bottom_.front(), fifo_front)) {
-        Event ev{fifo_front.time, fifo_front.seqslot >> kSlotBits,
-                 SlotOf(fifo_front) == kDirectSlot
-                     ? std::move(now_pay_[pay_head_++])
-                     : TakeSlot(SlotOf(fifo_front))};
-        if (++now_head_ == now_fifo_.size()) {
-          now_fifo_.clear();
-          now_head_ = 0;
-          now_pay_.clear();
-          pay_head_ = 0;
-        } else if (now_head_ >= kCompactThreshold &&
-                   now_fifo_.size() - now_head_ <= now_head_) {
-          // A busy timestamp appends while the head chases the tail; drop
-          // the consumed prefix so the live window stays cache-resident
-          // instead of streaming through an ever-growing vector. The live
-          // tail is no longer than the prefix, so this stays amortized
-          // O(1) per pop.
-          now_fifo_.erase(now_fifo_.begin(),
-                          now_fifo_.begin() +
-                              static_cast<std::ptrdiff_t>(now_head_));
-          now_head_ = 0;
-          now_pay_.erase(now_pay_.begin(),
-                         now_pay_.begin() +
-                             static_cast<std::ptrdiff_t>(pay_head_));
-          pay_head_ = 0;
-        }
-        return ev;
-      }
+    --fine_count_;
+    Node& tail = node(fine_tail_[s]);
+    const uint32_t head = tail.next;
+    if (head != fine_tail_[s]) {
+      tail.next = node(head).next;
+      return head;
     }
-    std::pop_heap(bottom_.begin(), bottom_.end(), LaterFirst{});
-    const Key key = bottom_.back();
-    bottom_.pop_back();
-    drain_time_ = key.time;
-    return Event{key.time, key.seqslot >> kSlotBits, TakeSlot(SlotOf(key))};
+    uint64_t& word = fine_bits_[s >> 6];
+    word &= ~(uint64_t{1} << (s & 63));
+    if (word == 0) fine_summary_[s >> 12] &= ~(uint64_t{1} << (s >> 6 & 63));
+    // The slot is drained: fetch the next occupied slot's node while this
+    // event runs. With many events in flight it has usually left the cache.
+    const size_t after = FineNext((s + 1) & kFineMask);
+    if (after < kFineSlots) __builtin_prefetch(&node(fine_tail_[after]));
+    return head;
   }
 
-  /// Pre-sizes every internal vector for an allocation-free steady state.
-  /// Bucket capacities circulate — Advance/PullSubBucket swap bucket
-  /// storage with `bottom_`/`now_fifo_` — so without this a fresh queue
-  /// keeps growing freshly-rotated-in small vectors for many ring
-  /// revolutions after the load has stabilized. `pending_events` bounds the
-  /// simultaneously-queued event count (slab, overflow, zero-delay lane);
-  /// `bucket_capacity` bounds the population of any single calendar bucket
-  /// or single-timestamp burst.
-  void Reserve(size_t pending_events, size_t bucket_capacity) {
-    slab_.reserve(pending_events);
-    free_slots_.reserve(slab_.capacity());
-    now_fifo_.reserve(std::max(pending_events, bucket_capacity));
-    now_pay_.reserve(pending_events);
-    bottom_.reserve(bucket_capacity);
+  Node& node(uint32_t h) {
+    return chunks_[h >> kChunkBits][h & (kChunkNodes - 1)];
+  }
+
+  /// Destroys a popped node's payload and recycles the node.
+  void Release(uint32_t h) {
+    Node& n = node(h);
+    n.fn.Reset();
+    n.next = free_;
+    free_ = h;
+  }
+
+  /// Pre-allocates nodes (and the overflow heap) for `pending_events`
+  /// simultaneously queued events, so steady-state scheduling never touches
+  /// the allocator.
+  void Reserve(size_t pending_events) {
+    while (chunks_.size() * kChunkNodes < pending_events) AddChunk();
     overflow_.reserve(pending_events);
-    for (auto& bucket : ring_) bucket.reserve(bucket_capacity);
-    for (auto& bucket : sub_) bucket.reserve(bucket_capacity);
   }
 
-  /// Drops every queued event in O(n) (the old binary heap could only pop
-  /// them one by one, O(n log n)). Bucket capacity is retained so a reused
-  /// queue does not re-grow.
+  /// Destroys every queued payload unrun and recycles its node. A node that
+  /// is popped but not yet released (the running event) is untouched.
   void Clear() {
-    now_fifo_.clear();
-    now_head_ = 0;
-    now_pay_.clear();  // destroys pending zero-delay callbacks
-    pay_head_ = 0;
-    bottom_.clear();
-    if (ring_count_ > 0) {
-      for (auto& bucket : ring_) bucket.clear();
-    }
-    if (sub_count_ > 0) {
-      for (auto& bucket : sub_) bucket.clear();
-    }
-    sub_active_ = false;
+    ForEachSet(fine_bits_, [this](size_t s) {
+      Node& tail = node(fine_tail_[s]);
+      const uint32_t head = tail.next;
+      tail.next = kNil;  // open the circle into a chain
+      ReleaseChain(head);
+    });
+    fine_summary_ = {};
+    ForEachSet(stack_bits_, [this](size_t k) { ReleaseChain(stack_top_[k]); });
+    for (const Far& f : overflow_) Release(f.node);
     overflow_.clear();
-    slab_.clear();  // destroys every other pending callback
-    free_slots_.clear();
-    ring_count_ = 0;
-    sub_count_ = 0;
-    size_ = 0;
+    fine_count_ = coarse_count_ = size_ = 0;
   }
 
  private:
-  static constexpr uint64_t kRingMask = kNumBuckets - 1;
-  static constexpr uint64_t kSubMask = kSubBuckets - 1;
-  static_assert((kNumBuckets & kRingMask) == 0, "ring size must be 2^k");
+  static constexpr uint32_t kNil = UINT32_MAX;
+  static constexpr int kChunkBits = 10;  // 1024 nodes = 64 KiB per chunk
+  static constexpr size_t kChunkNodes = size_t{1} << kChunkBits;
+  static constexpr size_t kFineMask = kFineSlots - 1;
+  static constexpr uint64_t kFineBlocks = kFineSlots >> kBlockBits;
+  static constexpr size_t kBlockStacks = size_t{1} << (kBlockBits - kStackBits);
+  static constexpr uint64_t kCoarseBlocks = kStacks / kBlockStacks;
+  static_assert(kFineBlocks >= 2 && kBlockStacks <= 64);
 
-  /// Keys pack seq (high 40 bits) and the slab slot (low 24 bits) into one
-  /// word. seq is globally unique, so comparing the packed word orders by
-  /// seq alone — the slot bits never decide. 2^40 events per run and 2^24
-  /// simultaneously pending events are far beyond anything the simulator
-  /// reaches (the old heap at 2^24 pending was already >1 GiB).
-  static constexpr int kSlotBits = 24;
-  static constexpr int kSeqBits = 64 - kSlotBits;
-  static constexpr uint32_t kDirectSlot = (uint32_t{1} << kSlotBits) - 1;
-
-  struct Key {
+  struct Far {
     SimTime time;
-    uint64_t seqslot;
+    uint64_t seq;
+    uint32_t node;
   };
-
   struct LaterFirst {  // max-heap comparator -> std::*_heap act as min-heap
-    bool operator()(const Key& a, const Key& b) const {
-      if (a.time != b.time) return a.time > b.time;
-      return a.seqslot > b.seqslot;
+    bool operator()(const Far& a, const Far& b) const {
+      return a.time != b.time ? a.time > b.time : a.seq > b.seq;
     }
   };
 
-  static uint32_t SlotOf(const Key& key) {
-    return static_cast<uint32_t>(key.seqslot) & kDirectSlot;
-  }
-  static uint64_t BucketOf(SimTime time) {
-    return static_cast<uint64_t>(time) >> kWidthShift;
-  }
-  static size_t SubIndexOf(SimTime time) {
-    return static_cast<size_t>(static_cast<uint64_t>(time) & kSubMask);
+  uint64_t BaseBlock() const {
+    return static_cast<uint64_t>(base_) >> kBlockBits;
   }
 
-  uint32_t AllocSlot(InlineEvent fn) {
-    if (free_slots_.empty()) {
-      slab_.push_back(std::move(fn));
-      assert(slab_.size() < kDirectSlot && "slab slot space exhausted");
-      // free_slots_ can never hold more entries than the slab has slots, so
-      // growing it here (already an allocating moment) keeps TakeSlot — the
-      // steady-state pop path — allocation-free forever after.
-      free_slots_.reserve(slab_.capacity());
-      return static_cast<uint32_t>(slab_.size() - 1);
+  void AddChunk() {
+    assert(chunks_.size() < (size_t{kNil} >> kChunkBits) &&
+           "node handle space exhausted");
+    chunks_.push_back(std::make_unique<Node[]>(kChunkNodes));
+  }
+
+  /// Links node h into the level its block belongs to.
+  void Place(uint32_t h, Node& n) {
+    const uint64_t ahead =
+        static_cast<uint64_t>(n.time - base_) >> kBlockBits;
+    if (ahead < kFineBlocks) {
+      LinkFine(h, n, /*at_head=*/false);
+    } else if (ahead < kFineBlocks + kCoarseBlocks) {
+      const size_t k =
+          static_cast<size_t>(n.time >> kStackBits) & (kStacks - 1);
+      uint64_t& word = stack_bits_[k >> 6];
+      const uint64_t bit = uint64_t{1} << (k & 63);
+      n.next = (word & bit) != 0 ? stack_top_[k] : kNil;
+      stack_top_[k] = h;
+      word |= bit;
+      ++coarse_count_;
+    } else {
+      overflow_.push_back(Far{n.time, far_seq_++, h});
+      std::push_heap(overflow_.begin(), overflow_.end(), LaterFirst{});
     }
-    const uint32_t slot = free_slots_.back();
-    free_slots_.pop_back();
-    slab_[slot] = std::move(fn);
-    return slot;
   }
 
-  InlineEvent TakeSlot(uint32_t slot) {
-    free_slots_.push_back(slot);
-    return std::move(slab_[slot]);
+  /// Links node h into its fine slot's circular list: at the tail, or at
+  /// the head for a cascade (which delivers newest first).
+  void LinkFine(uint32_t h, Node& n, bool at_head) {
+    const size_t s = static_cast<size_t>(n.time) & kFineMask;
+    uint64_t& word = fine_bits_[s >> 6];
+    const uint64_t bit = uint64_t{1} << (s & 63);
+    uint32_t& tail = fine_tail_[s];
+    if ((word & bit) != 0) {
+      Node& t = node(tail);
+      n.next = t.next;
+      t.next = h;
+      if (!at_head) tail = h;
+    } else {
+      n.next = h;
+      tail = h;
+      if (word == 0) fine_summary_[s >> 12] |= uint64_t{1} << (s >> 6 & 63);
+      word |= bit;
+    }
+    ++fine_count_;
+    if (n.time < scan_) scan_ = n.time;
   }
 
-  /// Refills now_fifo_ or bottom_ from the rungs (and the ring from the
-  /// overflow heap). Precondition: both are empty, size_ > 0.
-  void Advance() {
-    if (sub_active_) {
-      if (sub_count_ > 0) {
-        PullSubBucket();
-        return;
+  /// First occupied fine slot at or after `from`, or kFineSlots.
+  size_t FineNext(size_t from) const {
+    size_t w = from >> 6;
+    const uint64_t bits = fine_bits_[w] & (~uint64_t{0} << (from & 63));
+    if (bits != 0) return (w << 6) | std::countr_zero(bits);
+    for (++w; w < fine_bits_.size(); w = (w | 63) + 1) {
+      const uint64_t sum = fine_summary_[w >> 6] & (~uint64_t{0} << (w & 63));
+      if (sum != 0) {
+        w = (w & ~size_t{63}) | std::countr_zero(sum);
+        return (w << 6) | std::countr_zero(fine_bits_[w]);
       }
-      sub_active_ = false;
     }
-    if (ring_count_ == 0) {
-      // Ring is dry; jump the window straight to the overflow minimum
-      // (always >= cur_bucket_ + kNumBuckets, so it only moves forward).
-      assert(!overflow_.empty());
-      cur_bucket_ = BucketOf(overflow_.front().time);
-      MigrateOverflow();
-    }
-    while (ring_[cur_bucket_ & kRingMask].empty()) {
-      ++cur_bucket_;
-      MigrateOverflow();
-    }
-    std::vector<Key>& bucket = ring_[cur_bucket_ & kRingMask];
-    if (bucket.size() > kSplitThreshold) {
-      // Dense bucket: scatter into rung 1. Relative order per timestamp is
-      // preserved, so every sub-bucket stays seq-ascending.
-      sub_active_ = true;
-      sub_bucket_ = cur_bucket_;
-      sub_cursor_ = kSubBuckets;
-      sub_count_ = bucket.size();
-      for (const Key& key : bucket) {
-        const size_t s = SubIndexOf(key.time);
-        sub_[s].push_back(key);
-        if (s < sub_cursor_) sub_cursor_ = s;
+    return kFineSlots;
+  }
+
+  /// Finds the earliest fine slot, moves scan_ to its time and returns it.
+  /// The window maps onto the slots cyclically from scan_'s slot, and no
+  /// fine event lies below scan_. Precondition: fine_count_ > 0.
+  size_t FindFine() {
+    const size_t from = static_cast<size_t>(scan_) & kFineMask;
+    size_t s = FineNext(from);
+    if (s == kFineSlots) s = FineNext(0);
+    scan_ += static_cast<SimTime>((s - from) & kFineMask);
+    return s;
+  }
+
+  /// Absolute number of the first occupied stack. Precondition:
+  /// coarse_count_ > 0.
+  uint64_t FirstStack() const {
+    const uint64_t first = (BaseBlock() + kFineBlocks) * kBlockStacks;
+    const size_t start = static_cast<size_t>(first) & (kStacks - 1);
+    for (size_t i = 0; i <= stack_bits_.size(); ++i) {
+      const size_t w = ((start >> 6) + i) % stack_bits_.size();
+      uint64_t bits = stack_bits_[w];
+      if (i == 0) bits &= ~uint64_t{0} << (start & 63);
+      if (bits != 0) {
+        const size_t k = (w << 6) | std::countr_zero(bits);
+        return first + ((k - start) & (kStacks - 1));
       }
-      ring_count_ -= bucket.size();
-      bucket.clear();
-      ++cur_bucket_;
-      MigrateOverflow();
-      PullSubBucket();
-      return;
     }
-    bottom_.swap(bucket);
-    ring_count_ -= bottom_.size();
-    std::make_heap(bottom_.begin(), bottom_.end(), LaterFirst{});
-    ++cur_bucket_;
-    MigrateOverflow();
+    assert(false && "coarse level is empty");
+    return first;
   }
 
-  /// Moves the next non-empty rung-1 sub-bucket (a single timestamp, in
-  /// final order) into now_fifo_. Precondition: sub_count_ > 0.
-  void PullSubBucket() {
-    while (sub_[sub_cursor_].empty()) ++sub_cursor_;
-    std::vector<Key>& bucket = sub_[sub_cursor_];
-    sub_count_ -= bucket.size();
-    now_fifo_.swap(bucket);
-    bucket.clear();
-    now_head_ = 0;
-    drain_time_ = now_fifo_.front().time;
-    ++sub_cursor_;
-  }
-
-  /// Pulls overflow events whose bucket entered the ring window.
-  void MigrateOverflow() {
-    const uint64_t window_end = cur_bucket_ + kNumBuckets;
-    while (!overflow_.empty() && BucketOf(overflow_.front().time) < window_end) {
+  /// Moves base_ to `block`. Precondition: no pending event lies below it.
+  /// Cascades the coarse blocks entering the fine window, then migrates the
+  /// overflow blocks entering the coarse range.
+  void Rebase(uint64_t block) {
+    const uint64_t old = BaseBlock();
+    const uint64_t end = std::min(block, old + kCoarseBlocks) + kFineBlocks;
+    base_ = static_cast<SimTime>(block << kBlockBits);
+    scan_ = std::max(scan_, base_);
+    for (uint64_t b = std::max(block, old + kFineBlocks); b < end; ++b) {
+      Cascade(b);
+    }
+    const uint64_t coarse_end = block + kFineBlocks + kCoarseBlocks;
+    while (!overflow_.empty() &&
+           static_cast<uint64_t>(overflow_.front().time) >> kBlockBits <
+               coarse_end) {
       std::pop_heap(overflow_.begin(), overflow_.end(), LaterFirst{});
-      const Key key = overflow_.back();
+      const uint32_t h = overflow_.back().node;
       overflow_.pop_back();
-      assert(BucketOf(key.time) >= cur_bucket_);
-      ring_[BucketOf(key.time) & kRingMask].push_back(key);
-      ++ring_count_;
+      Place(h, node(h));
     }
   }
 
-  std::vector<InlineEvent> slab_;     // payloads, indexed by key slot
-  std::vector<uint32_t> free_slots_;  // recycled slab indices (LIFO)
+  /// Moves a block's stacks into the fine level, round-robin so that their
+  /// cache misses overlap. The block's fine slots are empty (nothing could
+  /// reach them before), so prepending each node as its stack pops, newest
+  /// first, keeps every slot in insertion order.
+  void Cascade(uint64_t block) {
+    const size_t k0 = static_cast<size_t>(block * kBlockStacks) & (kStacks - 1);
+    uint64_t& word = stack_bits_[k0 >> 6];
+    const uint64_t set =
+        word >> (k0 & 63) & ((uint64_t{1} << kBlockStacks) - 1);
+    if (set == 0) return;
+    word &= ~(set << (k0 & 63));
+    uint32_t heads[kBlockStacks];
+    for (size_t j = 0; j < kBlockStacks; ++j) {
+      heads[j] = (set >> j & 1) != 0 ? stack_top_[k0 + j] : kNil;
+    }
+    for (bool more = true; more;) {
+      more = false;
+      for (uint32_t& h : heads) {
+        if (h == kNil) continue;
+        const uint32_t popped = h;
+        Node& n = node(popped);
+        h = n.next;
+        --coarse_count_;
+        LinkFine(popped, n, /*at_head=*/true);
+        more = true;
+      }
+    }
+  }
 
-  std::vector<Key> now_fifo_;        // events at drain_time_, FIFO by seq
-  size_t now_head_ = 0;              // consume cursor into now_fifo_
-  std::vector<InlineEvent> now_pay_; // zero-delay payloads (slab bypass)
-  size_t pay_head_ = 0;              // consume cursor into now_pay_
-  std::vector<Key> bottom_;          // drain heap: min-heap on (time, seq)
-  std::vector<std::vector<Key>> ring_;  // rung 0 calendar buckets
-  std::vector<std::vector<Key>> sub_;   // rung 1: 1-ns sub-buckets
-  std::vector<Key> overflow_;           // min-heap on (time, seq)
+  /// Destroys and recycles every node of a kNil-terminated chain.
+  void ReleaseChain(uint32_t h) {
+    while (h != kNil) {
+      const uint32_t next = node(h).next;
+      Release(h);
+      h = next;
+    }
+  }
 
-  SimTime drain_time_ = -1;  // timestamp of the event(s) being drained
-  uint64_t cur_bucket_ = 0;  // lowest bucket id the ring still covers
-  uint64_t sub_bucket_ = 0;  // which rung-0 bucket rung 1 expands
-  bool sub_active_ = false;  // rung 1 currently holds the drain bucket
-  size_t sub_cursor_ = 0;    // next rung-1 sub-bucket to drain
-  size_t ring_count_ = 0;    // events currently in the ring tier
-  size_t sub_count_ = 0;     // events currently in rung 1
+  /// Calls f(i) for every set bit i, clearing the bits.
+  template <size_t N, typename F>
+  static void ForEachSet(std::array<uint64_t, N>& words, F&& f) {
+    for (size_t w = 0; w < N; ++w) {
+      for (; words[w] != 0; words[w] &= words[w] - 1) {
+        f((w << 6) | std::countr_zero(words[w]));
+      }
+    }
+  }
+
+  std::vector<std::unique_ptr<Node[]>> chunks_;  // node storage, never moves
+  uint32_t used_ = 0;     // nodes ever handed out
+  uint32_t free_ = kNil;  // recycled nodes (LIFO, through `next`)
+
+  // A fine tail or stack top is read only while its bit is set, so the
+  // arrays need no initialization.
+  std::unique_ptr<uint32_t[]> fine_tail_;
+  std::array<uint64_t, kFineSlots / 64> fine_bits_{};
+  std::array<uint64_t, kFineSlots / 4096> fine_summary_{};  // non-zero words
+  std::unique_ptr<uint32_t[]> stack_top_;
+  std::array<uint64_t, kStacks / 64> stack_bits_{};
+  std::vector<Far> overflow_;  // min-heap on (time, seq)
+  uint64_t far_seq_ = 0;       // insertion order among overflow events
+
+  SimTime base_ = 0;  // fine window start, a multiple of kBlock
+  SimTime scan_ = 0;  // no fine event lies below; base_ <= scan_
+  size_t fine_count_ = 0;
+  size_t coarse_count_ = 0;
   size_t size_ = 0;
 };
 

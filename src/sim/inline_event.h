@@ -20,13 +20,19 @@ namespace p4db::sim {
 /// frame ride along). InlineEvent stores captures up to kInlineCapacity
 /// bytes directly in the event object, so the common schedule patterns —
 /// `[this, fl]`, `[this, node, txn_id]`, a coroutine handle — never touch
-/// the allocator. Larger captures fall back to a single heap allocation.
+/// the allocator. Larger captures fall back to a single pooled block.
 ///
-/// kInlineCapacity is a size contract: growing it inflates every queued
-/// event (the queue's payload slab stores these by value — 40B capacity +
-/// the vtable pointer = one 48-byte, 16-aligned object), shrinking it
-/// silently demotes hot-path lambdas to the heap. Keep hot-path captures
-/// at or under 40 bytes; see DESIGN.md "Simulator core".
+/// A queued event never moves: the event queue builds the payload in place
+/// inside its pooled node (Emplace / SetResume), invokes it where it sits
+/// and Resets it when it has run. Moves exist only for the sharded
+/// runtime's mailbox records, which travel by value until they are merged
+/// into a shard's queue.
+///
+/// kInlineCapacity is a size contract: 40 bytes + the vtable pointer is a
+/// 48-byte, 16-aligned object that, with the node's time and link, fills
+/// one 64-byte queue node. Growing it spills the node past a cache line;
+/// shrinking it silently demotes hot-path lambdas to the pool. Keep
+/// hot-path captures at or under 40 bytes; see DESIGN.md "Simulator core".
 class InlineEvent {
  public:
   static constexpr size_t kInlineCapacity = 40;
@@ -37,10 +43,43 @@ class InlineEvent {
             typename = std::enable_if_t<
                 !std::is_same_v<std::decay_t<F>, InlineEvent>>>
   InlineEvent(F&& fn) {  // NOLINT(google-explicit-constructor)
+    Emplace(std::forward<F>(fn));
+  }
+
+  InlineEvent(InlineEvent&& other) noexcept : vt_(other.vt_) {
+    if (vt_ != nullptr) {
+      Relocate(other);
+      other.vt_ = nullptr;
+    }
+  }
+
+  InlineEvent& operator=(InlineEvent&& other) noexcept {
+    if (this != &other) {
+      Reset();
+      vt_ = other.vt_;
+      if (vt_ != nullptr) {
+        Relocate(other);
+        other.vt_ = nullptr;
+      }
+    }
+    return *this;
+  }
+
+  InlineEvent(const InlineEvent&) = delete;
+  InlineEvent& operator=(const InlineEvent&) = delete;
+
+  ~InlineEvent() { Reset(); }
+
+  /// Builds `fn` in place. Precondition: empty. An InlineEvent argument is
+  /// moved in (a mailbox record entering a queue node).
+  template <typename F>
+  void Emplace(F&& fn) {
     using Fn = std::decay_t<F>;
-    if constexpr (sizeof(Fn) <= kInlineCapacity &&
-                  alignof(Fn) <= kStorageAlign &&
-                  std::is_nothrow_move_constructible_v<Fn>) {
+    if constexpr (std::is_same_v<Fn, InlineEvent>) {
+      *this = std::forward<F>(fn);
+    } else if constexpr (sizeof(Fn) <= kInlineCapacity &&
+                         alignof(Fn) <= kStorageAlign &&
+                         std::is_nothrow_move_constructible_v<Fn>) {
       ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(fn));
       vt_ = &kInlineVt<Fn>;
     } else {
@@ -54,37 +93,20 @@ class InlineEvent {
   }
 
   /// Coroutine-wakeup fast path: stores only the frame address; no functor
-  /// is constructed and invoke is a direct handle.resume().
-  static InlineEvent Resume(std::coroutine_handle<> h) noexcept {
-    InlineEvent ev;
-    *reinterpret_cast<void**>(ev.storage_) = h.address();
-    ev.vt_ = &kResumeVt;
-    return ev;
+  /// is constructed and invoke is a direct handle.resume(). Precondition:
+  /// empty.
+  void SetResume(std::coroutine_handle<> h) noexcept {
+    *reinterpret_cast<void**>(storage_) = h.address();
+    vt_ = &kResumeVt;
   }
 
-  InlineEvent(InlineEvent&& other) noexcept : vt_(other.vt_) {
+  /// Destroys the payload, leaving the event empty.
+  void Reset() noexcept {
     if (vt_ != nullptr) {
-      Relocate(other);
-      other.vt_ = nullptr;
+      if (vt_->destroy != nullptr) vt_->destroy(storage_);
+      vt_ = nullptr;
     }
   }
-
-  InlineEvent& operator=(InlineEvent&& other) noexcept {
-    if (this != &other) {
-      Destroy();
-      vt_ = other.vt_;
-      if (vt_ != nullptr) {
-        Relocate(other);
-        other.vt_ = nullptr;
-      }
-    }
-    return *this;
-  }
-
-  InlineEvent(const InlineEvent&) = delete;
-  InlineEvent& operator=(const InlineEvent&) = delete;
-
-  ~InlineEvent() { Destroy(); }
 
   void operator()() { vt_->invoke(storage_); }
 
@@ -93,12 +115,11 @@ class InlineEvent {
  private:
   static constexpr size_t kStorageAlign = alignof(std::max_align_t);
 
-  /// relocate = move-construct into dst from src, then destroy src. Events
-  /// live in vectors that grow and in heap operations that shuffle them, so
-  /// relocation is the primitive (cheaper to demand than separate
-  /// move + destroy). `trivial` marks captures relocatable by plain memcpy
-  /// (trivially copyable functors, heap pointers, coroutine handles), which
-  /// covers the hot paths and keeps queue sifts free of indirect calls.
+  /// relocate = move-construct into dst from src, then destroy src; only
+  /// mailbox records (vectors that grow) relocate. `trivial` marks captures
+  /// relocatable by plain memcpy (trivially copyable functors, pool
+  /// pointers, coroutine handles). `destroy` is null when there is nothing
+  /// to destroy, so releasing a run event costs no indirect call.
   struct VTable {
     void (*invoke)(void* self);
     void (*relocate)(void* dst, void* src) noexcept;
@@ -113,7 +134,9 @@ class InlineEvent {
         ::new (dst) Fn(std::move(*static_cast<Fn*>(src)));
         static_cast<Fn*>(src)->~Fn();
       },
-      [](void* self) noexcept { static_cast<Fn*>(self)->~Fn(); },
+      std::is_trivially_destructible_v<Fn>
+          ? nullptr
+          : +[](void* self) noexcept { static_cast<Fn*>(self)->~Fn(); },
       std::is_trivially_copyable_v<Fn>,
   };
 
@@ -139,7 +162,7 @@ class InlineEvent {
       [](void* dst, void* src) noexcept {
         std::memcpy(dst, src, sizeof(void*));
       },
-      [](void*) noexcept {},
+      nullptr,
       true,
   };
 
@@ -154,16 +177,12 @@ class InlineEvent {
     }
   }
 
-  void Destroy() noexcept {
-    if (vt_ != nullptr) {
-      vt_->destroy(storage_);
-      vt_ = nullptr;
-    }
-  }
-
   alignas(kStorageAlign) unsigned char storage_[kInlineCapacity];
   const VTable* vt_ = nullptr;
 };
+
+static_assert(sizeof(InlineEvent) == 48 && alignof(InlineEvent) == 16,
+              "InlineEvent must fill exactly 48 bytes of a 64-byte node");
 
 }  // namespace p4db::sim
 

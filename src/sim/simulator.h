@@ -20,12 +20,11 @@ namespace p4db::sim {
 /// order (by insertion sequence number), which makes every run
 /// bit-reproducible for a given seed.
 ///
-/// The scheduling core is allocation-free on the hot paths: callbacks are
-/// stored inline in the event (InlineEvent, 48-byte SBO), coroutine wakeups
-/// bypass callback construction entirely (ScheduleResume), and events live
-/// in a calendar queue (EventQueue) of five containers — the now-FIFO, the
-/// drain heap, the rung-1 sub-buckets, the calendar ring and the overflow
-/// heap — instead of a binary heap. See DESIGN.md "Simulator core".
+/// The scheduling core is allocation-free on the hot paths: each event is a
+/// pooled 64-byte node of a two-level timing wheel (EventQueue), its
+/// callback is built inside the node (InlineEvent, 40-byte SBO) and run
+/// where it sits, and coroutine wakeups bypass callback construction
+/// entirely (ScheduleResume). See DESIGN.md "Simulator core".
 class Simulator {
  public:
   Simulator() = default;
@@ -46,7 +45,7 @@ class Simulator {
   template <typename F>
   void ScheduleAt(SimTime t, F&& fn) {
     assert(t >= now_);
-    queue_.Push(t, next_seq_++, InlineEvent(std::forward<F>(fn)));
+    queue_.Push(t).Emplace(std::forward<F>(fn));
   }
 
   /// Coroutine fast path: resume `h` at now() + delay. Equivalent to
@@ -59,7 +58,7 @@ class Simulator {
   /// Coroutine fast path at absolute time t (t >= now()).
   void ScheduleResumeAt(SimTime t, std::coroutine_handle<> h) {
     assert(t >= now_);
-    queue_.Push(t, next_seq_++, InlineEvent::Resume(h));
+    queue_.Push(t).SetResume(h);
   }
 
   /// Runs until the event queue drains (or Stop() is called).
@@ -84,8 +83,8 @@ class Simulator {
   static constexpr SimTime kNoEvent = INT64_MAX;
 
   /// Timestamp of the earliest pending event, or kNoEvent when the queue is
-  /// empty. Non-const (the calendar queue may advance its cursor while
-  /// peeking); callers must be the owning thread or hold the shard barrier
+  /// empty. Non-const (the queue moves its scan hint while peeking);
+  /// callers must be the owning thread or hold the shard barrier
   /// (ShardedSimulator's coordinator peeks only while every shard is
   /// quiescent).
   SimTime NextEventTime() {
@@ -107,26 +106,27 @@ class Simulator {
   /// destroying coroutine frames that queued events may reference.
   void DiscardPending() { queue_.Clear(); }
 
-  /// Pre-sizes the event queue's internal storage (see EventQueue::Reserve)
-  /// so steady-state scheduling never touches the allocator.
-  void Reserve(size_t pending_events, size_t bucket_capacity) {
-    queue_.Reserve(pending_events, bucket_capacity);
-  }
+  /// Pre-allocates event nodes for `pending_events` simultaneously queued
+  /// events (see EventQueue::Reserve) so steady-state scheduling never
+  /// touches the allocator.
+  void Reserve(size_t pending_events) { queue_.Reserve(pending_events); }
 
  private:
   void Step() {
-    // The event is moved out of the queue before firing: fn may schedule
-    // new events (including at the current timestamp).
-    Event ev = queue_.PopMin();
+    // The event runs in its node: the node is unlinked, so fn may schedule
+    // new events (including at the current timestamp) and even discard
+    // every pending one; nodes never move, so fn stays valid meanwhile.
+    const uint32_t h = queue_.PopMin();
+    EventQueue::Node& ev = queue_.node(h);
     assert(ev.time >= now_);
     now_ = ev.time;
     ++executed_;
     ev.fn();
+    queue_.Release(h);
   }
 
   EventQueue queue_;
   SimTime now_ = 0;
-  uint64_t next_seq_ = 0;
   uint64_t executed_ = 0;
   bool stopped_ = false;
 };

@@ -1,4 +1,4 @@
-// Stress and determinism coverage for the calendar/ladder scheduling core.
+// Stress and determinism coverage for the timing-wheel scheduling core.
 //
 // The queue's contract — exact (time, seq) FIFO order under any interleaving
 // of Schedule / ScheduleAt / ScheduleResume — is load-bearing for the whole
@@ -7,6 +7,7 @@
 // correct std::priority_queue reference model and pin end-to-end
 // reproducibility at the Engine level.
 
+#include <algorithm>
 #include <coroutine>
 #include <cstdint>
 #include <queue>
@@ -25,14 +26,17 @@
 namespace p4db::sim {
 namespace {
 
-// Delays chosen to land on every tier of the calendar queue and straddle its
-// boundaries: the zero-delay FIFO lane, the current-bucket drain heap, the
-// rung-1 sub-buckets (512ns wide), the 1024-bucket ring, and the overflow
-// heap past the 1024 * 512ns = ~524us horizon.
+// Delays chosen to land on every level of the queue and straddle its
+// boundaries, measured from the fine window's base (exact for events
+// scheduled at time 0, shifted by up to a block later on): same-timestamp
+// appends, the 4096 ns coarse blocks, the 2^14 one-ns fine slots, the coarse
+// horizon (~8.4 ms) and the overflow heap past it, up to 100 ms.
+constexpr SimTime kHorizon = EventQueue::kCoarseHorizon;
 constexpr SimTime kBoundaryDelays[] = {
-    0,      0,      1,      3,       7,       64,        511,
-    512,    513,    1023,   1024,    4096,    262143,    262144,
-    524287, 524288, 524289, 1048576, 4194304, 100000000,
+    0,        0,        1,           3,           7,        64,
+    511,      512,      1023,        1024,        4095,     4096,
+    4097,     16383,    16384,       16385,       262144,   524288,
+    4194304,  kHorizon - 1, kHorizon, kHorizon + 1, 20000000, 100000000,
 };
 constexpr size_t kNumDelays = sizeof(kBoundaryDelays) / sizeof(SimTime);
 
@@ -252,12 +256,118 @@ TEST(SimulatorRunUntilTest, CleanDrainAdvancesToHorizon) {
 }
 
 // ---------------------------------------------------------------------------
-// DiscardPending drops everything from every tier in one call.
+// Scenario checks. Every event gets an id in scheduling order, so the queue
+// is correct iff the execution trace is sorted by (time, id) and complete.
+// ---------------------------------------------------------------------------
+struct Recorder {
+  Simulator* sim;
+  Trace trace;
+  uint64_t next_id = 0;
+
+  // Schedules a leaf event at absolute time t.
+  void At(SimTime t) {
+    const uint64_t id = next_id++;
+    sim->ScheduleAt(t, [this, id] { trace.emplace_back(sim->now(), id); });
+  }
+
+  void ExpectSortedAndComplete() const {
+    EXPECT_EQ(trace.size(), next_id);
+    EXPECT_TRUE(std::is_sorted(trace.begin(), trace.end()));
+  }
+};
+
+// Same-timestamp ties between events that reached the fine level by cascade
+// (from the coarse level or the overflow heap) and events inserted directly
+// once the window had moved: FIFO by insertion, every time.
+TEST(EventQueueLevelsTest, OneNsTiesBetweenCascadedAndDirectInserts) {
+  // Targets past the fine window, past the coarse horizon, and far enough
+  // that the queue jumps an empty stretch.
+  for (const SimTime target :
+       {SimTime{20000}, kHorizon + 5000, SimTime{30000000}}) {
+    Simulator sim;
+    Recorder rec{&sim, {}, 0};
+    // Far inserts at time 0: coarse or overflow.
+    for (SimTime dt = -1; dt <= 1; ++dt) rec.At(target + dt);
+    // Relays at shrinking distances re-insert at the same timestamps once
+    // the window has moved; the last relay runs at the target itself.
+    for (const SimTime d : {SimTime{kHorizon - 1}, SimTime{16385},
+                            SimTime{16384}, SimTime{12000}, SimTime{4097},
+                            SimTime{1}, SimTime{0}}) {
+      if (d > target) continue;
+      const uint64_t id = rec.next_id++;
+      sim.ScheduleAt(target - d, [&rec, &sim, id, target] {
+        rec.trace.emplace_back(sim.now(), id);
+        for (SimTime dt = -1; dt <= 1; ++dt) {
+          if (target + dt >= sim.now()) rec.At(target + dt);
+        }
+      });
+    }
+    sim.Run();
+    rec.ExpectSortedAndComplete();
+  }
+}
+
+// RunUntil can stop the clock past the last popped event (the cursor stays
+// behind now()) or short of the earliest pending one (the peek found it
+// ahead); pushes after either must still pop in (time, seq) order.
+TEST(EventQueueLevelsTest, PushesAfterRunUntilLeavesCursorBehindNow) {
+  Simulator sim;
+  Recorder rec{&sim, {}, 0};
+  rec.At(10);
+  rec.At(15000);                // fine level, peeked by RunUntil below
+  rec.At(100000);               // coarse level
+  rec.At(3 * kHorizon);         // overflow heap
+  sim.RunUntil(100);            // pops 10 only; clock at 100
+  EXPECT_EQ(sim.now(), 100);
+  rec.At(101);                  // below the peeked fine minimum
+  rec.At(15000);                // tie with a queued fine event
+  sim.RunUntil(60000);          // pops 101, 15000, 15000; clock at 60000
+  EXPECT_EQ(sim.now(), 60000);
+  for (const SimTime d : {SimTime{0}, SimTime{1}, SimTime{4096},
+                          SimTime{16384}, SimTime{40000}}) {
+    rec.At(sim.now() + d);      // cursor far behind: coarse, not fine
+  }
+  rec.At(100000);               // tie with a queued coarse event
+  sim.RunUntil(kHorizon);       // clock past everything but the overflow
+  rec.At(kHorizon);             // below the overflow minimum
+  rec.At(3 * kHorizon);         // tie with the overflow event
+  sim.Run();
+  rec.ExpectSortedAndComplete();
+  EXPECT_EQ(rec.trace.size(), 14u);
+}
+
+// A capture that counts its own destructions; moved-from copies don't count.
+struct Counted {
+  int* destroyed;
+  bool live = true;
+  unsigned char pad[24] = {};
+
+  Counted(int* d) : destroyed(d) {}
+  Counted(Counted&& o) noexcept : destroyed(o.destroyed), live(o.live) {
+    o.live = false;
+  }
+  ~Counted() {
+    if (live) ++*destroyed;
+  }
+  void operator()() const {}
+};
+// Past the inline capacity: the payload lives in a pooled block.
+struct BigCounted : Counted {
+  unsigned char more[64] = {};
+  using Counted::Counted;
+  BigCounted(BigCounted&&) noexcept = default;
+};
+static_assert(sizeof(Counted) <= InlineEvent::kInlineCapacity);
+static_assert(sizeof(BigCounted) > InlineEvent::kInlineCapacity);
+
+// ---------------------------------------------------------------------------
+// DiscardPending drops everything from every level in one call.
 // ---------------------------------------------------------------------------
 TEST(SimulatorDiscardTest, DiscardPendingClearsAllTiers) {
   Simulator sim;
   int fired = 0;
-  // One event per tier: zero-delay lane, near bucket, ring, overflow.
+  // One event per level: a busy fine slot, a later fine slot, coarse,
+  // overflow.
   sim.Schedule(0, [&fired] { ++fired; });
   sim.Schedule(3, [&fired] { ++fired; });
   sim.Schedule(100000, [&fired] { ++fired; });
@@ -272,6 +382,93 @@ TEST(SimulatorDiscardTest, DiscardPendingClearsAllTiers) {
   sim.Schedule(5, [&fired] { ++fired; });
   sim.Run();
   EXPECT_EQ(fired, 1);
+}
+
+// Payloads built in place are destroyed exactly once: by DiscardPending
+// when pending, after running otherwise, and never twice.
+TEST(SimulatorDiscardTest, InPlacePayloadsDestroyedExactlyOnce) {
+  int destroyed = 0;
+  {
+    Simulator sim;
+    int scheduled = 0;
+    for (const SimTime d : kBoundaryDelays) {
+      sim.Schedule(d, Counted(&destroyed));
+      sim.Schedule(d, BigCounted(&destroyed));
+      scheduled += 2;
+    }
+    EXPECT_EQ(destroyed, 0);
+    sim.RunUntil(1023);  // runs (and releases) the delays below 1024
+    const int ran = destroyed;
+    EXPECT_GT(ran, 0);
+    EXPECT_EQ(sim.pending_events(), static_cast<size_t>(scheduled - ran));
+    sim.DiscardPending();
+    EXPECT_EQ(destroyed, scheduled);
+    EXPECT_EQ(sim.pending_events(), 0u);
+  }
+  const int after_teardown = destroyed;
+
+  // Discarding from inside a running event leaves that event intact; it is
+  // released once it returns. Pending payloads are destroyed at teardown.
+  destroyed = 0;
+  {
+    Simulator sim;
+    int at_discard = -1;
+    struct Discarder : Counted {
+      Simulator* sim;
+      int* at_discard;
+      Discarder(int* d, Simulator* s, int* a)
+          : Counted(d), sim(s), at_discard(a) {}
+      Discarder(Discarder&&) noexcept = default;
+      void operator()() const {
+        sim->DiscardPending();
+        *at_discard = *destroyed;
+        ASSERT_TRUE(live);  // this payload is still in place
+      }
+    };
+    sim.Schedule(10, Discarder(&destroyed, &sim, &at_discard));
+    sim.Schedule(10, Counted(&destroyed));
+    sim.Schedule(50000, BigCounted(&destroyed));
+    sim.Run();
+    EXPECT_EQ(at_discard, 2);
+    EXPECT_EQ(destroyed, 3);
+    sim.Schedule(5, Counted(&destroyed));
+    sim.Schedule(kHorizon * 2, BigCounted(&destroyed));
+  }
+  EXPECT_EQ(destroyed, 5);
+  EXPECT_EQ(after_teardown, 2 * static_cast<int>(kNumDelays));
+}
+
+// A payload that schedules at its own timestamp while it runs in place: the
+// new events queue behind it in the same slot, the pool grows new chunks,
+// and the running payload's capture is untouched throughout.
+TEST(SimulatorInPlaceTest, PayloadSchedulesAtItsOwnTimestamp) {
+  Simulator sim;
+  std::vector<int> order;
+  struct Pattern {
+    Simulator* sim;
+    std::vector<int>* order;
+    uint64_t words[3];
+    void operator()() const {
+      order->push_back(0);
+      for (int i = 1; i <= 3000; ++i) {  // several 1024-node chunks
+        sim->Schedule(0, [o = order, i] { o->push_back(i); });
+      }
+      for (int w = 0; w < 3; ++w) {
+        EXPECT_EQ(words[w], 0x0123456789abcdefull * (w + 1));
+      }
+      EXPECT_EQ(sim->now(), 777);
+    }
+  };
+  static_assert(sizeof(Pattern) == InlineEvent::kInlineCapacity);
+  sim.Schedule(777, Pattern{&sim, &order,
+                            {0x0123456789abcdefull, 0x0123456789abcdefull * 2,
+                             0x0123456789abcdefull * 3}});
+  sim.Schedule(778, [&order] { order.push_back(-1); });
+  sim.Run();
+  ASSERT_EQ(order.size(), 3002u);
+  for (int i = 0; i <= 3000; ++i) EXPECT_EQ(order[i], i);
+  EXPECT_EQ(order.back(), -1);
+  EXPECT_EQ(sim.now(), 778);
 }
 
 // ---------------------------------------------------------------------------
