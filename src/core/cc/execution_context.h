@@ -121,8 +121,8 @@ struct ExecutionContext {
     return router != nullptr ? router->CurrentTracer() : *tracer;
   }
 
-  /// Awaitable network send. Legacy mode reproduces co_await net->Send
-  /// exactly (one ArrivalTime call, DelayAwaiter semantics); sharded mode
+  /// Awaitable network send. Legacy mode suspends until the message's
+  /// arrival (one ArrivalTime call, DelayAwaiter semantics); sharded mode
   /// migrates the coroutine to the destination's shard, resuming it there
   /// at the arrival time.
   struct SendAwaiter {
@@ -215,10 +215,7 @@ struct ExecutionContext {
         ctx->sim->ScheduleResume(legacy_delay, h);
         return;
       }
-      uint64_t mask = 0;
-      participants->ForEachReverse(
-          [&mask](NodeId p) { mask |= uint64_t{1} << p; });
-      ctx->router->MulticastCommit(self, bytes, txn_id, mask,
+      ctx->router->MulticastCommit(self, bytes, txn_id, *participants,
                                    *ctx->lock_managers, h);
     }
     void await_resume() const noexcept {}

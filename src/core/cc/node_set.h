@@ -26,6 +26,12 @@ class NodeSet {
     ids_.push_back(n);
   }
   bool empty() const { return ids_.empty(); }
+  bool contains(NodeId n) const {
+    for (NodeId have : ids_) {
+      if (have == n) return true;
+    }
+    return false;
+  }
 
   /// Applies `fn` to every node in reverse insertion order.
   template <typename Fn>

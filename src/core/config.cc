@@ -2,8 +2,6 @@
 
 #include <string>
 
-#include "net/topology.h"
-
 namespace p4db::core {
 
 const char* EngineModeName(EngineMode mode) {
@@ -122,17 +120,14 @@ Status ValidateConfig(const SystemConfig& config) {
                     "requires the P4DB mode; ") +
         EngineModeName(config.mode) + " sends none through the pipeline");
   }
-  if (config.network.num_switches != 1 &&
-      config.network.num_switches != config.num_switches) {
+  if (config.network.node_to_switch_one_way <= 0 ||
+      (config.num_switches > 1 &&
+       config.network.switch_to_switch_one_way <= 0)) {
     return Status::InvalidArgument(
-        "network.num_switches disagrees with num_switches; leave the "
-        "network field at 1 and let the Engine mirror the top-level knob");
+        "link propagation delays must be positive (the sharded runtime's "
+        "lookahead is the smallest of them)");
   }
-  // Cross-check the implied wiring itself.
-  net::NetworkConfig net = config.network;
-  net.num_nodes = config.num_nodes;
-  net.num_switches = config.num_switches;
-  return net::Topology::Star(net).Validate();
+  return Status::Ok();
 }
 
 }  // namespace p4db::core

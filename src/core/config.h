@@ -147,7 +147,7 @@ struct SystemConfig {
   /// baseline. >= 2 enables primary-backup replication: the primary
   /// forwards per-slot replication records to its chain successor, and a
   /// primary crash costs an epoch-fenced view change instead of a dark
-  /// period. Mirrored into network.num_switches by the Engine.
+  /// period.
   uint16_t num_switches = 1;
 
   /// Execution runtime. 0 (default) = the legacy single event queue, the

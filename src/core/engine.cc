@@ -19,8 +19,6 @@ namespace {
 constexpr uint64_t kWorkerStream = 0x9e3779b97f4a7c15ULL;
 
 SystemConfig Normalize(SystemConfig config) {
-  config.network.num_nodes = config.num_nodes;
-  config.network.num_switches = config.num_switches;
   // Resolve the open-loop session-pool default here so everything
   // downstream (spawning, reserves, benches) sees one concrete value.
   if (config.open_loop.sessions_per_node == 0) {
@@ -34,7 +32,8 @@ SystemConfig Normalize(SystemConfig config) {
 Engine::Engine(const SystemConfig& config)
     : config_(Normalize(config)),
       sharded_(config_.threads > 0),
-      net_(&sim_, config_.network, &registry_),
+      net_(&sim_, config_.network, config_.num_nodes, config_.num_switches,
+           &registry_),
       catalog_(std::make_unique<db::Catalog>(config_.num_nodes)),
       pm_(catalog_.get(), &config_.pipeline),
       node_crashed_(config_.num_nodes, false),
@@ -69,9 +68,8 @@ Engine::Engine(const SystemConfig& config)
       shard_registries.push_back(&es->registry);
       eshards_.push_back(std::move(es));
     }
-    router_ = std::make_unique<ShardRouter>(ssim_.get(), config_.network,
-                                            std::move(shard_tracers),
-                                            shard_registries);
+    router_ = std::make_unique<ShardRouter>(ssim_.get(), &net_,
+                                            shard_tracers, shard_registries);
   }
 
   // Under OCC the lock manager only serves short validation-phase locks;

@@ -1,9 +1,7 @@
 #ifndef P4DB_CORE_SHARD_ROUTER_H_
 #define P4DB_CORE_SHARD_ROUTER_H_
 
-#include <algorithm>
 #include <cassert>
-#include <cmath>
 #include <coroutine>
 #include <cstdint>
 #include <memory>
@@ -12,8 +10,8 @@
 #include "common/metrics_registry.h"
 #include "common/trace.h"
 #include "common/types.h"
+#include "core/cc/node_set.h"
 #include "db/lock_manager.h"
-#include "net/fault_injector.h"
 #include "net/network.h"
 #include "sim/sharded_simulator.h"
 
@@ -24,71 +22,68 @@ namespace p4db::core {
 /// In sharded mode every database node (and the switch) is one
 /// ShardedSimulator shard, and a coroutine always executes on the shard
 /// whose state it is touching. A network send therefore does two things at
-/// once: it models the wire (link occupancy, serialization, propagation,
-/// injected faults — mirroring net::Network::ArrivalTime) and it MIGRATES
-/// the sending coroutine to the destination shard, resuming it there at the
-/// arrival time. Awaiting a lock grant or a switch-pipeline future then
-/// resolves on the shard that owns the lock manager / pipeline, which is
-/// exactly where the promise's ScheduleResume lands.
+/// once: it runs net::Network's wire legs and it MIGRATES the sending
+/// coroutine to the destination shard, resuming it there at the arrival
+/// time. Awaiting a lock grant or a switch-pipeline future then resolves on
+/// the shard that owns the lock manager / pipeline, which is exactly where
+/// the promise's ScheduleResume lands.
 ///
-/// Link-state ownership follows the shard map: node n's uplink and host
-/// receive path live on shard n; the per-node switch downlinks live on the
-/// switch shard. The sender leg (egress link + flight) is computed on the
-/// sending shard; the receiver leg (rx service) is computed by the mailbox
-/// record when it executes on the destination shard. Timing matches the
-/// legacy single-simulator Network except for one documented deviation:
-/// node->node messages fly point to point in 2x one_way without contending
-/// for the switch downlink (routing them through the switch shard would
-/// add a third hop the legacy model doesn't have).
+/// The router owns no link state and no counters: the Network holds the
+/// links, split the way the shards own them (node n's uplink and receive
+/// path on shard n, switch k's downlinks on switch k's shard), and each
+/// shard sends through its own Network::Port (its registry's net.*
+/// counters, its fault injector, its tracer). The sender leg
+/// (Network::Depart) runs on the sending shard; the receiver leg
+/// (Network::Receive) runs in the mailbox record when it executes on the
+/// destination shard at the flight arrival. Timing matches the legacy
+/// Network::ArrivalTime except for one documented deviation: a node->node
+/// frame flies point to point in 2x one_way. It skips switch 0's downlink
+/// entirely: no serialization onto it and no queueing behind other frames
+/// on it (routing it through the switch shard would add a third hop the
+/// legacy model doesn't have). Where the destination's receive path is
+/// idle, a node->node frame therefore arrives earlier than under the
+/// legacy model by exactly one serialization plus that downlink's
+/// queueing.
 ///
 /// All mailbox-record lambdas must fit InlineEvent's inline capacity; the
 /// capture sets below are sized for that (<= 40 bytes).
 class ShardRouter {
  public:
-  /// `injectors` / `tracers` / `registries` are per-shard, indexed by shard
-  /// id (node id, switch last); injector entries may be null (lossless).
-  ShardRouter(sim::ShardedSimulator* ssim, const net::NetworkConfig& config,
-              std::vector<trace::Tracer*> tracers,
+  /// `tracers` / `registries` are per-shard, indexed by shard id (node id,
+  /// switch last); each shard's Network::Port counts and traces into them.
+  ShardRouter(sim::ShardedSimulator* ssim, net::Network* net,
+              const std::vector<trace::Tracer*>& tracers,
               const std::vector<MetricsRegistry*>& registries)
       : ssim_(ssim),
-        config_(config),
-        tracers_(std::move(tracers)),
-        injectors_(ssim->num_shards(), nullptr),
-        batch_arrival_slot_(config.num_nodes, 0),
-        uplink_busy_(config.num_nodes, 0),
-        rx_busy_(config.num_nodes, 0),
-        downlink_busy_(
-            static_cast<size_t>(config.num_switches) * config.num_nodes, 0) {
-    assert(ssim_->num_shards() ==
-           uint32_t{config_.num_nodes} + config_.num_switches);
-    assert(tracers_.size() == ssim_->num_shards());
+        net_(net),
+        num_nodes_(net->num_nodes()),
+        batch_arrival_slot_(num_nodes_, 0) {
+    assert(tracers.size() == ssim_->num_shards());
     assert(registries.size() == ssim_->num_shards());
-    for (MetricsRegistry* reg : registries) {
-      messages_sent_.push_back(&reg->counter("net.messages_sent"));
-      bytes_sent_.push_back(&reg->counter("net.bytes_sent"));
-      batches_sent_.push_back(&reg->counter("net.batches_sent"));
-      batched_txns_.push_back(&reg->counter("net.batched_txns"));
+    ports_.reserve(ssim_->num_shards());
+    for (uint32_t s = 0; s < ssim_->num_shards(); ++s) {
+      ports_.emplace_back(*registries[s], tracers[s]);
     }
   }
   ShardRouter(const ShardRouter&) = delete;
   ShardRouter& operator=(const ShardRouter&) = delete;
 
   /// Shard of switch 0; switch k lives on shard num_nodes + k.
-  uint32_t switch_shard() const { return config_.num_nodes; }
+  uint32_t switch_shard() const { return num_nodes_; }
   uint32_t ShardOf(net::Endpoint ep) const {
     return ep.is_switch() ? switch_shard() + ep.switch_id() : ep.index;
   }
 
   sim::Simulator& CurrentSim() { return ssim_->CurrentSim(); }
   trace::Tracer& CurrentTracer() {
-    return *tracers_[ssim_->current_shard()];
+    return *ports_[ssim_->current_shard()].tracer;
   }
   bool OnShardOf(NodeId node) const {
     return ssim_->current_shard() == node;
   }
 
   void set_fault_injector(uint32_t shard, net::FaultInjector* injector) {
-    injectors_[shard] = injector;
+    ports_[shard].injector = injector;
   }
 
   /// Batched egress flush (EgressBatcher): reserves `from`'s egress link
@@ -104,12 +99,10 @@ class ShardRouter {
   void BatchSend(net::Endpoint from, net::Endpoint to, uint32_t bytes,
                  uint32_t count, uint64_t label,
                  const std::coroutine_handle<>* handles) {
-    const uint32_t s = ssim_->current_shard();
-    batches_sent_[s]->Increment();
-    batched_txns_[s]->Increment(count);
+    ports_[ssim_->current_shard()].CountBatch(count);
     const SimTime begin = CurrentSim().now();
     const uint16_t track = from.index;
-    const SimTime flight = Depart(from, to, bytes, label, track);
+    const SimTime flight = Depart(from, to, bytes, label);
     const uint32_t dst_shard = ShardOf(to);
     if (to.is_switch()) {
       ssim_->Post(dst_shard, flight,
@@ -146,14 +139,15 @@ class ShardRouter {
   }
 
   /// Suspends the caller and resumes it on `to`'s shard at the message's
-  /// arrival time (sharded equivalent of co_await Network::Send).
+  /// arrival time (sharded equivalent of ExecutionContext::SendMsg's
+  /// legacy path).
   void SendAndMigrate(net::Endpoint from, net::Endpoint to, uint32_t bytes,
                       uint64_t txn_id, std::coroutine_handle<> h) {
     const SimTime begin = CurrentSim().now();
     // A switch endpoint's index doubles as its trace track (switch 0 ==
     // trace::kSwitchTrack), so `from.index` covers both cases.
     const uint16_t track = from.index;
-    const SimTime flight_arrive = Depart(from, to, bytes, txn_id, track);
+    const SimTime flight_arrive = Depart(from, to, bytes, txn_id);
     ssim_->Post(ShardOf(to), flight_arrive,
                 [this, ha = h.address(), begin, txn_id, track,
                  dst = to.index] {
@@ -185,23 +179,21 @@ class ShardRouter {
   /// node's downlink on the switch shard in ascending node order (exactly
   /// like Network::MulticastFromSwitch), then posts one record per node.
   /// At its arrival (after the rx leg, computed on the node's shard) the
-  /// record releases `txn_id`'s locks when the node's bit is set in
-  /// `participant_mask`, and resumes `h` on node `self`. Must be called
-  /// from the switch shard; num_nodes must fit the mask.
+  /// record releases `txn_id`'s locks when the node is in `participants`,
+  /// and resumes `h` on node `self`. Must be called from the switch shard.
   void MulticastCommit(
-      NodeId self, uint32_t bytes, uint64_t txn_id, uint64_t participant_mask,
+      NodeId self, uint32_t bytes, uint64_t txn_id,
+      const cc::NodeSet& participants,
       const std::vector<std::unique_ptr<db::LockManager>>& lock_managers,
       std::coroutine_handle<> h) {
     assert(ssim_->current_shard() >= switch_shard());
-    assert(config_.num_nodes <= 64);
     const uint16_t sw_id =
         static_cast<uint16_t>(ssim_->current_shard() - switch_shard());
     const net::Endpoint sw_ep = net::Endpoint::Switch(sw_id);
     const SimTime begin = CurrentSim().now();
-    for (uint16_t n = 0; n < config_.num_nodes; ++n) {
+    for (uint16_t n = 0; n < num_nodes_; ++n) {
       // Legacy MulticastFromSwitch labels every hop txn 0 (unattributed).
-      const SimTime flight = Depart(sw_ep, net::Endpoint::Node(n), bytes, 0,
-                                    sw_ep.index);
+      const SimTime flight = Depart(sw_ep, net::Endpoint::Node(n), bytes, 0);
       if (n == self) {
         ssim_->Post(n, flight,
                     [this, ha = h.address(), begin, n, tr = sw_ep.index] {
@@ -210,7 +202,7 @@ class ShardRouter {
                                       std::coroutine_handle<>::from_address(
                                           ha));
         });
-      } else if ((participant_mask >> n) & 1) {
+      } else if (participants.contains(n)) {
         db::LockManager* lm = lock_managers[n].get();
         ssim_->Post(n, flight,
                     [this, lm, txn_id, begin, n, tr = sw_ep.index] {
@@ -231,69 +223,29 @@ class ShardRouter {
   }
 
  private:
-  /// Sender-side half of Network::ArrivalTime: counters, injected faults,
-  /// egress-link reservation, serialization, propagation. Returns the
-  /// flight arrival time at the destination (before any rx leg). Runs on
-  /// the sending shard.
+  /// Network's sender leg on the current shard's port, plus the router's
+  /// one timing rule: a node->node frame flies a second propagation hop
+  /// point to point (see class comment). Returns the flight arrival time at
+  /// the destination, before any rx leg.
   SimTime Depart(net::Endpoint from, net::Endpoint to, uint32_t bytes,
-                 uint64_t txn_id, uint16_t track) {
+                 uint64_t txn_id) {
     const uint32_t s = ssim_->current_shard();
     assert(s == ShardOf(from));
-    sim::Simulator& sim = ssim_->shard(s);
-    messages_sent_[s]->Increment();
-    bytes_sent_[s]->Increment(bytes);
-
-    SimTime injected_delay = 0;
-    bool injected_dup = false;
-    if (net::FaultInjector* inj = injectors_[s]; inj != nullptr) {
-      const net::FaultInjector::Perturbation p = inj->OnSend(from, to);
-      injected_delay = p.extra_delay;
-      injected_dup = p.duplicate;
-      trace::Tracer* tracer = tracers_[s];
-      if (tracer->enabled()) {
-        if (p.dropped) {
-          tracer->Instant(trace::Category::kNetDrop, txn_id, track,
-                          to.index);
-        }
-        if (p.duplicate) {
-          tracer->Instant(trace::Category::kNetDup, txn_id, track,
-                          to.index);
-        }
-        if (p.delay_spiked) {
-          tracer->Instant(trace::Category::kNetDelaySpike, txn_id, track,
-                          to.index);
-        }
-      }
-    }
-
-    const SimTime ser = static_cast<SimTime>(
-        std::llround(static_cast<double>(bytes) * config_.ns_per_byte));
-    const SimTime start = sim.now() + config_.send_overhead + injected_delay;
-    SimTime* link =
-        from.is_switch()
-            ? &downlink_busy_[static_cast<size_t>(from.switch_id()) *
-                                  config_.num_nodes +
-                              to.index]
-            : &uplink_busy_[from.index];
-    const SimTime depart = std::max(start, *link) + ser;
-    *link = depart + (injected_dup ? ser : 0);
-    // Direct point-to-point flight; node->node skips the switch shard (see
-    // class comment) but still pays both propagation hops.
-    const int hops = (from.is_switch() || to.is_switch()) ? 1 : 2;
-    return depart + hops * config_.node_to_switch_one_way;
+    SimTime ser = 0;
+    const SimTime flight = net_->Depart(ports_[s], from, to, bytes, txn_id,
+                                        ssim_->shard(s).now(), &ser);
+    if (from.is_switch() || to.is_switch()) return flight;
+    return flight + net_->config().node_to_switch_one_way;
   }
 
-  /// Receiver-side rx-path reservation for node `n`; runs on shard n at the
-  /// flight arrival time. Emits the net_send span (receiver-shard ring, the
-  /// original sender's track) and returns the post-rx arrival time.
+  /// Receiver leg for node `n`; runs on shard n at the flight arrival time.
+  /// Emits the net_send span (receiver-shard ring, the original sender's
+  /// track) and returns the post-rx arrival time.
   SimTime RxLeg(uint16_t n, SimTime begin, uint64_t txn_id = 0,
                 uint16_t track = trace::kSwitchTrack) {
-    sim::Simulator& sim = CurrentSim();
-    SimTime& rx = rx_busy_[n];
-    const SimTime arrive = std::max(sim.now(), rx) + config_.rx_service;
-    rx = arrive;
-    tracers_[n]->CompleteSpan(begin, arrive, trace::Category::kNetSend,
-                              txn_id, track, 0, 0, n);
+    const SimTime arrive = net_->Receive(n, CurrentSim().now());
+    ports_[n].tracer->CompleteSpan(begin, arrive, trace::Category::kNetSend,
+                                   txn_id, track, 0, 0, n);
     return arrive;
   }
 
@@ -303,7 +255,7 @@ class ShardRouter {
     const auto h = std::coroutine_handle<>::from_address(ha);
     if (dst >= net::Endpoint::kSwitchBase) {
       // Switches receive at line rate: arrival == flight arrival.
-      tracers_[ShardOf(net::Endpoint{dst})]->CompleteSpan(
+      ports_[ShardOf(net::Endpoint{dst})].tracer->CompleteSpan(
           begin, sim.now(), trace::Category::kNetSend, txn_id, track, 0, 0,
           dst);
       h.resume();
@@ -314,23 +266,13 @@ class ShardRouter {
   }
 
   sim::ShardedSimulator* ssim_;
-  const net::NetworkConfig config_;
-  std::vector<trace::Tracer*> tracers_;             // per shard
-  std::vector<net::FaultInjector*> injectors_;      // per shard, may be null
-  std::vector<MetricsRegistry::Counter*> messages_sent_;  // per shard
-  std::vector<MetricsRegistry::Counter*> bytes_sent_;     // per shard
-  std::vector<MetricsRegistry::Counter*> batches_sent_;   // per shard
-  std::vector<MetricsRegistry::Counter*> batched_txns_;   // per shard
+  net::Network* net_;  // link state and the wire formula
+  const uint16_t num_nodes_;
+  std::vector<net::Network::Port> ports_;  // per shard
   /// Per destination node: the post-rx arrival of the batch frame currently
   /// being delivered there; written by the lead member's record, read by
   /// the followers posted right behind it. Owned by the destination shard.
   std::vector<SimTime> batch_arrival_slot_;
-  // Link state, touched only by the owning shard's thread (or by globals
-  // with every shard quiescent): uplink/rx of node n on shard n, switch k's
-  // per-node downlinks (k * num_nodes + n) on switch k's shard.
-  std::vector<SimTime> uplink_busy_;
-  std::vector<SimTime> rx_busy_;
-  std::vector<SimTime> downlink_busy_;
 };
 
 }  // namespace p4db::core

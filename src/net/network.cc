@@ -8,43 +8,31 @@
 
 namespace p4db::net {
 
+Network::Port::Port(MetricsRegistry& reg, trace::Tracer* tracer)
+    : messages_sent(&reg.counter("net.messages_sent")),
+      bytes_sent(&reg.counter("net.bytes_sent")),
+      batches_sent(&reg.counter("net.batches_sent")),
+      batched_txns(&reg.counter("net.batched_txns")),
+      tracer(tracer) {}
+
 Network::Network(sim::Simulator* sim, const NetworkConfig& config,
+                 uint16_t num_nodes, uint16_t num_switches,
                  MetricsRegistry* metrics)
     : sim_(sim),
       config_(config),
-      link_busy_until_(static_cast<size_t>(config.num_nodes) * 3, 0),
-      extra_downlink_busy_(
-          config.num_switches > 1
-              ? static_cast<size_t>(config.num_switches - 1) * config.num_nodes
-              : 0,
-          0),
-      inter_switch_busy_(config.num_switches, 0) {
-  MetricsRegistry& reg =
-      MetricsRegistry::GivenOrOwned(metrics, &owned_metrics_);
-  messages_sent_ = &reg.counter("net.messages_sent");
-  bytes_sent_ = &reg.counter("net.bytes_sent");
-  batches_sent_ = &reg.counter("net.batches_sent");
-  batched_txns_ = &reg.counter("net.batched_txns");
-}
+      num_nodes_(num_nodes),
+      uplink_busy_(num_nodes, 0),
+      rx_busy_(num_nodes, 0),
+      downlink_busy_(static_cast<size_t>(num_switches) * num_nodes, 0),
+      port_(MetricsRegistry::GivenOrOwned(metrics, &owned_metrics_)) {}
 
-SimTime Network::PropagationDelay(Endpoint from, Endpoint to) const {
-  if (from == to) return 0;
-  if (from.is_switch() && to.is_switch()) {
-    return config_.switch_to_switch_one_way;
-  }
-  const int hops = (from.is_switch() || to.is_switch()) ? 1 : 2;
-  return hops * config_.node_to_switch_one_way;
-}
-
-SimTime Network::ArrivalTime(Endpoint from, Endpoint to, uint32_t bytes,
-                             uint64_t txn_id) {
-  if (from == to) return sim_->now();
-  messages_sent_->Increment();
-  bytes_sent_->Increment(bytes);
-  // A node's trace track is its id; switch k's track is its endpoint index
-  // 0xFFFF - k (switch 0 == trace::kSwitchTrack), so the sender index IS
-  // the track for every endpoint kind.
-  const uint16_t track = from.index;
+SimTime Network::Depart(Port& port, Endpoint from, Endpoint to,
+                        uint32_t bytes, uint64_t txn_id, SimTime now,
+                        SimTime* ser) {
+  assert(!(from.is_switch() && to.is_switch()) &&
+         "switch->switch frames ride SwitchController's replication link");
+  port.messages_sent->Increment();
+  port.bytes_sent->Increment(bytes);
 
   // Injected link faults: a drop costs the transport one retransmit delay
   // before the frame successfully serializes, a delay spike stalls it in a
@@ -53,71 +41,64 @@ SimTime Network::ArrivalTime(Endpoint from, Endpoint to, uint32_t bytes,
   // is modeled at the failure boundary (switch reboot + epoch fencing).
   SimTime injected_delay = 0;
   bool injected_dup = false;
-  if (fault_injector_ != nullptr) {
-    const FaultInjector::Perturbation p = fault_injector_->OnSend(from, to);
+  if (port.injector != nullptr) {
+    const FaultInjector::Perturbation p = port.injector->OnSend(from, to);
     injected_delay = p.extra_delay;
     injected_dup = p.duplicate;
-    if (tracer_->enabled()) {
+    trace::Tracer* tracer = port.tracer;
+    if (tracer->enabled()) {
+      // A node's trace track is its id; switch k's track is its endpoint
+      // index 0xFFFF - k (switch 0 == trace::kSwitchTrack), so the sender
+      // index IS the track for every endpoint kind.
+      const uint16_t track = from.index;
       if (p.dropped) {
-        tracer_->Instant(trace::Category::kNetDrop, txn_id, track, to.index);
+        tracer->Instant(trace::Category::kNetDrop, txn_id, track, to.index);
       }
       if (p.duplicate) {
-        tracer_->Instant(trace::Category::kNetDup, txn_id, track, to.index);
+        tracer->Instant(trace::Category::kNetDup, txn_id, track, to.index);
       }
       if (p.delay_spiked) {
-        tracer_->Instant(trace::Category::kNetDelaySpike, txn_id, track,
-                         to.index);
+        tracer->Instant(trace::Category::kNetDelaySpike, txn_id, track,
+                        to.index);
       }
     }
   }
 
-  const SimTime ser = static_cast<SimTime>(
+  *ser = static_cast<SimTime>(
       std::llround(static_cast<double>(bytes) * config_.ns_per_byte));
-  const SimTime start = sim_->now() + config_.send_overhead + injected_delay;
+  const SimTime start = now + config_.send_overhead + injected_delay;
+  SimTime& link = from.is_switch() ? DownlinkBusy(from.switch_id(), to.index)
+                                   : uplink_busy_[from.index];
+  const SimTime depart = std::max(start, link) + *ser;
+  link = depart + (injected_dup ? *ser : 0);
+  return depart + config_.node_to_switch_one_way;
+}
 
-  // First hop egress link.
-  SimTime* first_link = nullptr;
-  SimTime first_hop = config_.node_to_switch_one_way;
-  if (!from.is_switch()) {
-    first_link = &UplinkBusy(from.index);
-  } else if (to.is_switch()) {
-    // Inter-switch replication link: dedicated egress port per switch, one
-    // propagation hop, no host receive path at the far end (the peer
-    // switch ingests at line rate like any other pipeline arrival).
-    first_link = &InterSwitchBusy(from.switch_id());
-    first_hop = config_.switch_to_switch_one_way;
-  } else {
-    first_link = &DownlinkBusy(from.switch_id(), to.index);
-  }
-  const SimTime depart = std::max(start, *first_link) + ser;
-  *first_link = depart + (injected_dup ? ser : 0);
-
-  SimTime arrive = depart + first_hop;
+SimTime Network::ArrivalTime(Endpoint from, Endpoint to, uint32_t bytes,
+                             uint64_t txn_id) {
+  const SimTime now = sim_->now();
+  if (from == to) return now;
+  SimTime ser = 0;
+  SimTime arrive = Depart(port_, from, to, bytes, txn_id, now, &ser);
   if (!from.is_switch() && !to.is_switch()) {
     // Second hop: switch downlink to the destination node. Node-to-node
     // frames always transit switch 0's forwarding plane — plain L2
-    // forwarding survives a pipeline reboot (PR 3's degraded mode already
-    // depends on that), so routing does not follow the hot-tuple primary.
+    // forwarding survives a pipeline reboot (degraded mode depends on
+    // that), so routing does not follow the hot-tuple primary.
     SimTime& down = DownlinkBusy(0, to.index);
-    const SimTime depart2 = std::max(arrive, down) + ser;
-    down = depart2;
-    arrive = depart2 + config_.node_to_switch_one_way;
+    down = std::max(arrive, down) + ser;
+    arrive = down + config_.node_to_switch_one_way;
   }
-  if (!to.is_switch()) {
-    // Host receive path (serialized per node).
-    SimTime& rx = RxBusy(to.index);
-    arrive = std::max(arrive, rx) + config_.rx_service;
-    rx = arrive;
-  }
-  tracer_->CompleteSpan(sim_->now(), arrive, trace::Category::kNetSend,
-                        txn_id, track, 0, 0, to.index);
+  if (!to.is_switch()) arrive = Receive(to.index, arrive);
+  port_.tracer->CompleteSpan(now, arrive, trace::Category::kNetSend, txn_id,
+                             from.index, 0, 0, to.index);
   return arrive;
 }
 
 SmallVector<SimTime, 16> Network::MulticastFromSwitch(uint32_t bytes,
                                                       uint16_t switch_id) {
-  SmallVector<SimTime, 16> arrivals(config_.num_nodes);
-  for (uint16_t n = 0; n < config_.num_nodes; ++n) {
+  SmallVector<SimTime, 16> arrivals(num_nodes_);
+  for (uint16_t n = 0; n < num_nodes_; ++n) {
     arrivals[n] =
         ArrivalTime(Endpoint::Switch(switch_id), Endpoint::Node(n), bytes);
   }

@@ -1,6 +1,7 @@
 #ifndef P4DB_NET_NETWORK_H_
 #define P4DB_NET_NETWORK_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -42,11 +43,6 @@ struct Endpoint {
 };
 
 struct NetworkConfig {
-  uint16_t num_nodes = 8;
-  /// Number of programmable switches in the rack. 1 reproduces the classic
-  /// star exactly; >= 2 adds per-switch downlink ports and an inter-switch
-  /// replication link between each switch and its successor.
-  uint16_t num_switches = 1;
   /// One-way propagation latency between a node and the ToR switch. All
   /// node<->node traffic traverses the switch, so a node<->node one-way
   /// trip costs 2x this — the paper's "switch reachable in half the
@@ -63,14 +59,16 @@ struct NetworkConfig {
   /// receives at line rate.
   SimTime rx_service = 500 * kNanosecond;
   /// One-way propagation latency between two switches (the replication
-  /// link). Same rack, so same wire length as a node<->switch hop by
-  /// default; kept separate so asymmetric topologies stay expressible.
+  /// link SwitchController models). Same rack, so same wire length as a
+  /// node<->switch hop by default; kept separate so asymmetric racks stay
+  /// expressible.
   SimTime switch_to_switch_one_way = 2500 * kNanosecond;
 };
 
 class FaultInjector;
 
-/// Star-topology rack network: N nodes, one ToR switch in the middle.
+/// Star-topology rack network: N nodes under K switches; every node is
+/// wired to every switch.
 ///
 /// Models per-endpoint egress-link occupancy (messages serialize onto a
 /// link one after another) plus propagation latency. Deterministic; by
@@ -78,33 +76,69 @@ class FaultInjector;
 /// overflow, which is modeled in switchsim, not here). An optional
 /// FaultInjector perturbs sends with retransmit delays, duplicates, and
 /// delay spikes — still fully deterministic from (seed, FaultSchedule).
+///
+/// The wire is modeled as two legs that both runtimes share. Depart is the
+/// sender's leg: egress link, serialization, one propagation hop. Receive
+/// is the destination host's receive path. The legacy runtime composes
+/// them in ArrivalTime; the sharded runtime's ShardRouter runs each leg on
+/// the shard that owns its link state: node n's uplink and receive path on
+/// shard n, switch k's downlinks on switch k's shard.
 class Network {
  public:
-  /// `metrics` is the cluster-wide registry the network publishes its
-  /// counters into ("net.messages_sent", "net.bytes_sent"); when null the
-  /// network owns a private registry so standalone use keeps working.
+  /// One sender's attachment to the wire: the four net.* counters, the
+  /// optional fault source and the tracer that sends count, draw and trace
+  /// into. The legacy runtime has one port; the sharded runtime one per
+  /// shard, bound to that shard's registry and tracer.
+  struct Port {
+    explicit Port(MetricsRegistry& reg,
+                  trace::Tracer* tracer = &trace::Tracer::Disabled());
+
+    void CountBatch(uint32_t num_txns) {
+      batches_sent->Increment();
+      batched_txns->Increment(num_txns);
+    }
+
+    MetricsRegistry::Counter* messages_sent;
+    MetricsRegistry::Counter* bytes_sent;
+    MetricsRegistry::Counter* batches_sent;
+    MetricsRegistry::Counter* batched_txns;
+    FaultInjector* injector = nullptr;  // unowned; null = lossless
+    trace::Tracer* tracer;              // unowned, never null
+  };
+
+  /// `metrics` is the cluster-wide registry the network's own port
+  /// publishes its counters into ("net.messages_sent", "net.bytes_sent",
+  /// ...); when null the network owns a private registry so standalone use
+  /// keeps working.
   Network(sim::Simulator* sim, const NetworkConfig& config,
+          uint16_t num_nodes, uint16_t num_switches = 1,
           MetricsRegistry* metrics = nullptr);
 
-  /// One-way latency between endpoints, excluding serialization/queueing.
-  SimTime PropagationDelay(Endpoint from, Endpoint to) const;
+  /// Sender leg, charged to `port`: counters, injected faults, egress-link
+  /// reservation, serialization and one propagation hop, for a frame
+  /// handed to the stack at `now`. Returns the arrival at the far end of
+  /// that hop (the switch, or the node for switch->node). Stores the
+  /// frame's serialization time in `*ser`. Switch->switch frames are not
+  /// carried here (SwitchController models the replication link).
+  SimTime Depart(Port& port, Endpoint from, Endpoint to, uint32_t bytes,
+                 uint64_t txn_id, SimTime now, SimTime* ser);
 
-  /// Computes the arrival time of a message sent now and reserves egress
-  /// link capacity. Pure timing: the caller delivers the payload itself
-  /// (everything is shared memory inside the simulator). `txn_id` only
-  /// labels the hop in the trace; 0 means unattributed.
+  /// Receiver leg: node `node`'s host receive path, serialized per node,
+  /// for a frame that reaches the node at `at`. Returns when the frame is
+  /// delivered to the host.
+  SimTime Receive(uint16_t node, SimTime at) {
+    SimTime& rx = rx_busy_[node];
+    rx = std::max(at, rx) + config_.rx_service;
+    return rx;
+  }
+
+  /// Computes the arrival time of a message sent now and reserves link
+  /// capacity: Depart, then (node->node) switch 0's downlink hop, then
+  /// Receive at a node destination. Pure timing: the caller delivers the
+  /// payload itself (everything is shared memory inside the simulator).
+  /// `txn_id` only labels the hop in the trace; 0 means unattributed.
   SimTime ArrivalTime(Endpoint from, Endpoint to, uint32_t bytes,
                       uint64_t txn_id = 0);
-
-  /// Awaitable convenience: suspends the calling coroutine until the
-  /// message would arrive at `to`. Rides the simulator's ScheduleResume
-  /// fast path (via DelayAwaiter): one Send is one inline queue entry, no
-  /// callback allocation.
-  sim::DelayAwaiter Send(Endpoint from, Endpoint to, uint32_t bytes,
-                         uint64_t txn_id = 0) {
-    return sim::DelayAwaiter(
-        sim_, ArrivalTime(from, to, bytes, txn_id) - sim_->now());
-  }
 
   /// Arrival times of a switch multicast to every node (Figure 10: the
   /// switch broadcasts the commit decision). Egress occupancy is per
@@ -120,55 +154,46 @@ class Network {
   /// counters.
   SimTime BatchArrivalTime(Endpoint from, Endpoint to, uint32_t bytes,
                            uint32_t num_txns, uint64_t txn_id = 0) {
-    batches_sent_->Increment();
-    batched_txns_->Increment(num_txns);
+    port_.CountBatch(num_txns);
     return ArrivalTime(from, to, bytes, txn_id);
   }
 
   const NetworkConfig& config() const { return config_; }
-  uint64_t messages_sent() const { return messages_sent_->value(); }
-  uint64_t bytes_sent() const { return bytes_sent_->value(); }
+  uint16_t num_nodes() const { return num_nodes_; }
+  uint64_t messages_sent() const { return port_.messages_sent->value(); }
+  uint64_t bytes_sent() const { return port_.bytes_sent->value(); }
 
-  /// Attaches (or detaches, with nullptr) a deterministic fault source.
-  /// The network stays on the lossless fast path while unset: a single
-  /// pointer check per send, no RNG draws, no timing change.
+  /// Attaches (or detaches, with nullptr) a deterministic fault source to
+  /// the network's own port. The network stays on the lossless fast path
+  /// while unset: a single pointer check per send, no RNG draws, no timing
+  /// change.
   void set_fault_injector(FaultInjector* injector) {
-    fault_injector_ = injector;
+    port_.injector = injector;
   }
-  FaultInjector* fault_injector() const { return fault_injector_; }
 
   /// Attaches the engine's tracer: every send becomes a net_send span on
   /// the sender's track; injected faults become instant events.
   void set_tracer(trace::Tracer* tracer) {
-    tracer_ = tracer != nullptr ? tracer : &trace::Tracer::Disabled();
+    port_.tracer = tracer != nullptr ? tracer : &trace::Tracer::Disabled();
   }
 
  private:
-  // Index into link_busy_until_: per node, [0] = node uplink (node->switch),
-  // [1] = switch-0 downlink (switch->node), [2] = host receive path.
-  // Downlinks of switches k >= 1 and the per-switch inter-switch egress
-  // links live in separate vectors (empty in single-switch topologies, so
-  // the classic layout is untouched).
-  SimTime& UplinkBusy(uint16_t node) { return link_busy_until_[node * 3]; }
   SimTime& DownlinkBusy(uint16_t sw, uint16_t node) {
-    return sw == 0 ? link_busy_until_[node * 3 + 1]
-                   : extra_downlink_busy_[(sw - 1) * config_.num_nodes + node];
+    return downlink_busy_[static_cast<size_t>(sw) * num_nodes_ + node];
   }
-  SimTime& RxBusy(uint16_t node) { return link_busy_until_[node * 3 + 2]; }
-  SimTime& InterSwitchBusy(uint16_t sw) { return inter_switch_busy_[sw]; }
 
   sim::Simulator* sim_;
-  NetworkConfig config_;
-  std::vector<SimTime> link_busy_until_;
-  std::vector<SimTime> extra_downlink_busy_;  // switches 1..K-1, per node
-  std::vector<SimTime> inter_switch_busy_;    // per-switch replication egress
+  const NetworkConfig config_;
+  const uint16_t num_nodes_;
+  // Link state, split the way the sharded runtime owns it: node n's uplink
+  // and receive path (shard n), switch k's downlink to node n at
+  // k * num_nodes + n (switch k's shard). Each entry is the time the link
+  // is next free.
+  std::vector<SimTime> uplink_busy_;
+  std::vector<SimTime> rx_busy_;
+  std::vector<SimTime> downlink_busy_;
   std::unique_ptr<MetricsRegistry> owned_metrics_;  // standalone fallback
-  MetricsRegistry::Counter* messages_sent_;
-  MetricsRegistry::Counter* bytes_sent_;
-  MetricsRegistry::Counter* batches_sent_;
-  MetricsRegistry::Counter* batched_txns_;
-  FaultInjector* fault_injector_ = nullptr;  // unowned; null = lossless
-  trace::Tracer* tracer_ = &trace::Tracer::Disabled();  // unowned, never null
+  Port port_;
 };
 
 }  // namespace p4db::net

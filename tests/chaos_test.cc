@@ -148,6 +148,19 @@ TEST(FaultScheduleTest, JsonNamesEveryEvent) {
   EXPECT_TRUE(net::FaultSchedule{}.empty());
 }
 
+TEST(FaultScheduleTest, ToJsonCarriesTargetSwitch) {
+  net::FaultSchedule schedule;
+  schedule.events.push_back(
+      net::FaultEvent::SwitchReboot(2 * kMillisecond, 500 * kMicrosecond));
+  schedule.events.push_back(net::FaultEvent::SwitchReboot(
+      3 * kMillisecond, 500 * kMicrosecond, /*switch_id=*/1));
+  const std::string json = schedule.ToJson();
+  // Old single-switch schedules keep working (default target 0); the dump
+  // names the target either way so chaos artifacts are unambiguous.
+  EXPECT_NE(json.find("\"switch\": 0"), std::string::npos);
+  EXPECT_NE(json.find("\"switch\": 1"), std::string::npos);
+}
+
 TEST(ChaosDeterminismTest, SameSeedAndScheduleAreByteIdentical) {
   const uint64_t seed = ChaosSeed();
   const net::FaultSchedule schedule = StandardChaos();

@@ -144,6 +144,16 @@ TEST(ConfigValidationTest, ShardedRuntimeRequiresP4dbOrNoSwitch) {
   }
 }
 
+TEST(ConfigValidationTest, ReplicatedP4dbIsValidUnderEitherProtocol) {
+  SystemConfig cfg;
+  cfg.num_switches = 2;
+  EXPECT_TRUE(ValidateConfig(cfg).ok());
+  cfg.cc_protocol = CcProtocol::kOcc;
+  EXPECT_TRUE(ValidateConfig(cfg).ok());
+  cfg.num_switches = 8;
+  EXPECT_TRUE(ValidateConfig(cfg).ok());
+}
+
 TEST(ConfigValidationTest, EveryRejectionHasACase) {
   // One minimal change per rejection in ValidateConfig, in source order,
   // each applied to the valid default config.
@@ -220,11 +230,14 @@ TEST(ConfigValidationTest, EveryRejectionHasACase) {
          c.mode = EngineMode::kNoSwitch;
        },
        Code::kUnsupported},
-      {"network mirror disagrees",
-       [](SystemConfig& c) { c.network.num_switches = 2; },
-       Code::kInvalidArgument},
-      {"star topology with a zero-length link",
+      {"zero-length node-to-switch link",
        [](SystemConfig& c) { c.network.node_to_switch_one_way = 0; },
+       Code::kInvalidArgument},
+      {"zero-length replication link",
+       [](SystemConfig& c) {
+         c.num_switches = 2;
+         c.network.switch_to_switch_one_way = 0;
+       },
        Code::kInvalidArgument},
   };
   ASSERT_TRUE(ValidateConfig(SystemConfig{}).ok());
