@@ -7,6 +7,8 @@
 #include <cstdio>
 #include <limits>
 #include <map>
+#include <memory>
+#include <new>
 #include <tuple>
 
 #include "common/json_util.h"
@@ -60,7 +62,7 @@ const char* CategoryName(Category c) {
 Tracer::Tracer(const sim::Simulator* sim, size_t flight_capacity)
     : sim_(sim) {
   if (sim_ != nullptr && flight_capacity > 0) {
-    ring_.assign(flight_capacity, Record{});
+    Allocate(flight_capacity, flight_capacity);
     mode_ = Mode::kFlightRecorder;
   }
 }
@@ -70,13 +72,20 @@ Tracer& Tracer::Disabled() {
   return inert;
 }
 
-void Tracer::EnableFull(size_t capacity) {
+void Tracer::EnableFull(size_t capacity, size_t prefault) {
   assert(sim_ != nullptr && capacity > 0);
-  ring_.assign(capacity, Record{});
+  Allocate(capacity, std::min(capacity, prefault));
   head_ = 0;
   size_ = 0;
   dropped_ = 0;
   mode_ = Mode::kFull;
+}
+
+void Tracer::Allocate(size_t capacity, size_t prefault) {
+  storage_.reset(static_cast<Record*>(std::malloc(capacity * sizeof(Record))));
+  if (storage_ == nullptr) throw std::bad_alloc();
+  ring_ = {storage_.get(), capacity};
+  std::uninitialized_fill_n(ring_.begin(), prefault, Record{});
 }
 
 std::vector<Record> Tracer::Snapshot() const {

@@ -3,6 +3,9 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstdlib>
+#include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -94,8 +97,13 @@ class Tracer {
   static Tracer& Disabled();
 
   /// Re-arms the ring at full-run capacity. Call before Engine::Run; the
-  /// (single) allocation happens here, never while recording.
-  void EnableFull(size_t capacity = kFullCapacity);
+  /// (single) allocation happens here, never while recording. Only the
+  /// first `prefault` records are touched now; the pages past them are
+  /// mapped lazily, as records first reach them. A sharded engine arms one
+  /// ring per shard and splits one ring's prefault among them, so arming
+  /// costs the same memory and time whatever the shard count.
+  void EnableFull(size_t capacity = kFullCapacity,
+                  size_t prefault = kFullCapacity);
 
   Mode mode() const { return mode_; }
   bool enabled() const { return mode_ != Mode::kDisabled; }
@@ -210,8 +218,17 @@ class Tracer {
                          std::string_view fault_schedule_json = {}) const;
 
  private:
+  struct FreeDeleter {
+    void operator()(Record* p) const { std::free(p); }
+  };
+  /// Replaces the ring with `capacity` records, the first `prefault` of
+  /// them written now. The rest are never read before Emit writes them.
+  void Allocate(size_t capacity, size_t prefault);
+
   const sim::Simulator* sim_;
-  std::vector<Record> ring_;
+  /// malloc'd, so the untouched tail of a large ring costs no memory.
+  std::unique_ptr<Record[], FreeDeleter> storage_;
+  std::span<Record> ring_;  // all of storage_
   size_t head_ = 0;  // next write position
   size_t size_ = 0;  // live records (<= ring_.size())
   uint64_t dropped_ = 0;

@@ -1,6 +1,5 @@
 #include "core/cc/concurrency_control.h"
 
-#include <algorithm>
 #include <cassert>
 
 #include "core/cc/optimistic_cc.h"
@@ -175,9 +174,9 @@ sim::CoTask<bool> ConcurrencyControl::SwitchRoundTrip(
     ctx_.Trace().CompleteSpan(t0, ctx_.Now(),
                               trace::Category::kSwitchAccess, ts, node);
     const SimTime one_way_node = 2 * config().network.node_to_switch_one_way;
-    participants.ForEachReverse([&](NodeId p) {
+    for (NodeId p : participants) {
       ctx_.ScheduleRelease(p, one_way_node, txn_id);
-    });
+    }
     // The deadline observer lives on the home node; hop back there (no-op
     // in legacy mode) before the host-side phases that follow.
     co_await ctx_.ReturnHome(node);
@@ -240,71 +239,49 @@ sim::CoTask<bool> ConcurrencyControl::Abort(TxnTimers* timers) {
   co_return false;
 }
 
+Value64 ConcurrencyControl::HostOperand(
+    const db::Op& op, const std::vector<std::optional<Value64>>& results) {
+  return sw::ResolveOperand(
+      op, [&](int16_t src) { return results[src].value_or(0); });
+}
+
+ConcurrencyControl::InsertCell ConcurrencyControl::ResolveInsert(
+    const db::Op& op, const std::vector<std::optional<Value64>>& results) {
+  InsertCell out{HotItem{op.tuple, op.column}, op.operand};
+  if (op.has_src()) {
+    out.cell.tuple.key += static_cast<Key>(
+        sw::Carried(results[op.operand_src].value_or(0), op.negate_src));
+  }
+  if (op.has_src2()) {
+    out.value +=
+        sw::Carried(results[op.operand_src2].value_or(0), op.negate_src2);
+  }
+  return out;
+}
+
+Value64& ConcurrencyControl::HostCell(const HotItem& cell) const {
+  const db::RowRef row =
+      ctx_.catalog->table(cell.tuple.table).GetOrCreate(cell.tuple.key);
+  assert(cell.column < row.size());
+  return row[cell.column];
+}
+
 Value64 ConcurrencyControl::ApplyHostOp(
     const db::Op& op, const std::vector<std::optional<Value64>>& results,
     WriteLog* writes) {
-  const auto carried_value = [&](int16_t src, bool negate) -> Value64 {
-    const Value64 v = results[src].has_value() ? *results[src] : 0;
-    return negate ? -v : v;
-  };
-
-  db::Table& table = ctx_.catalog->table(op.tuple.table);
-  Key key = op.tuple.key;
-  Value64 operand = op.operand;
-  if (op.has_src()) {
-    // An insert's src1 offsets the KEY (switch-returned order id); every
-    // other op's feeds the operand.
-    const Value64 v = carried_value(op.operand_src, op.negate_src);
-    if (op.type == db::OpType::kInsert) {
-      key += static_cast<Key>(v);
-    } else {
-      operand += v;
-    }
+  if (op.type == db::OpType::kInsert) {
+    const InsertCell ins = ResolveInsert(op, results);
+    HostCell(ins.cell) = ins.value;
+    return ins.value;
   }
-  if (op.has_src2()) operand += carried_value(op.operand_src2, op.negate_src2);
-  const db::RowRef row = table.GetOrCreate(key);
-  assert(op.column < row.size());
-  Value64& cell = row[op.column];
-  const auto log_write = [&] {
+  Value64& cell = HostCell(HotItem{op.tuple, op.column});
+  const sw::OpOutcome out =
+      sw::ApplyOp(LowerOp(op.type), cell, HostOperand(op, results));
+  if (out.wrote) {
     writes->push_back(LoggedWrite{op.tuple, op.column, &cell});
-  };
-  switch (op.type) {
-    case db::OpType::kGet:
-      return cell;
-    case db::OpType::kPut:
-      log_write();
-      cell = operand;
-      return cell;
-    case db::OpType::kAdd:
-      log_write();
-      cell += operand;
-      return cell;
-    case db::OpType::kCondAddGeZero: {
-      // Same semantics as the switch's constrained write (Section 5.1):
-      // skip the write if the result would go negative; never abort.
-      if (cell + operand >= 0) {
-        log_write();
-        cell += operand;
-      }
-      return cell;
-    }
-    case db::OpType::kMax:
-      log_write();
-      cell = std::max(cell, operand);
-      return cell;
-    case db::OpType::kSwap: {
-      const Value64 old = cell;
-      log_write();
-      cell = operand;
-      return old;
-    }
-    case db::OpType::kInsert:
-      // GetOrCreate above materialized the row; set the insert payload.
-      cell = operand;
-      return operand;
+    cell = out.stored;
   }
-  assert(false && "unreachable op type");
-  return 0;
+  return out.result;
 }
 
 std::unique_ptr<ConcurrencyControl> MakeConcurrencyControl(

@@ -9,7 +9,6 @@
 #include "common/metrics_registry.h"
 #include "common/small_vector.h"
 #include "core/cc/execution_context.h"
-#include "core/cc/node_set.h"
 #include "core/metrics.h"
 #include "db/txn.h"
 #include "sim/co_task.h"
@@ -161,14 +160,32 @@ class ConcurrencyControl {
     return sim::Delay(ctx_.Sim(), d);
   }
 
-  /// Applies one op to host storage. `writes` collects every applied write
-  /// (inserts excepted) — used to build the WAL commit record. There is no
-  /// rollback path: aborts can only happen during lock acquisition /
-  /// validation, before any write is applied (constrained writes skip
-  /// instead of aborting, matching the switch, Section 5.1).
+  /// Applies one op to host storage through sw::ApplyOp. `writes` collects
+  /// every applied write (inserts excepted) — used to build the WAL commit
+  /// record. There is no rollback path: aborts can only happen during lock
+  /// acquisition / validation, before any write is applied (constrained
+  /// writes skip instead of aborting, matching the switch, Section 5.1).
   Value64 ApplyHostOp(const db::Op& op,
                       const std::vector<std::optional<Value64>>& results,
                       WriteLog* writes);
+
+  /// The effective operand of a non-insert host op. A source whose op has
+  /// no result (its switch response was lost) counts as 0.
+  static Value64 HostOperand(
+      const db::Op& op, const std::vector<std::optional<Value64>>& results);
+
+  /// Where a host-only insert lands and what it stores: its first source
+  /// offsets the KEY (e.g. a switch-returned order id), its second feeds
+  /// the value. A missing carried result counts as 0.
+  struct InsertCell {
+    HotItem cell;
+    Value64 value;
+  };
+  static InsertCell ResolveInsert(
+      const db::Op& op, const std::vector<std::optional<Value64>>& results);
+
+  /// The table cell of (tuple, column), materializing the row if needed.
+  Value64& HostCell(const HotItem& cell) const;
 
   const SystemConfig& config() const { return *ctx_.config; }
 

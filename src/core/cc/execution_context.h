@@ -187,7 +187,7 @@ struct ExecutionContext {
   /// Awaitable switch multicast of the commit decision (Figure 10):
   /// releases `txn_id` on every participant at that node's arrival and
   /// resumes the caller at `self`'s own arrival. Legacy mode schedules the
-  /// releases in the set's reverse insertion order; sharded mode reserves
+  /// releases in the set's insertion order; sharded mode reserves
   /// the downlinks on the switch shard (where the caller must be) and
   /// resumes the caller on `self`'s shard.
   struct MulticastAwaiter {
@@ -202,11 +202,11 @@ struct ExecutionContext {
       if (ctx->router != nullptr) return false;
       const auto arrivals = ctx->net->MulticastFromSwitch(
           bytes, ctx->switches->primary_switch());
-      participants->ForEachReverse([&](NodeId p) {
+      for (NodeId p : *participants) {
         db::LockManager* lm = &ctx->lock_manager(p);
         ctx->sim->ScheduleAt(arrivals[p],
                              [lm, id = txn_id] { lm->ReleaseAll(id); });
-      });
+      }
       legacy_delay = arrivals[self] - ctx->sim->now();
       return legacy_delay <= 0;
     }

@@ -1,6 +1,5 @@
 #include "core/cc/optimistic_cc.h"
 
-#include <algorithm>
 #include <cassert>
 
 namespace p4db::core::cc {
@@ -13,72 +12,30 @@ uint64_t OptimisticCC::VersionOf(const TupleId& tuple) const {
 Value64 OptimisticCC::OccApplyOp(
     const db::Op& op, const std::vector<std::optional<Value64>>& results,
     OccContext* ctx) {
-  const auto carried = [&](int16_t src, bool negate) -> Value64 {
-    const Value64 v = results[src].has_value() ? *results[src] : 0;
-    return negate ? -v : v;
-  };
-
-  Value64 operand = op.operand;
   if (op.type == db::OpType::kInsert) {
-    Key key = op.tuple.key;
-    if (op.has_src()) key += static_cast<Key>(carried(op.operand_src,
-                                                      op.negate_src));
-    if (op.has_src2()) operand += carried(op.operand_src2, op.negate_src2);
-    const HotItem cell{TupleId{op.tuple.table, key}, op.column};
-    ctx->inserts.emplace_back(cell, operand);
-    return operand;
+    const InsertCell ins = ResolveInsert(op, results);
+    ctx->inserts.emplace_back(ins.cell, ins.value);
+    return ins.value;
   }
-  if (op.has_src()) operand += carried(op.operand_src, op.negate_src);
-  if (op.has_src2()) operand += carried(op.operand_src2, op.negate_src2);
-
+  const Value64 operand = HostOperand(op, results);
   const HotItem cell{op.tuple, op.column};
   // Current value: write buffer first, then the table.
-  Value64 value;
-  if (const Value64* buffered = ctx->write_buffer.find(cell)) {
-    value = *buffered;
-  } else {
-    value = ctx_.catalog->table(op.tuple.table)
-                .GetOrCreate(op.tuple.key)[op.column];
-  }
+  const Value64* buffered = ctx->write_buffer.find(cell);
+  const Value64 value = buffered != nullptr ? *buffered : HostCell(cell);
   if (!ctx_.catalog->IsReplicated(op.tuple.table)) {
     ctx->read_versions.try_emplace(op.tuple, VersionOf(op.tuple));
   }
-
-  const auto buffer_write = [&](Value64 v) {
-    if (!ctx->write_buffer.contains(cell)) {
+  const sw::OpOutcome out = sw::ApplyOp(LowerOp(op.type), value, operand);
+  if (out.wrote) {
+    if (buffered == nullptr) {
       ctx->written.push_back(cell);
       bool known = false;
       for (const TupleId& t : ctx->write_set) known |= (t == op.tuple);
       if (!known) ctx->write_set.push_back(op.tuple);
     }
-    ctx->write_buffer[cell] = v;
-  };
-
-  switch (op.type) {
-    case db::OpType::kGet:
-      return value;
-    case db::OpType::kPut:
-      buffer_write(operand);
-      return operand;
-    case db::OpType::kAdd:
-      buffer_write(value + operand);
-      return value + operand;
-    case db::OpType::kCondAddGeZero:
-      if (value + operand >= 0) {
-        buffer_write(value + operand);
-        return value + operand;
-      }
-      return value;
-    case db::OpType::kMax:
-      buffer_write(std::max(value, operand));
-      return std::max(value, operand);
-    case db::OpType::kSwap:
-      buffer_write(operand);
-      return value;
-    case db::OpType::kInsert:
-      break;  // handled above
+    ctx->write_buffer[cell] = out.stored;
   }
-  return 0;
+  return out.result;
 }
 
 sim::CoTask<bool> OptimisticCC::ReadOp(
@@ -154,14 +111,8 @@ sim::CoTask<bool> OptimisticCC::Validate(
 }
 
 void OptimisticCC::WriteBack(const OccContext& occ) {
-  for (const auto& [cell, value] : occ.write_buffer) {
-    ctx_.catalog->table(cell.tuple.table).GetOrCreate(cell.tuple.key)
-        [cell.column] = value;
-  }
-  for (const auto& [cell, value] : occ.inserts) {
-    ctx_.catalog->table(cell.tuple.table).GetOrCreate(cell.tuple.key)
-        [cell.column] = value;
-  }
+  for (const auto& [cell, value] : occ.write_buffer) HostCell(cell) = value;
+  for (const auto& [cell, value] : occ.inserts) HostCell(cell) = value;
   for (const TupleId& tuple : occ.write_set) ++versions_[tuple];
 }
 

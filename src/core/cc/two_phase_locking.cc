@@ -114,13 +114,13 @@ void TwoPhaseLocking::ReleaseLocks(NodeId node, uint64_t txn_id,
     }
   }
   const SimTime one_way_node = 2 * config().network.node_to_switch_one_way;
-  owners.ForEachReverse([&](NodeId owner) {
+  for (NodeId owner : owners) {
     if (owner == node) {
       ctx_.lock_manager(owner).ReleaseAll(txn_id);
     } else {
       ctx_.ScheduleRelease(owner, one_way_node, txn_id);
     }
-  });
+  }
   if (any_switch_lock) {
     db::LockManager* lm = ctx_.switch_lm;
     ctx_.Sim().Schedule(config().network.node_to_switch_one_way,

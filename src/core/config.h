@@ -5,7 +5,6 @@
 
 #include "common/status.h"
 #include "common/types.h"
-#include "db/lock_manager.h"
 #include "net/network.h"
 #include "switchsim/register_file.h"
 
@@ -29,8 +28,8 @@ enum class EngineMode : uint8_t {
 const char* EngineModeName(EngineMode mode);
 
 /// Concurrency-control protocol for cold/warm transactions (Appendix A.4).
-/// k2pl uses the pessimistic lock manager (NO_WAIT / WAIT_DIE per
-/// SystemConfig::cc_scheme); kOcc runs optimistic concurrency control:
+/// k2pl uses the pessimistic lock manager under NO_WAIT (a denied lock
+/// aborts the attempt); kOcc runs optimistic concurrency control:
 /// buffered writes, a validation phase that locks the write set and checks
 /// read versions, and — for warm transactions — the switch sub-transaction
 /// issued between validation and the write phase, exactly where the
@@ -139,7 +138,6 @@ struct SystemConfig {
   uint16_t num_nodes = 8;
   uint16_t workers_per_node = 20;
   CcProtocol cc_protocol = CcProtocol::k2pl;
-  db::CcScheme cc_scheme = db::CcScheme::kNoWait;
   uint64_t seed = 42;
 
   /// Number of programmable switches (replicas of the hot-tuple pipeline).

@@ -72,22 +72,19 @@ Engine::Engine(const SystemConfig& config)
                                             shard_tracers, shard_registries);
   }
 
-  // Under OCC the lock manager only serves short validation-phase locks;
-  // a denied request is an immediate validation failure (NO_WAIT).
-  const db::CcScheme scheme = config_.cc_protocol == CcProtocol::kOcc
-                                  ? db::CcScheme::kNoWait
-                                  : config_.cc_scheme;
+  // Every lock manager runs NO_WAIT: a denied request aborts the attempt
+  // (under OCC, an immediate validation failure).
   for (uint16_t n = 0; n < config_.num_nodes; ++n) {
     // Sharded mode binds each node's lock manager and WAL to its home
     // shard: the simulator that resumes its waiters and the registry its
     // series merge from are both shard-local.
     lock_managers_.push_back(std::make_unique<db::LockManager>(
-        &HomeSim(n), scheme, &HomeRegistry(n), "lock.node"));
+        &HomeSim(n), db::CcScheme::kNoWait, &HomeRegistry(n), "lock.node"));
     wals_.push_back(std::make_unique<db::Wal>(&HomeRegistry(n)));
   }
   switch_lm_ = std::make_unique<db::LockManager>(
-      &HomeSim(switch_shard()), scheme, &HomeRegistry(switch_shard()),
-      "lock.switch");
+      &HomeSim(switch_shard()), db::CcScheme::kNoWait,
+      &HomeRegistry(switch_shard()), "lock.switch");
   // The flight recorder is live from the first event; EnableFull upgrades
   // the same tracer in place for --trace runs. In sharded mode each switch
   // pipeline emits into its shard's ring; network spans are the router's
@@ -678,7 +675,10 @@ std::string Engine::CriticalPathJson(size_t top_k) const {
 
 void Engine::EnableFullTrace() {
   if (sharded_) {
-    for (auto& es : eshards_) es->tracer->EnableFull();
+    for (auto& es : eshards_) {
+      es->tracer->EnableFull(trace::Tracer::kFullCapacity,
+                             trace::Tracer::kFullCapacity / eshards_.size());
+    }
   } else {
     tracer_.EnableFull();
   }

@@ -192,7 +192,8 @@ class Engine {
   trace::Sampler* sampler() { return sampler_.get(); }
 
   /// Upgrades the flight recorder(s) to full-run capture for --trace runs;
-  /// in sharded mode every shard tracer is upgraded.
+  /// in sharded mode every shard tracer is upgraded, and the shards split
+  /// one full ring's prefault (Tracer::EnableFull).
   void EnableFullTrace();
   /// Chrome-trace JSON export: the engine tracer's ring in legacy mode; in
   /// sharded mode the per-shard rings concatenated in fixed shard order and

@@ -6,30 +6,6 @@
 
 namespace p4db::core {
 
-namespace {
-
-StatusOr<sw::OpCode> LowerOp(db::OpType type) {
-  switch (type) {
-    case db::OpType::kGet:
-      return sw::OpCode::kRead;
-    case db::OpType::kPut:
-      return sw::OpCode::kWrite;
-    case db::OpType::kAdd:
-      return sw::OpCode::kAdd;
-    case db::OpType::kCondAddGeZero:
-      return sw::OpCode::kCondAddGeZero;
-    case db::OpType::kMax:
-      return sw::OpCode::kMax;
-    case db::OpType::kSwap:
-      return sw::OpCode::kSwap;
-    case db::OpType::kInsert:
-      return Status::Unsupported("insert cannot run on the switch");
-  }
-  return Status::Unsupported("unknown op type");
-}
-
-}  // namespace
-
 void PartitionManager::RegisterHotItem(const HotItem& item,
                                        const sw::RegisterAddress& addr,
                                        Value64 initial_value) {
@@ -88,11 +64,8 @@ StatusOr<PartitionManager::Compiled> PartitionManager::Compile(
     const sw::RegisterAddress* addr = index_.find(HotItem{op.tuple, op.column});
     if (addr == nullptr) continue;  // cold op: handled by the host
 
-    auto opcode = LowerOp(op.type);
-    if (!opcode.ok()) return opcode.status();
-
     sw::Instruction instr;
-    instr.op = *opcode;
+    instr.op = LowerOp(op.type);
     instr.addr = *addr;
     instr.operand = op.operand;
     // Dependencies: hot -> hot rides in packet metadata (PHV); cold -> hot

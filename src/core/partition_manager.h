@@ -1,6 +1,7 @@
 #ifndef P4DB_CORE_PARTITION_MANAGER_H_
 #define P4DB_CORE_PARTITION_MANAGER_H_
 
+#include <cassert>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -17,6 +18,30 @@
 #include "switchsim/register_file.h"
 
 namespace p4db::core {
+
+/// The one db::OpType -> sw::OpCode mapping: the switch pipeline, WAL
+/// replay and both host CC protocols run an op through sw::ApplyOp under
+/// this opcode. Inserts are host-only and never lowered.
+inline sw::OpCode LowerOp(db::OpType type) {
+  switch (type) {
+    case db::OpType::kGet:
+      return sw::OpCode::kRead;
+    case db::OpType::kPut:
+      return sw::OpCode::kWrite;
+    case db::OpType::kAdd:
+      return sw::OpCode::kAdd;
+    case db::OpType::kCondAddGeZero:
+      return sw::OpCode::kCondAddGeZero;
+    case db::OpType::kMax:
+      return sw::OpCode::kMax;
+    case db::OpType::kSwap:
+      return sw::OpCode::kSwap;
+    case db::OpType::kInsert:
+      break;
+  }
+  assert(false && "inserts are host-only");
+  return sw::OpCode::kRead;
+}
 
 /// The per-node partition manager (Sections 3.1, 5.4, 6.1): a replicated,
 /// cache-resident index of the hot set that

@@ -13,45 +13,14 @@ std::vector<Value64> ReplayInstructions(
   std::vector<Value64> values;
   values.reserve(instrs.size());
   for (const sw::Instruction& in : instrs) {
-    Value64 operand = in.operand;
-    if (in.has_src()) {
-      assert(in.operand_src < values.size());
-      const Value64 carried = values[in.operand_src];
-      operand += in.negate_src ? -carried : carried;
-    }
-    if (in.has_src2()) {
-      assert(in.operand_src2 < values.size());
-      const Value64 carried = values[in.operand_src2];
-      operand += in.negate_src2 ? -carried : carried;
-    }
+    const Value64 operand = sw::ResolveOperand(in, [&](uint8_t src) {
+      assert(src < values.size());
+      return values[src];
+    });
     Value64& cell = (*state)[PackAddr(in.addr)];
-    switch (in.op) {
-      case sw::OpCode::kRead:
-        values.push_back(cell);
-        break;
-      case sw::OpCode::kWrite:
-        cell = operand;
-        values.push_back(cell);
-        break;
-      case sw::OpCode::kAdd:
-        cell += operand;
-        values.push_back(cell);
-        break;
-      case sw::OpCode::kCondAddGeZero:
-        if (cell + operand >= 0) cell += operand;
-        values.push_back(cell);
-        break;
-      case sw::OpCode::kMax:
-        cell = std::max(cell, operand);
-        values.push_back(cell);
-        break;
-      case sw::OpCode::kSwap: {
-        const Value64 old = cell;
-        cell = operand;
-        values.push_back(old);
-        break;
-      }
-    }
+    const sw::OpOutcome out = sw::ApplyOp(in.op, cell, operand);
+    cell = out.stored;
+    values.push_back(out.result);
   }
   return values;
 }

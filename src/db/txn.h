@@ -11,11 +11,12 @@ namespace p4db::db {
 
 /// Logical tuple operations, the common IR emitted by the workload
 /// generators and consumed by BOTH execution substrates:
-///  * the host executor runs them under 2PL on node memory, and
+///  * the host executor runs them under 2PL or OCC on node memory, and
 ///  * the switch-transaction compiler lowers them to switch Instructions
 ///    when every touched item is hot (Section 6.1).
-/// Keeping one IR guarantees the two paths implement identical semantics,
-/// which the equivalence tests exploit.
+/// Both paths lower every op but kInsert through core::LowerOp and apply it
+/// with sw::ApplyOp, so the two implement identical semantics by
+/// construction; the equivalence tests exploit that.
 enum class OpType : uint8_t {
   kGet,            // result = value
   kPut,            // value = operand; result = operand

@@ -1,6 +1,7 @@
 #ifndef P4DB_SWITCHSIM_INSTRUCTION_H_
 #define P4DB_SWITCHSIM_INSTRUCTION_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -39,6 +40,56 @@ const char* OpCodeName(OpCode op);
 
 /// True if the op writes the register.
 inline bool IsWriteOp(OpCode op) { return op != OpCode::kRead; }
+
+/// What one op does to one cell: the value it returns, the value the cell
+/// holds afterwards, and whether it wrote the cell. Every write op writes
+/// except a kCondAddGeZero whose sum would go negative — the cleared
+/// constraint flag.
+struct OpOutcome {
+  Value64 result;
+  Value64 stored;
+  bool wrote;
+};
+
+/// The op semantics, defined once. The switch pipeline applies it to a
+/// register, WAL replay to its state map, 2PL to a host row and OCC to its
+/// write buffer; each stores `stored` where it keeps the cell when `wrote`.
+inline OpOutcome ApplyOp(OpCode op, Value64 cell, Value64 operand) {
+  switch (op) {
+    case OpCode::kRead:
+      return {cell, cell, false};
+    case OpCode::kWrite:
+      return {operand, operand, true};
+    case OpCode::kAdd:
+      return {cell + operand, cell + operand, true};
+    case OpCode::kCondAddGeZero:
+      if (cell + operand >= 0) return {cell + operand, cell + operand, true};
+      return {cell, cell, false};
+    case OpCode::kMax:
+      return {std::max(cell, operand), std::max(cell, operand), true};
+    case OpCode::kSwap:
+      return {cell, operand, true};
+  }
+  return {cell, cell, false};  // unreachable: every OpCode is handled
+}
+
+/// One carried source's contribution to an operand.
+inline Value64 Carried(Value64 value, bool negate) {
+  return negate ? -value : value;
+}
+
+/// The effective operand of an op: its immediate plus each carried source,
+/// negated where asked. `in` is a switch Instruction or a host db::Op;
+/// `carried(src)` yields the result of the op at index `src`.
+template <typename InstrLike, typename CarriedFn>
+Value64 ResolveOperand(const InstrLike& in, CarriedFn&& carried) {
+  Value64 operand = in.operand;
+  if (in.has_src()) operand += Carried(carried(in.operand_src), in.negate_src);
+  if (in.has_src2()) {
+    operand += Carried(carried(in.operand_src2), in.negate_src2);
+  }
+  return operand;
+}
 
 /// Physical register address on the switch: MAU stage, register array within
 /// the stage, slot within the array. Nodes resolve (table, key) to this via

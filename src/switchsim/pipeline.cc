@@ -350,23 +350,23 @@ bool Pipeline::ExecutePass(Inflight& fl) {
   const auto executable = SweepOnePass(
       fl.txn.instrs, {fl.exec_pass.data(), fl.exec_pass.size()}, cur_pass);
   for (uint32_t i : executable) {
-    bool constraint_ok = true;
-    fl.result.values[i] =
-        ApplyInstruction(fl, fl.txn.instrs[i], &constraint_ok);
+    const Instruction& in = fl.txn.instrs[i];
+    assert(registers_.ValidAddress(in.addr));
+    const OpOutcome out = ApplyOp(
+        in.op, registers_.Read(in.addr),
+        ResolveOperand(in, [&](uint8_t src) { return fl.result.values[src]; }));
+    if (out.wrote) registers_.Write(in.addr, out.stored);
+    fl.result.values[i] = out.result;
+    // A write op that did not write failed its constraint.
+    const bool constraint_ok = out.wrote || !IsWriteOp(in.op);
     fl.result.constraint_ok[i] = constraint_ok;
     if (!constraint_ok) {
       series_.constrained_write_failures->Increment();
     }
-    if (rep_sink_ != nullptr) {
-      const Instruction& in = fl.txn.instrs[i];
-      const bool wrote = in.op != OpCode::kRead &&
-                         !(in.op == OpCode::kCondAddGeZero && !constraint_ok);
-      if (wrote) {
-        // Record the absolute post-apply slot value (not the delta): the
-        // backup installs it verbatim, ordered by apply_seq.
-        fl.rep_writes.push_back(
-            SlotWrite{in.addr, registers_.Read(in.addr), ++apply_seq_});
-      }
+    if (rep_sink_ != nullptr && out.wrote) {
+      // Record the absolute post-apply slot value (not the delta): the
+      // backup installs it verbatim, ordered by apply_seq.
+      fl.rep_writes.push_back(SlotWrite{in.addr, out.stored, ++apply_seq_});
     }
   }
   if ((fl.result.telemetry.flags & IntMeta::kAdmitted) != 0 &&
@@ -394,57 +394,6 @@ bool Pipeline::ExecutePass(Inflight& fl) {
   }
   fl.remaining -= executable.size();
   return fl.remaining == 0;
-}
-
-Value64 Pipeline::ApplyInstruction(const Inflight& fl, const Instruction& in,
-                                   bool* constraint_ok) {
-  assert(registers_.ValidAddress(in.addr));
-  *constraint_ok = true;
-  // Effective operand: immediate plus (optionally negated) PHV-carried
-  // results of earlier instructions.
-  Value64 operand = in.operand;
-  if (in.has_src()) {
-    const Value64 carried = fl.result.values[in.operand_src];
-    operand += in.negate_src ? -carried : carried;
-  }
-  if (in.has_src2()) {
-    const Value64 carried = fl.result.values[in.operand_src2];
-    operand += in.negate_src2 ? -carried : carried;
-  }
-  switch (in.op) {
-    case OpCode::kRead:
-      return registers_.Read(in.addr);
-    case OpCode::kWrite:
-      registers_.Write(in.addr, operand);
-      return operand;
-    case OpCode::kAdd: {
-      const Value64 v = registers_.Read(in.addr) + operand;
-      registers_.Write(in.addr, v);
-      return v;
-    }
-    case OpCode::kCondAddGeZero: {
-      const Value64 old = registers_.Read(in.addr);
-      const Value64 v = old + operand;
-      if (v >= 0) {
-        registers_.Write(in.addr, v);
-        return v;
-      }
-      *constraint_ok = false;
-      return old;
-    }
-    case OpCode::kMax: {
-      const Value64 v = std::max(registers_.Read(in.addr), operand);
-      registers_.Write(in.addr, v);
-      return v;
-    }
-    case OpCode::kSwap: {
-      const Value64 old = registers_.Read(in.addr);
-      registers_.Write(in.addr, operand);
-      return old;
-    }
-  }
-  assert(false && "unreachable opcode");
-  return 0;
 }
 
 SimTime Pipeline::ReserveRecircPort(SimTime* busy_until, size_t bytes) {

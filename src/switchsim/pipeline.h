@@ -200,8 +200,6 @@ class Pipeline {
   void Arrive(InflightRef fl);
   /// Executes one pass worth of instructions; returns true if finished.
   bool ExecutePass(Inflight& fl);
-  Value64 ApplyInstruction(const Inflight& fl, const Instruction& instr,
-                           bool* constraint_ok);
   /// Schedules a recirculation through a waiting port (blocked packet).
   void RecirculateBlocked(InflightRef fl);
   /// Schedules a recirculation for a lock holder between passes.

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <tuple>
+#include <vector>
 
 #include "core/engine.h"
 #include "workload/smallbank.h"
@@ -82,6 +84,86 @@ TEST(OccExecuteTest, DependentOperandsFlowThroughBuffer) {
   auto r = engine.ExecuteOnce(txn, 0);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ((*r)[1], 11);  // 0 + 1 + carried 10
+}
+
+// What one cold transaction leaves behind under one CC protocol.
+struct ColdOutcome {
+  std::vector<Value64> results;
+  std::vector<Value64> rows;  // keys 6000..6006, then the inserted 6995
+  std::vector<std::tuple<TupleId, uint16_t, Value64>> commit_writes;
+};
+
+ColdOutcome RunEveryOpType(CcProtocol protocol) {
+  wl::Ycsb ycsb(SmallYcsb());
+  SystemConfig cfg = OccCluster(EngineMode::kNoSwitch);
+  cfg.cc_protocol = protocol;
+  Engine engine(cfg);
+  engine.SetWorkload(&ycsb);
+  engine.Offload(5000, 40);
+  db::Table& table = engine.catalog().table(0);
+  table.GetOrCreate(6000)[0] = 5;
+  table.GetOrCreate(6002)[0] = 7;
+  table.GetOrCreate(6003)[0] = 3;
+  table.GetOrCreate(6004)[0] = 50;
+  table.GetOrCreate(6005)[0] = 11;
+  table.GetOrCreate(6006)[0] = 1;
+
+  const auto op = [](db::OpType type, Key key, Value64 operand) {
+    db::Op o;
+    o.type = type;
+    o.tuple = TupleId{0, key};
+    o.operand = operand;
+    return o;
+  };
+  db::Transaction txn;
+  txn.ops = {op(db::OpType::kGet, 6000, 0),              // 5
+             op(db::OpType::kPut, 6001, 40),             // 40
+             op(db::OpType::kAdd, 6006, 2),              // 1 + 2
+             op(db::OpType::kCondAddGeZero, 6002, -10),  // 7 - 10 < 0: skip
+             op(db::OpType::kCondAddGeZero, 6003, 2),    // 3 + (2 - 5) == 0
+             op(db::OpType::kMax, 6004, 1),              // max(50, 1 + 3)
+             op(db::OpType::kSwap, 6005, 9),             // old 11
+             op(db::OpType::kInsert, 7000, 100)};        // key 7000 - 5
+  txn.ops[4].operand_src = 0;
+  txn.ops[4].negate_src = true;
+  txn.ops[5].operand_src = 2;
+  // The insert's first source offsets its key (negated), its second feeds
+  // the stored value.
+  txn.ops[7].operand_src = 0;
+  txn.ops[7].negate_src = true;
+  txn.ops[7].operand_src2 = 6;
+
+  const db::Lsn first = engine.wal(0).end_lsn();
+  auto r = engine.ExecuteOnce(txn, 0);
+  EXPECT_TRUE(r.ok());
+  ColdOutcome out;
+  if (r.ok()) out.results = *r;
+  for (Key key : {6000, 6001, 6002, 6003, 6004, 6005, 6006, 6995}) {
+    out.rows.push_back(table.GetOrCreate(key)[0]);
+  }
+  for (const db::LogRecord& rec : engine.wal(0).Scan(first)) {
+    if (rec.kind != db::LogKind::kHostCommit) continue;
+    for (const db::HostLogOp& w : rec.host_writes) {
+      out.commit_writes.emplace_back(w.tuple, w.column, w.new_value);
+    }
+  }
+  return out;
+}
+
+TEST(OccExecuteTest, EveryOpTypeMatchesTwoPhaseLocking) {
+  const ColdOutcome tpl = RunEveryOpType(CcProtocol::k2pl);
+  const ColdOutcome occ = RunEveryOpType(CcProtocol::kOcc);
+  EXPECT_EQ(tpl.results,
+            (std::vector<Value64>{5, 40, 3, 7, 0, 50, 11, 111}));
+  EXPECT_EQ(tpl.rows, (std::vector<Value64>{5, 40, 7, 0, 50, 9, 3, 111}));
+  EXPECT_EQ(occ.results, tpl.results);
+  EXPECT_EQ(occ.rows, tpl.rows);
+  // Every written cell once (the skipped constrained write and the insert
+  // are not logged), in op order.
+  ASSERT_EQ(tpl.commit_writes.size(), 5u);
+  EXPECT_EQ(std::get<0>(tpl.commit_writes[0]), (TupleId{0, 6001}));
+  EXPECT_EQ(std::get<2>(tpl.commit_writes[4]), 9);
+  EXPECT_EQ(occ.commit_writes, tpl.commit_writes);
 }
 
 TEST(OccRunTest, ContendedRunMakesProgressWithValidationAborts) {

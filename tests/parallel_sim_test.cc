@@ -136,9 +136,8 @@ TEST(ParallelParityTest, WarmCommitMulticastThreads1Vs4ByteIdentical) {
 
 TEST(ParallelParityTest, WarmCommitMulticastPast64Nodes) {
   // Node ids past 63 fit no 64-bit participant mask: the multicast must
-  // release the locks of participants 64 and 65 like any other. No full
-  // trace here (a full ring per shard is 80 MB); the registry dump carries
-  // the comparison.
+  // release the locks of participants 64 and 65 like any other. The
+  // registry dump carries the comparison.
   wl::YcsbConfig ycsb = SmallYcsb();
   ycsb.distributed_fraction = 1.0;
   const auto run = [&ycsb](int threads, uint64_t* committed_warm) {

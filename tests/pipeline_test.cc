@@ -53,6 +53,50 @@ SwitchTxn TxnOf(std::vector<Instruction> instrs, const PipelineConfig& cfg) {
 
 // ------------------------------------------------------- op semantics ----
 
+// The kernel every consumer runs (pipeline, WAL replay, 2PL, OCC), pinned
+// against literal {result, stored, wrote} values from instruction.h's docs.
+void ExpectOutcome(OpCode op, Value64 cell, Value64 operand, Value64 result,
+                   Value64 stored, bool wrote) {
+  const OpOutcome out = ApplyOp(op, cell, operand);
+  EXPECT_EQ(out.result, result) << OpCodeName(op);
+  EXPECT_EQ(out.stored, stored) << OpCodeName(op);
+  EXPECT_EQ(out.wrote, wrote) << OpCodeName(op);
+}
+
+TEST(OpSemanticsTest, EveryOpCodeMatchesItsDocumentedMeaning) {
+  ExpectOutcome(OpCode::kRead, 7, 100, /*result=*/7, /*stored=*/7, false);
+  ExpectOutcome(OpCode::kWrite, 7, 3, 3, 3, true);
+  ExpectOutcome(OpCode::kAdd, 7, -10, -3, -3, true);
+  ExpectOutcome(OpCode::kMax, 7, 9, 9, 9, true);
+  ExpectOutcome(OpCode::kMax, 7, 5, 7, 7, true);  // smaller operand
+  ExpectOutcome(OpCode::kSwap, 7, 2, 7, 2, true);  // returns the old value
+}
+
+TEST(OpSemanticsTest, CondAddGeZeroWritesOnlyWhenTheSumStaysNonNegative) {
+  // cell + operand == 0: writes, constraint flag set.
+  ExpectOutcome(OpCode::kCondAddGeZero, 5, -5, 0, 0, true);
+  // cell + operand == -1: no write, the register value comes back.
+  ExpectOutcome(OpCode::kCondAddGeZero, 5, -6, 5, 5, false);
+  ExpectOutcome(OpCode::kCondAddGeZero, 5, 4, 9, 9, true);
+}
+
+TEST(OpSemanticsTest, OperandIsImmediatePlusSignedCarriedSources) {
+  const std::vector<Value64> carried = {10, 3};
+  const auto lookup = [&](uint8_t src) { return carried[src]; };
+  Instruction in = Make(OpCode::kAdd, 1, 0, 0, 100);
+  EXPECT_EQ(ResolveOperand(in, lookup), 100);
+  in.operand_src = 0;
+  EXPECT_EQ(ResolveOperand(in, lookup), 110);
+  in.negate_src = true;
+  EXPECT_EQ(ResolveOperand(in, lookup), 90);
+  in.operand_src2 = 1;
+  EXPECT_EQ(ResolveOperand(in, lookup), 93);
+  in.negate_src2 = true;
+  EXPECT_EQ(ResolveOperand(in, lookup), 87);
+  in.negate_src = false;
+  EXPECT_EQ(ResolveOperand(in, lookup), 107);
+}
+
 TEST(PipelineOpsTest, ReadReturnsStoredValue) {
   sim::Simulator sim;
   Pipeline pipe(&sim, SmallConfig());
